@@ -72,13 +72,11 @@ from .stseries import (
     symbolic_powers,
 )
 from .stfun import (
-    OplusProduct,
     PantographSpec,
     deformed_exp,
     deformed_exp_at,
     oplus_delay_pow,
     oplus_golden_pow,
-    oplus_pow,
     pantograph,
     pantograph_at,
     partial_theta,
@@ -112,6 +110,6 @@ from .stsolve import (
     solve_series_linear,
     solve_special_rhs,
 )
-from .cli import format_series, parse_expression
+from .expr import format_series, parse_expression
 
 __version__ = "0.1.0"

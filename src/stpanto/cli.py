@@ -1,5 +1,5 @@
-"""Command-line front end: a small polynomial-expression parser, solver
-dispatch, and JSON/CSV emission.
+"""Command-line front end: solver dispatch and JSON/CSV emission.  The
+expression language lives in ``expr``.
 
 Commands: numbers, eval, derive, integrate, solve, verify, identities.
 JSON is the canonical output (rationals as exact "p/q" strings, floats as
@@ -16,12 +16,8 @@ import sys
 from fractions import Fraction
 
 from ._stable import DEFAULT_TOL
-from .errors import (
-    DegreeOverflow,
-    ExpressionSyntaxError,
-    StError,
-    StInputError,
-)
+from .errors import StError, StInputError
+from .expr import format_series, parse_expression
 from .stnum import Params, golden_pair, st_number_range
 from .stseries import DEFAULT_ORDER, Series, st_derive
 from .stfun import PantographSpec, deformed_exp, pantograph, partial_theta_series
@@ -41,186 +37,6 @@ from .stsolve import (
 SCHEMA_VERSION = 1
 
 
-# -- expression parser --------------------------------------------------------
-
-_DIGITS = set("0123456789")
-
-
-def _tokenize(text: str):
-    """Yield (kind, value, 1-based offset) tokens."""
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        start = i
-        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
-            j = i
-            seen_dot = False
-            while j < n and (text[j] in _DIGITS or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            tokens.append(("number", text[i:j], start + 1))
-            i = j
-        elif ch in "xX":
-            tokens.append(("x", ch, start + 1))
-            i += 1
-        elif ch in "+-*/^()":
-            kinds = {"+": "plus", "-": "minus", "*": "star", "/": "slash",
-                     "^": "caret", "(": "lparen", ")": "rparen"}
-            tokens.append((kinds[ch], ch, start + 1))
-            i += 1
-        else:
-            raise ExpressionSyntaxError(f"unexpected character {ch!r}", start + 1)
-    tokens.append(("end", "", n + 1))
-    return tokens
-
-
-class _Parser:
-    """Recursive descent over: expr := [sign] term ((+|-) term)*;
-    term := factor ('*'? factor)*; factor := number ['/' number]
-    | 'x' ['^' nat] | '(' expr ')'.  Values are {degree: Fraction} maps."""
-
-    def __init__(self, text: str, max_degree: int):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.max_degree = max_degree
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind=None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise ExpressionSyntaxError(f"expected {kind}, found {tok[1] or 'end'!r}", tok[2])
-        self.pos += 1
-        return tok
-
-    def parse(self) -> dict[int, Fraction]:
-        value = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ExpressionSyntaxError(f"unexpected {tok[1]!r}", tok[2])
-        return value
-
-    def expr(self):
-        sign = 1
-        if self.peek()[0] in ("plus", "minus"):
-            sign = -1 if self.take()[0] == "minus" else 1
-        acc = _poly_scale(self.term(), sign)
-        while self.peek()[0] in ("plus", "minus"):
-            op = self.take()[0]
-            rhs = self.term()
-            acc = _poly_add(acc, _poly_scale(rhs, -1 if op == "minus" else 1))
-        return acc
-
-    def term(self):
-        acc = self.factor()
-        while True:
-            kind = self.peek()[0]
-            if kind == "star":
-                self.take()
-                acc = self._mul(acc, self.factor())
-            elif kind in ("number", "x", "lparen"):
-                acc = self._mul(acc, self.factor())
-            else:
-                return acc
-
-    def _mul(self, a, b):
-        out = {}
-        for i, ca in a.items():
-            for j, cb in b.items():
-                d = i + j
-                if d > self.max_degree:
-                    if ca * cb != 0:
-                        raise DegreeOverflow(
-                            f"degree {d} exceeds the configured order {self.max_degree}")
-                    continue
-                out[d] = out.get(d, Fraction(0)) + ca * cb
-        return out
-
-    def factor(self):
-        tok = self.peek()
-        if tok[0] == "number":
-            self.take()
-            value = Fraction(tok[1])
-            if self.peek()[0] == "slash":
-                self.take()
-                den_tok = self.take("number")
-                den = Fraction(den_tok[1])
-                if den == 0:
-                    raise ExpressionSyntaxError("division by zero", den_tok[2])
-                value /= den
-            return {0: value}
-        if tok[0] == "x":
-            self.take()
-            degree = 1
-            if self.peek()[0] == "caret":
-                self.take()
-                exp_tok = self.peek()
-                if exp_tok[0] != "number" or "." in exp_tok[1]:
-                    raise ExpressionSyntaxError(
-                        "expected a nonnegative integer exponent", exp_tok[2])
-                self.take()
-                degree = int(exp_tok[1])
-            if degree > self.max_degree:
-                raise DegreeOverflow(
-                    f"degree {degree} exceeds the configured order {self.max_degree}")
-            return {degree: Fraction(1)}
-        if tok[0] == "lparen":
-            self.take()
-            inner = self.expr()
-            self.take("rparen")
-            return inner
-        raise ExpressionSyntaxError(f"expected a term, found {tok[1] or 'end'!r}", tok[2])
-
-
-def _poly_add(a, b):
-    out = dict(a)
-    for d, c in b.items():
-        out[d] = out.get(d, Fraction(0)) + c
-    return out
-
-
-def _poly_scale(a, s):
-    return {d: c * s for d, c in a.items()}
-
-
-def parse_expression(text: str, params: Params, max_degree: int = DEFAULT_ORDER) -> Series:
-    """Parse a polynomial expression ('1 + 2x - 3/4*x^2') into a Series."""
-    poly = _Parser(text, max_degree).parse()
-    top = max(poly) if poly else 0
-    coeffs = [poly.get(d, Fraction(0)) for d in range(top + 1)]
-    return Series(params, coeffs)
-
-
-def format_series(series: Series) -> str:
-    """Canonical printable form; parse_expression round-trips it exactly
-    in the rational backend."""
-    parts = []
-    for d, c in enumerate(series.coeffs):
-        if c == 0:
-            continue
-        mag = series.params.to_str(abs(c))
-        if d == 0:
-            body = mag
-        else:
-            xpow = "x" if d == 1 else f"x^{d}"
-            body = xpow if abs(c) == 1 else f"{mag}*{xpow}"
-        sign = "-" if c < 0 else "+"
-        parts.append((sign, body))
-    if not parts:
-        return "0"
-    first_sign, first_body = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
-
-
 # -- result documents ---------------------------------------------------------
 
 
@@ -230,8 +46,9 @@ def _params_block(p: Params) -> dict:
             "backend": p.backend, "precision": p.precision}
 
 
-def _coeff_strings(series: Series) -> list[str]:
-    return [series.params.to_str(c) for c in series.coeffs]
+def _solution_block(series: Series, closed_form=None) -> dict:
+    return {"coeffs": [series.params.to_str(c) for c in series.coeffs],
+            "closed_form": closed_form, "text": format_series(series)}
 
 
 def result_document(command: str, input_echo: dict, params: Params | None = None,
@@ -289,18 +106,14 @@ def _cmd_numbers(args) -> dict:
     return result_document("numbers", echo, p, values=[p.to_str(v) for v in values])
 
 
-def _eval_grid(series: Series, points, problem=None) -> list:
+def _eval_grid(series: Series, points, residuals=None) -> list:
+    """Rows (x, y(x), residual(x)); ``residuals`` are the residual strings
+    at the same points, or blank."""
     p = series.params
     grid = []
-    for x in points:
+    for x, r in zip(points, residuals or [""] * len(points)):
         xv = p.wrap(x)
-        row = [p.to_str(xv), p.to_str(series.eval(xv))]
-        if problem is not None:
-            info = residual(problem, series, sample_points=[xv])
-            row.append(p.to_str(info.points[0][1]))
-        else:
-            row.append("")
-        grid.append(row)
+        grid.append([p.to_str(xv), p.to_str(series.eval(xv)), r])
     return grid
 
 
@@ -325,11 +138,8 @@ def _cmd_eval(args) -> dict:
     points = _parse_points(args.at)
     echo = {"s": args.s, "t": args.t, "fn": args.fn, "expr": args.expr,
             "order": args.order, "at": points}
-    return result_document("eval", echo, p,
-                           solution={"coeffs": _coeff_strings(series),
-                                     "closed_form": None,
-                                     "text": format_series(series)},
-                           grid=_eval_grid(series, points) if points else None)
+    return result_document("eval", echo, p, solution=_solution_block(series),
+                           grid=_eval_grid(series, points) or None)
 
 
 def _cmd_derive(args) -> dict:
@@ -337,11 +147,8 @@ def _cmd_derive(args) -> dict:
     series = st_derive(parse_expression(args.expr, p, args.order))
     points = _parse_points(args.at)
     echo = {"s": args.s, "t": args.t, "expr": args.expr, "order": args.order}
-    return result_document("derive", echo, p,
-                           solution={"coeffs": _coeff_strings(series),
-                                     "closed_form": None,
-                                     "text": format_series(series)},
-                           grid=_eval_grid(series, points) if points else None)
+    return result_document("derive", echo, p, solution=_solution_block(series),
+                           grid=_eval_grid(series, points) or None)
 
 
 def _cmd_integrate(args) -> dict:
@@ -356,7 +163,7 @@ def _cmd_integrate(args) -> dict:
                            diagnostics={"converged": True})
 
 
-def _solve_problem(args, p: Params) -> tuple[LinearProblem, SolutionReport]:
+def _solve_problem(args, p: Params) -> SolutionReport:
     spec = PantographSpec(p.wrap(args.a), p.wrap(args.b), p.wrap(args.u))
     beta = parse_expression(args.beta, p, args.order) if args.beta else Series.zero(p)
     if args.family == "series-linear":
@@ -364,32 +171,21 @@ def _solve_problem(args, p: Params) -> tuple[LinearProblem, SolutionReport]:
         if alpha.order > 0 and any(c != 0 for c in alpha.coeffs[1:]):
             raise StInputError("series-linear needs a scalar alpha")
         prob = LinearProblem.series_linear(p, spec, alpha.coeffs[0], beta, p.wrap(args.y0))
-        return prob, solve_series_linear(prob, args.order)
+        return solve_series_linear(prob, args.order)
     if args.family == "integration-factor":
         alpha = parse_expression(args.alpha, p, args.order)
         prob = LinearProblem.integration_factor(
             p, spec, alpha, beta, initial=p.wrap(args.y0), eta=p.wrap(args.eta),
             delay_side=args.delay_side)
         points = [p.wrap(x) for x in _parse_points(args.points)]
-        return prob, solve_integration_factor(prob, args.order, points=points,
-                                              tol=args.tol)
+        return solve_integration_factor(prob, args.order, points=points, tol=args.tol)
     if args.family == "special-rhs":
-        rep = solve_special_rhs(p, spec, p.wrap(args.beta_amplitude), p.wrap(args.y0),
-                                args.order)
-        from .stseries import scale as _scale
-        e = pantograph(p, spec, args.order)
-        forcing = (_scale(e, p.phi) * spec.a + _scale(e, p.phi * spec.u) * spec.b) \
-            * p.wrap(args.beta_amplitude)
-        prob = LinearProblem.series_linear(p, spec, p.phi_prime, forcing, p.wrap(args.y0))
-        return prob, rep
+        return solve_special_rhs(p, spec, p.wrap(args.beta_amplitude), p.wrap(args.y0),
+                                 args.order)
     if args.family == "operator":
-        rep = solve_operator(p, spec, p.wrap(args.alpha_coef), p.wrap(args.beta_coef),
-                             p.wrap(args.gamma), p.wrap(args.delta), p.wrap(args.c),
-                             args.order)
-        prob = LinearProblem.operator_form(p, spec, p.wrap(args.alpha_coef),
-                                           p.wrap(args.beta_coef), p.wrap(args.gamma),
-                                           p.wrap(args.delta), p.wrap(args.c))
-        return prob, rep
+        return solve_operator(p, spec, p.wrap(args.alpha_coef), p.wrap(args.beta_coef),
+                              p.wrap(args.gamma), p.wrap(args.delta), p.wrap(args.c),
+                              args.order)
     if args.family == "bernoulli":
         alpha = parse_expression(args.alpha, p, args.order)
         prob = LinearProblem.bernoulli(p, spec, alpha, beta, args.n,
@@ -399,13 +195,24 @@ def _solve_problem(args, p: Params) -> tuple[LinearProblem, SolutionReport]:
         rep = solve_integration_factor(z_prob, args.order)
         rep.diagnostics["transformed_family"] = z_prob.family
         rep.diagnostics["solution_is_z"] = True
-        return z_prob, rep
+        return rep
     raise StInputError(f"unknown family {args.family!r}")
+
+
+def _written_residual(problem: LinearProblem, coeffs: list[str], points: list[str]) -> dict:
+    """The residual block of a solution and sample points as written: each
+    value is read back from its string first, so that ``verify``, which has
+    only the strings, reproduces the block digit for digit."""
+    p = problem.params
+    y = Series(p, [p.wrap(c) for c in coeffs])
+    info = residual(problem, y, sample_points=[p.wrap(x) for x in points])
+    return {"coeff_max": p.to_str(info.coeff_max),
+            "points": [[p.to_str(x), p.to_str(r)] for x, r in info.points]}
 
 
 def _cmd_solve(args) -> dict:
     p = _build_params(args)
-    prob, rep = _solve_problem(args, p)
+    rep = _solve_problem(args, p)
     echo = {key: getattr(args, key, None)
             for key in ("family", "s", "t", "a", "b", "u", "alpha", "beta", "y0",
                         "eta", "delay_side", "order", "backend", "precision",
@@ -414,16 +221,12 @@ def _cmd_solve(args) -> dict:
     points = _parse_points(args.points)
     blocks = {}
     if rep.solution is not None:
-        blocks["solution"] = {"coeffs": _coeff_strings(rep.solution),
-                              "closed_form": rep.closed_form,
-                              "text": format_series(rep.solution)}
-        res_points = residual(prob, rep.solution,
-                              sample_points=[p.wrap(x) for x in points]).points
-        blocks["residual"] = {
-            "coeff_max": p.to_str(rep.residual_coeff_max),
-            "points": [[p.to_str(x), p.to_str(r)] for x, r in res_points]}
+        blocks["solution"] = _solution_block(rep.solution, rep.closed_form)
+        blocks["residual"] = _written_residual(
+            rep.problem, blocks["solution"]["coeffs"], [p.to_str(p.wrap(x)) for x in points])
         if points:
-            blocks["grid"] = _eval_grid(rep.solution, points, prob)
+            blocks["grid"] = _eval_grid(rep.solution, points,
+                                        [r for _, r in blocks["residual"]["points"]])
     else:
         blocks["residual"] = {
             "coeff_max": None,
@@ -440,33 +243,28 @@ def _cmd_solve(args) -> dict:
     return result_document("solve", echo, p, **blocks)
 
 
-_SOLVE_DEFAULTS = {
-    "family": None, "s": None, "t": None, "a": "0", "b": "1", "u": "1",
-    "alpha": "1", "beta": "0", "y0": "0", "eta": "0",
-    "delay_side": "phi-prime-delay", "points": None, "beta_amplitude": "0",
-    "alpha_coef": "1", "beta_coef": "1", "gamma": "0", "delta": "0", "c": "0",
-    "n": 2, "order": DEFAULT_ORDER, "backend": None, "precision": None,
-    "tol": DEFAULT_TOL,
-}
-
-
 def _cmd_verify(args) -> dict:
-    with open(args.doc) as fh:
-        doc = json.load(fh)
-    if doc.get("command") != "solve":
-        raise StInputError("verify expects a solve result document")
-    echo = doc["input"]
-    fields = dict(_SOLVE_DEFAULTS)
-    fields.update({k: v for k, v in echo.items() if v is not None})
-    ns = argparse.Namespace(**fields)
-    p = golden_pair(ns.s, ns.t, backend=ns.backend, precision=ns.precision)
-    prob, _ = _solve_problem(ns, p)
-    coeffs = doc["solution"]["coeffs"]
-    y = Series(p, [p.wrap(c) for c in coeffs])
+    try:
+        with open(args.doc) as fh:
+            doc = json.load(fh)
+    except OSError as err:
+        raise StInputError(f"cannot read {args.doc}: {err.strerror}") from None
+    except ValueError as err:
+        raise StInputError(f"{args.doc} is not a JSON document: {err}") from None
+    if not (isinstance(doc, dict) and doc.get("command") == "solve"
+            and isinstance(doc.get("input"), dict) and isinstance(doc.get("solution"), dict)):
+        raise StInputError("verify expects a solve result document with its input "
+                           "and a series solution")
+    # The stored input is read back by the solve parser itself, so it takes
+    # the same defaults and the same validation as a fresh solve.
+    argv = [f"--{key.replace('_', '-')}={value}"
+            for key, value in doc["input"].items() if value is not None]
+    ns = build_parser().parse_args(["solve", *argv])
+    p = _build_params(ns)
+    rep = _solve_problem(ns, p)
     point_strs = [row[0] for row in doc.get("residual", {}).get("points", [])]
-    info = residual(prob, y, sample_points=[p.wrap(x) for x in point_strs])
-    new_residual = {"coeff_max": p.to_str(info.coeff_max),
-                    "points": [[p.to_str(x), p.to_str(r)] for x, r in info.points]}
+    new_residual = _written_residual(rep.problem, doc["solution"].get("coeffs", []),
+                                     point_strs)
     matches = new_residual == doc.get("residual")
     return result_document("verify", {"doc": args.doc}, p,
                            residual=new_residual, matches_document=matches)
@@ -491,12 +289,21 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise StInputError(message)
 
 
+def _int_at_least(low: int):
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def _add_common(sub):
     sub.add_argument("--s", required=True)
     sub.add_argument("--t", required=True)
     sub.add_argument("--backend", choices=["rational", "float"], default=None)
-    sub.add_argument("--precision", type=int, default=None)
-    sub.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    sub.add_argument("--precision", type=_int_at_least(1), default=None)
+    sub.add_argument("--order", type=_int_at_least(0), default=DEFAULT_ORDER)
     sub.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_output(sub)
 
@@ -515,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_num = subs.add_parser("numbers", help="print the sequence {0}..{upto}")
     _add_common(p_num)
-    p_num.add_argument("--upto", type=int, required=True)
+    p_num.add_argument("--upto", type=_int_at_least(0), required=True)
 
     p_eval = subs.add_parser("eval", help="coefficients/values of an expression "
                                           "or a named special function")

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .stnum import (
+    binet,
     golden_pair,
     q_pochhammer,
     q_pochhammer_inf,
@@ -18,8 +19,8 @@ from .stnum import (
     st_number,
 )
 from .stseries import Series, q_derive_at, scale, st_antiderive, st_derive, st_derive_at
+from ._stable import delay_factors
 from .stfun import (
-    OplusProduct,
     PantographSpec,
     deformed_exp,
     pantograph,
@@ -56,16 +57,10 @@ def _result(name, defect, tolerance) -> IdentityResult:
 
 def binet_form() -> IdentityResult:
     worst = 0.0
-    p = golden_pair(3, -2)
-    for n in range(31):
-        lhs = st_number(p, n)
-        rhs = (p.phi ** n - p.phi_prime ** n) / (p.phi - p.phi_prime)
-        worst = max(worst, abs(float(lhs - rhs)))
-    pf = golden_pair(1, 1)
-    for n in range(31):
-        lhs = st_number(pf, n)
-        rhs = (pf.phi ** n - pf.phi_prime ** n) / (pf.phi - pf.phi_prime)
-        worst = max(worst, float(abs(lhs - rhs) / max(1, abs(lhs))))
+    for p in (golden_pair(3, -2), golden_pair(1, 1)):
+        for n in range(31):
+            lhs = st_number(p, n)
+            worst = max(worst, float(abs(lhs - binet(p, n)) / max(1, abs(lhs))))
     return _result("binet-form", worst, 1e-12)
 
 
@@ -208,10 +203,10 @@ def q_binomial_theorem() -> IdentityResult:
     worst = 0.0
     for xs in ("0.1", "0.2"):
         z = (1 - p.q) * p.wrap(xs)
-        op = OplusProduct.delay(p.phi, -b, p.q)
-        total, w, qq = p.zero(), p.one(), p.one()
-        for n in range(300):
-            total += op.value(n) / p.phi ** n * w / qq
+        total, oplus, w, qq = p.zero(), p.one(), p.one(), p.one()
+        for n, factor in zip(range(300), delay_factors(p.phi, -b, p.q)):
+            total += oplus / p.phi ** n * w / qq
+            oplus *= factor
             w *= z
             qq *= 1 - p.q ** (n + 1)
             if abs(w) < 1e-28:

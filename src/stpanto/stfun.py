@@ -8,8 +8,13 @@ coefficients, the pantograph function
 which solves D y = a y(x) + b y(u x), and Ramanujan's partial Theta
 function Theta0(x, y) = sum y^C(n,2) x^n.
 
-The (+)-products are always computed from their defining factor products
-(a + b u^k resp. alpha phi^k + beta phi'^k); the closed q-Pochhammer
+Every function here is one specialization of the prefix-product kernel
+in ``_stable``: the (+)-products are always computed from their defining
+factor products (a + b u^k resp. alpha phi^k + beta phi'^k), the series
+divide them by {n}! (``factorial_series``) and the point evaluators sum the
+matching point terms.  exp(z, u) is E(0, 1; z, u), whose factors
+0 + 1 u^k are the powers u^k, and Theta0(x, y) sums the
+(0 (+) 1)^n_{1,y} x^n without the {n}!.  The closed q-Pochhammer
 rewrite a^n (-b/a; u)_n is kept as a cross-check only.
 
 Point evaluation truncates by the shared decay rule (three consecutive
@@ -21,10 +26,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._stable import DEFAULT_TOL, stable_sum
-from .errors import ConvergenceFailure, IndexOutOfRange
-from .stnum import Params, st_number_range
-from .stseries import Series
+from ._stable import (
+    DEFAULT_TOL,
+    delay_factors,
+    golden_factors,
+    point_terms,
+    powers,
+    stable_sum,
+    weights,
+)
+from .errors import ConvergenceFailure
+from .stnum import Params
+from .stseries import Series, factorial_series
 
 
 @dataclass(frozen=True)
@@ -38,117 +51,49 @@ class PantographSpec:
     u: object
 
 
-class OplusProduct:
-    """Cached prefix products (alpha (+) beta)^n.
-
-    golden mode: factors alpha phi^k + beta phi'^k (exponential products);
-    delay mode: factors a + b u^k (pantograph weights).  n = 0 is the
-    empty product 1.  The cache is append-only, so sharing one object
-    across readers is safe.
-    """
-
-    __slots__ = ("_step", "_state", "_cache")
-
-    def __init__(self, step, state, one, capacity: int = 64):
-        self._step = step          # step(state) -> (next factor, next state)
-        self._state = state
-        self._cache = [one]
-        self.value(capacity)
-
-    @classmethod
-    def golden(cls, params: Params, alpha, beta, capacity: int = 64) -> "OplusProduct":
-        alpha, beta = params.wrap(alpha), params.wrap(beta)
-        phi, phi_p = params.phi, params.phi_prime
-
-        def step(state):
-            pk, ppk = state
-            return alpha * pk + beta * ppk, (pk * phi, ppk * phi_p)
-
-        return cls(step, (params.one(), params.one()), params.one(), capacity)
-
-    @classmethod
-    def delay(cls, a, b, u, params: Params | None = None, capacity: int = 64) -> "OplusProduct":
-        if params is not None:
-            a, b, u = params.wrap(a), params.wrap(b), params.wrap(u)
-        one = a * 0 + 1
-
-        def step(uk):
-            return a + b * uk, uk * u
-
-        return cls(step, one, one, capacity)
-
-    def value(self, n: int):
-        if n < 0:
-            raise IndexOutOfRange(f"n = {n} must be nonnegative")
-        cache = self._cache
-        while len(cache) <= n:
-            factor, self._state = self._step(self._state)
-            cache.append(cache[-1] * factor)
-        return cache[n]
-
-
-def oplus_pow(product: OplusProduct, n: int):
-    """(alpha (+) beta)^n for the given prefix-product object."""
-    return product.value(n)
-
-
 def oplus_delay_pow(a, b, u, n: int):
-    """(a (+) b)^n_{1,u} = prod_{k<n} (a + b u^k), directly."""
-    prod, uk = a * 0 + 1, a * 0 + 1
-    for _ in range(n):
-        prod *= a + b * uk
-        uk *= u
-    return prod
+    """(a (+) b)^n_{1,u} = prod_{k<n} (a + b u^k)."""
+    return weights(delay_factors(a, b, u), n, a * 0 + 1)[n]
 
 
 def oplus_golden_pow(params: Params, alpha, beta, n: int):
     """(alpha (+) beta)^n_{phi,phi'} = prod_{k<n} (alpha phi^k + beta phi'^k)."""
-    alpha, beta = params.wrap(alpha), params.wrap(beta)
-    prod = params.one()
-    pk, ppk = params.one(), params.one()
-    for _ in range(n):
-        prod *= alpha * pk + beta * ppk
-        pk *= params.phi
-        ppk *= params.phi_prime
-    return prod
+    factors = golden_factors(params, params.wrap(alpha), params.wrap(beta))
+    return weights(factors, n, params.one())[n]
 
 
-# -- deformed exponential --------------------------------------------------
+# -- pantograph function and its specializations ----------------------------
+
+
+def _delay_factors(params: Params, spec: PantographSpec):
+    return delay_factors(params.wrap(spec.a), params.wrap(spec.b), params.wrap(spec.u))
+
+
+def _pantograph_point(params: Params, factors, x, tol, what):
+    terms = point_terms(factors, params.wrap(x), params.one(), params)
+    value, _ = stable_sum(terms, tol, what=what)
+    return value
+
+
+def pantograph(params: Params, spec: PantographSpec, N: int) -> Series:
+    """Series of E(a, b; z, u): coefficients (a (+) b)^n_{1,u} / {n}!."""
+    return factorial_series(params, weights(_delay_factors(params, spec), N, params.one()))
+
+
+def pantograph_at(params: Params, spec: PantographSpec, x, tol: float = DEFAULT_TOL):
+    """E(a, b; x, u) at a point."""
+    return _pantograph_point(params, _delay_factors(params, spec), x, tol, "E(a, b; x, u)")
 
 
 def deformed_exp(params: Params, u, N: int) -> Series:
-    """Series of exp(z, u): coefficients u^C(n,2) / {n}!; u = 0 gives 1 + z."""
-    u = params.wrap(u)
-    if u == 0:
-        return Series.constant(params, 1, N) + Series.monomial(params, 1, order=N)
-    nums = st_number_range(params, N)
-    coeffs, w, p, fact = [], params.one(), params.one(), params.one()
-    for n in range(N + 1):
-        if n > 0:
-            fact *= nums[n]
-        coeffs.append(w / fact)
-        w *= p
-        p *= u
-    return Series(params, coeffs)
+    """Series of exp(z, u) = E(0, 1; z, u): coefficients u^C(n,2) / {n}!;
+    u = 0 gives 1 + z."""
+    return factorial_series(params, weights(powers(params.wrap(u)), N, params.one()))
 
 
 def deformed_exp_at(params: Params, u, z, tol: float = DEFAULT_TOL):
     """exp(z, u) at a point, by the decay-truncated term sum."""
-    u, z = params.wrap(u), params.wrap(z)
-    if u == 0:
-        return 1 + z
-    nums = _NumStream(params)
-
-    def terms():
-        t, p, n = params.one(), params.one(), 0
-        while True:
-            yield t
-            t = t * p * z / nums[n + 1]
-            p *= u
-            n += 1
-
-    value, _ = stable_sum(terms(), tol, what="exp(z, u)")
-    return value
+    return _pantograph_point(params, powers(params.wrap(u)), z, tol, "exp(z, u)")
 
 
 def product_exp(params: Params, alpha, beta, N: int) -> Series:
@@ -157,66 +102,8 @@ def product_exp(params: Params, alpha, beta, N: int) -> Series:
     Equals the product Exp(alpha x) Exp'(beta x) of the two golden-pair
     exponentials Exp = exp(., phi), Exp' = exp(., phi').
     """
-    alpha, beta = params.wrap(alpha), params.wrap(beta)
-    nums = st_number_range(params, N)
-    coeffs, w, fact = [], params.one(), params.one()
-    pk, ppk = params.one(), params.one()
-    for n in range(N + 1):
-        if n > 0:
-            fact *= nums[n]
-        coeffs.append(w / fact)
-        w *= alpha * pk + beta * ppk
-        pk *= params.phi
-        ppk *= params.phi_prime
-    return Series(params, coeffs)
-
-
-# -- pantograph function ---------------------------------------------------
-
-
-def pantograph(params: Params, spec: PantographSpec, N: int) -> Series:
-    """Series of E(a, b; z, u): coefficients (a (+) b)^n_{1,u} / {n}!."""
-    a, b, u = params.wrap(spec.a), params.wrap(spec.b), params.wrap(spec.u)
-    nums = st_number_range(params, N)
-    coeffs, w, uk, fact = [], params.one(), params.one(), params.one()
-    for n in range(N + 1):
-        if n > 0:
-            fact *= nums[n]
-        coeffs.append(w / fact)
-        w *= a + b * uk
-        uk *= u
-    return Series(params, coeffs)
-
-
-def pantograph_at(params: Params, spec: PantographSpec, x, tol: float = DEFAULT_TOL):
-    """E(a, b; x, u) at a point."""
-    a, b, u = params.wrap(spec.a), params.wrap(spec.b), params.wrap(spec.u)
-    x = params.wrap(x)
-    nums = _NumStream(params)
-
-    def terms():
-        t, uk, n = params.one(), params.one(), 0
-        while True:
-            yield t
-            t = t * (a + b * uk) * x / nums[n + 1]
-            uk *= u
-            n += 1
-
-    value, _ = stable_sum(terms(), tol, what="E(a, b; x, u)")
-    return value
-
-
-class _NumStream:
-    """Lazy {n} lookup shared by the point evaluators."""
-
-    def __init__(self, params: Params):
-        self.params = params
-        self.vals = [params.zero(), params.one()]
-
-    def __getitem__(self, n):
-        while len(self.vals) <= n:
-            self.vals.append(self.params.s * self.vals[-1] + self.params.t * self.vals[-2])
-        return self.vals[n]
+    factors = golden_factors(params, params.wrap(alpha), params.wrap(beta))
+    return factorial_series(params, weights(factors, N, params.one()))
 
 
 # -- partial Theta ---------------------------------------------------------
@@ -232,26 +119,14 @@ def partial_theta(x, y, tol: float = DEFAULT_TOL):
         raise ConvergenceFailure(f"Theta0 needs |y| <= 1, got y = {y}")
     if abs(y) == 1 and abs(x) >= 1:
         raise ConvergenceFailure("Theta0 at |y| = 1 needs |x| < 1")
-
-    def terms():
-        t, p = x * 0 + 1, x * 0 + 1
-        while True:
-            yield t
-            t = t * p * x
-            p = p * y
-
-    value, _ = stable_sum(terms(), tol, what="Theta0(x, y)")
+    value, _ = stable_sum(point_terms(powers(y), x, x * 0 + 1), tol,
+                          what="Theta0(x, y)")
     return value
 
 
 def partial_theta_series(y, N: int) -> list:
     """[y^C(n,2) for n <= N]: the coefficient sequence of Theta0(., y)."""
-    out, w, p = [], y * 0 + 1, y * 0 + 1
-    for _ in range(N + 1):
-        out.append(w)
-        w = w * p
-        p = p * y
-    return out
+    return weights(powers(y), N, y * 0 + 1)
 
 
 def psi_theta(q, tol: float = DEFAULT_TOL):

@@ -28,11 +28,12 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
+from itertools import islice
 from typing import Union
 
 from mpmath.ctx_mp import MPContext
 
-from ._stable import DEFAULT_TOL, TERM_CAP
+from ._stable import DEFAULT_TOL, TERM_CAP, delay_factors, weights
 from .errors import (
     BackendMismatch,
     ConvergenceFailure,
@@ -40,6 +41,7 @@ from .errors import (
     DegenerateQ,
     DivergentProduct,
     IndexOutOfRange,
+    StInputError,
     ZeroParameter,
 )
 
@@ -54,17 +56,27 @@ def _default_precision() -> int:
 
 
 def _as_fraction(x) -> Fraction:
+    """Read a literal exactly; every rational-backend literal passes here."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, (str, float)):
         # Read floats through their decimal repr so 0.2 means 1/5, not the
         # binary expansion of the nearest double.
-        return Fraction(str(x))
+        try:
+            return Fraction(str(x))
+        except (ValueError, ZeroDivisionError):
+            pass
     raise BackendMismatch(f"cannot interpret {x!r} as an exact rational")
+
+
+def _as_mpf(ctx, x):
+    """Read a literal at the context's precision (the float-backend path)."""
+    try:
+        return ctx.mpf(x)
+    except (ValueError, ZeroDivisionError):
+        raise StInputError(f"cannot interpret {x!r} as a number") from None
 
 
 def _rational_sqrt(x: Fraction) -> Fraction:
@@ -125,7 +137,7 @@ class Params:
             return _as_fraction(x)
         if isinstance(x, Fraction):
             return self.ctx.mpf(x.numerator) / self.ctx.mpf(x.denominator)
-        return self.ctx.mpf(x)
+        return _as_mpf(self.ctx, x)
 
     def zero(self) -> Scalar:
         return self.wrap(0)
@@ -157,9 +169,6 @@ class Params:
             tol = FLOAT_EQ_TOL
         scale = max(1, abs(a), abs(b))
         return abs(a - b) <= tol * scale
-
-    def is_zero(self, x, tol: float | None = None) -> bool:
-        return self.eq(x, self.zero(), tol)
 
     def to_str(self, x) -> str:
         """Exact 'p/q' string, or a decimal string at the declared precision."""
@@ -214,7 +223,9 @@ def golden_pair(s, t, backend: str | None = None, precision: int | None = None) 
         sw = ctx.mpf(exact[0].numerator) / ctx.mpf(exact[0].denominator)
         tw = ctx.mpf(exact[1].numerator) / ctx.mpf(exact[1].denominator)
     else:
-        sw, tw = ctx.mpf(s), ctx.mpf(t)
+        sw, tw = _as_mpf(ctx, s), _as_mpf(ctx, t)
+        if not (ctx.isfinite(sw) and ctx.isfinite(tw)):
+            raise StInputError(f"s and t must be finite, got (s, t) = ({s}, {t})")
     if sw == 0 or tw == 0:
         raise ZeroParameter("both s and t must be nonzero")
     disc = sw * sw + 4 * tw
@@ -237,10 +248,17 @@ def st_number_raw(s, t, n: int):
     """
     if n < 0:
         raise IndexOutOfRange(f"n = {n} must be nonnegative")
+    return next(st_numbers(s, t, n))
+
+
+def st_numbers(s, t, start: int = 0):
+    """{start}, {start+1}, ... lazily, by the bare recurrence."""
     a, b = s * 0, s * 0 + 1
-    for _ in range(n):
+    for _ in range(start):
         a, b = b, s * b + t * a
-    return a
+    while True:
+        yield a
+        a, b = b, s * b + t * a
 
 
 def st_number(params: Params, n: int) -> Scalar:
@@ -252,20 +270,14 @@ def st_number_range(params: Params, upto: int) -> list:
     """[{0}, {1}, ..., {upto}]."""
     if upto < 0:
         raise IndexOutOfRange(f"upto = {upto} must be nonnegative")
-    out = [params.zero(), params.one()]
-    while len(out) <= upto:
-        out.append(params.s * out[-1] + params.t * out[-2])
-    return out[:upto + 1]
+    return list(islice(st_numbers(params.s, params.t), upto + 1))
 
 
 def st_factorial(params: Params, n: int) -> Scalar:
     """{n}! = {1}{2}...{n}; empty product for n = 0."""
     if n < 0:
         raise IndexOutOfRange(f"n = {n} must be nonnegative")
-    prod = params.one()
-    for value in st_number_range(params, n)[1:]:
-        prod *= value
-    return prod
+    return weights(islice(st_numbers(params.s, params.t), 1, None), n, params.one())[n]
 
 
 def st_fibonomial(params: Params, n: int, k: int) -> Scalar:
@@ -308,12 +320,7 @@ def q_pochhammer(a, q, n: int):
     """(a;q)_n = prod_{k=0..n-1} (1 - a q^k)."""
     if n < 0:
         raise IndexOutOfRange(f"n = {n} must be nonnegative")
-    prod = 1 - a * 0
-    qk = prod
-    for _ in range(n):
-        prod *= 1 - a * qk
-        qk *= q
-    return prod
+    return weights(delay_factors(1, -a, q), n, 1 - a * 0)[n]
 
 
 def q_pochhammer_inf(a, q, tol: float = DEFAULT_TOL, cap: int = TERM_CAP):

@@ -16,17 +16,18 @@ alternate and the same decay rule applies.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Union
 
-from ._stable import DEFAULT_TOL, stable_sum
+from ._stable import DEFAULT_TOL, delay_factors, point_terms, stable_sum, weights
 from .errors import (
     DegenerateRatio,
     HypothesisViolated,
     ParamsMismatch,
     QOutOfRange,
 )
-from .stnum import Params, st_number_range
-from .stseries import Series, st_derive
+from .stnum import Params
+from .stseries import Series, factorial_series, st_derive
 from .stfun import PantographSpec, pantograph_at, partial_theta
 
 Integrand = Union[Series, Callable]
@@ -136,15 +137,8 @@ def pantograph_antiderivative_series(params: Params, spec: PantographSpec, N: in
     a, b, u = params.wrap(spec.a), params.wrap(spec.b), params.wrap(spec.u)
     if a == 0 or u == 0:
         raise HypothesisViolated("the k-sum form needs a != 0 and u != 0")
-    nums = st_number_range(params, N)
-    coeffs = [u / (a * u + b)]
-    w, uk, fact = params.one(), params.one(), params.one()
-    for n in range(1, N + 1):
-        fact *= nums[n]
-        coeffs.append(w / fact)
-        w *= a + b * uk
-        uk *= u
-    return Series(params, coeffs)
+    w = weights(delay_factors(a, b, u), N - 1, params.one())
+    return factorial_series(params, [u / (a * u + b)] + w)
 
 
 def pantograph_antiderivative_at(params: Params, spec: PantographSpec, x,
@@ -177,20 +171,10 @@ def pantograph_antiderivative_at(params: Params, spec: PantographSpec, x,
         value, _ = stable_sum(terms(), tol, what="pantograph antiderivative")
         return value
 
-    def power_terms():
-        # term_n = (a (+) b)^{n-1} x^n / {n}! for n >= 1, after the constant
-        yield u / (a * u + b)
-        nums = st_number_range(params, 2)
-        term, uk, m = x, params.one(), 1
-        while True:
-            yield term
-            if len(nums) <= m + 1:
-                nums.append(params.s * nums[-1] + params.t * nums[-2])
-            term = term * (a + b * uk) * x / nums[m + 1]
-            uk = uk * u
-            m += 1
-
-    value, _ = stable_sum(power_terms(), tol, what="pantograph antiderivative")
+    # term_n = (a (+) b)^{n-1} x^n / {n}! for n >= 1, after the constant
+    power_terms = point_terms(delay_factors(a, b, u), x, x, params, 1)
+    value, _ = stable_sum(chain([u / (a * u + b)], power_terms), tol,
+                          what="pantograph antiderivative")
     return value
 
 

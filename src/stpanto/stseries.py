@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+from ._stable import delay_factors, powers, weights
 from .errors import (
     NonInvertibleSeries,
     NonQPeriodicInitial,
@@ -205,12 +206,7 @@ def st_antiderive(f: Series) -> Series:
 
 def scale(f: Series, u) -> Series:
     """(T_u f)(x) = f(u x): multiplies c_n by u^n."""
-    u = f.params.wrap(u)
-    out, p = [], f.params.one()
-    for c in f.coeffs:
-        out.append(c * p)
-        p *= u
-    return Series(f.params, out)
+    return Series(f.params, [c * p for c, p in zip(f.coeffs, powers(f.params.wrap(u)))])
 
 
 def st_derive_at(f: Callable, x, params: Params):
@@ -256,50 +252,51 @@ def symbolic_power(f: Series, k: int) -> Series:
     return symbolic_powers(f, k)[k]
 
 
-def _composition(g_coeffs: Sequence, weights, f: Series) -> Series:
-    """sum_n w_n g_n f^[n] / {n}! truncated at f's order."""
+def factorial_series(params: Params, w: Sequence) -> Series:
+    """The series sum w_n x^n / {n}! of a weight sequence w_0..w_N."""
+    nums = st_number_range(params, len(w) - 1)
+    coeffs, fact = [], params.one()
+    for n, wn in enumerate(w):
+        if n > 0:
+            fact *= nums[n]
+        coeffs.append(wn / fact)
+    return Series(params, coeffs)
+
+
+def _composition(g_coeffs: Sequence, factors, f: Series) -> Series:
+    """sum_n w_n g_n f^[n] / {n}! truncated at f's order, w_n the prefix
+    products of the factor stream."""
     if f.coeffs[0] != 0:
         raise NonzeroConstantTerm("composition needs f(0) = 0")
+    p = f.params
     n_top = min(len(g_coeffs) - 1, f.order) if g_coeffs else -1
-    powers = symbolic_powers(f, max(n_top, 0))
-    acc = Series.zero(f.params, f.order)
+    w = weights(factors, n_top, p.one())
+    sym = symbolic_powers(f, max(n_top, 0))
+    acc = Series.zero(p, f.order)
     for n in range(n_top + 1):
-        gn = f.params.wrap(g_coeffs[n])
+        gn = p.wrap(g_coeffs[n])
         if gn == 0:
             continue
-        acc = acc + powers[n] * (weights[n] * gn / st_factorial(f.params, n))
+        acc = acc + sym[n] * (w[n] * gn / st_factorial(p, n))
     return acc
 
 
 def compose_deformed(g_coeffs: Sequence, u, f: Series) -> Series:
-    """The u-deformed composition g[f, u] = sum u^C(n,2) g_n f^[n] / {n}!.
+    """The u-deformed composition g[f, u] = sum u^C(n,2) g_n f^[n] / {n}!,
+    which is compose_ab at (a, b) = (0, 1).
 
     g_coeffs are the factorial-basis coefficients g_n of g.
     """
-    u = f.params.wrap(u)
-    n_top = min(len(g_coeffs) - 1, f.order) if g_coeffs else -1
-    weights, w, p = [], f.params.one(), f.params.one()
-    for _ in range(n_top + 1):
-        weights.append(w)
-        w *= p       # u^C(n+1,2) = u^C(n,2) * u^n
-        p *= u
-    return _composition(g_coeffs, weights, f)
+    return _composition(g_coeffs, powers(f.params.wrap(u)), f)
 
 
 def compose_ab(g_coeffs: Sequence, spec, f: Series) -> Series:
     """The (1,u)-deformed composition g[a, b; f, u] with weights (a (+) b)^n_{1,u}.
 
-    ``spec`` carries the delay triple (a, b, u); with a = 0, b = 1 this
-    reduces to compose_deformed.
+    ``spec`` carries the delay triple (a, b, u).
     """
-    a, b, u = (f.params.wrap(spec.a), f.params.wrap(spec.b), f.params.wrap(spec.u))
-    n_top = min(len(g_coeffs) - 1, f.order) if g_coeffs else -1
-    weights, w, p = [], f.params.one(), f.params.one()
-    for _ in range(n_top + 1):
-        weights.append(w)
-        w *= a + b * p
-        p *= u
-    return _composition(g_coeffs, weights, f)
+    p = f.params
+    return _composition(g_coeffs, delay_factors(p.wrap(spec.a), p.wrap(spec.b), p.wrap(spec.u)), f)
 
 
 def sq_int(f, lower: Series, upper: Series, u=None) -> Series:
@@ -322,12 +319,9 @@ def sq_int(f, lower: Series, upper: Series, u=None) -> Series:
     else:
         if u is None:
             raise NonzeroConstantTerm("coefficient-sequence integrand needs the deformation u")
-        u = params.wrap(u)
-        a, w, p = [], params.one(), params.one()
-        for m, fm in enumerate(f):
-            a.append(w * params.wrap(fm) / st_factorial(params, m))
-            w *= p
-            p *= u
+        fs = [params.wrap(fm) for fm in f]
+        w = weights(powers(params.wrap(u)), len(fs) - 1, params.one())
+        a = [w[m] * fm / st_factorial(params, m) for m, fm in enumerate(fs)]
     m_top = min(len(a) - 1, order - 1)
     low_pows = symbolic_powers(lower, m_top + 1)
     up_pows = symbolic_powers(upper, m_top + 1)
@@ -395,7 +389,3 @@ class QPeriodic:
             if abs(a - b) > tol * max(1, abs(a)):
                 raise NonQPeriodicInitial(
                     f"initial datum is not q-periodic at x = {ctx.nstr(x, 6)}")
-
-
-def series_equal(f: Series, g: Series, tol: float | None = None) -> bool:
-    return f.equals(g, tol)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from ._stable import DEFAULT_TOL
+from ._stable import DEFAULT_TOL, delay_factors, weights
 from .errors import (
     ConvergenceFailure,
     DegenerateStNumber,
@@ -139,8 +139,7 @@ class LinearProblem:
         Either way the equation's ratio collapses to alpha(x) alone when A is
         linear (constant alpha), which covers the worked cases."""
         u = params.phi if delay_side == PHI_PRIME_DELAY else params.phi_prime
-        return cls.integration_factor(params, PantographSpec(0, 1, u),
-                                      alpha, beta, initial, eta, delay_side)
+        return cls.exp_factor(params, u, alpha, beta, initial, eta, delay_side)
 
     @classmethod
     def theta_factor(cls, params, alpha, beta, initial=0, eta=0,
@@ -180,6 +179,10 @@ class ResidualInfo:
 
 @dataclass
 class SolutionReport:
+    """A solver's answer together with the problem it solves, so that a
+    caller can recompute residuals without rebuilding the problem."""
+
+    problem: LinearProblem
     solution: Series | None
     closed_form: dict | None
     residual_coeff_max: object
@@ -191,7 +194,7 @@ class SolutionReport:
     def build(cls, problem: LinearProblem, solution: Series, closed_form=None,
               sample_points=(), diagnostics=None) -> "SolutionReport":
         info = residual(problem, solution, sample_points)
-        return cls(solution, closed_form, info.coeff_max, info.points,
+        return cls(problem, solution, closed_form, info.coeff_max, info.points,
                    solution.order, diagnostics or {})
 
 
@@ -208,11 +211,8 @@ def solve_series_linear(problem: LinearProblem, N: int = DEFAULT_ORDER) -> Solut
     beta = _as_series(problem.beta, p, N)
     nums = st_number_range(p, N + 1)
     coeffs = [p.wrap(problem.initial)]
-    uk = p.one()
-    for n in range(N):
-        nxt = (a + b * uk) / nums[n + 1] * alpha * coeffs[n] + beta.coeffs[n] / nums[n + 1]
-        coeffs.append(nxt)
-        uk *= u
+    for n, f in zip(range(N), delay_factors(a, b, u)):
+        coeffs.append(f / nums[n + 1] * alpha * coeffs[n] + beta.coeffs[n] / nums[n + 1])
     y = Series(p, coeffs)
     closed = {"tag": "a0*E(a,b;alpha*x,u) + particular",
               "parameters": {"a0": p.to_str(coeffs[0]), "alpha": p.to_str(alpha),
@@ -232,27 +232,17 @@ def series_linear_closed_form(problem: LinearProblem, N: int = DEFAULT_ORDER) ->
     a, b, u = p.wrap(problem.spec.a), p.wrap(problem.spec.b), p.wrap(problem.spec.u)
     alpha = p.wrap(problem.alpha)
     beta = _as_series(problem.beta, p, N)
-    oplus = [p.one()]
-    uk = p.one()
-    for _ in range(N):
-        oplus.append(oplus[-1] * (a + b * uk))
-        uk *= u
+    oplus = weights(delay_factors(a, b, u), N, p.one())
     if any(w == 0 for w in oplus[1:]):
         raise ZeroDenominator("a prefix product (a(+)b)^{k+1} vanishes; "
                               "use the recurrence solver")
     homog = scale(pantograph(p, problem.spec, N), alpha) * p.wrap(problem.initial)
     nums = st_number_range(p, N)
-    coeffs = [p.zero()]
-    fact = p.one()
-    inner = p.zero()
-    kfact = p.one()
+    coeffs, fact, inner = [p.zero()], p.one(), p.zero()
     for n in range(1, N + 1):
+        # inner_n = sum_{k=0}^{n-1} {k}! alpha^{n-1-k} b_k / (a(+)b)^{k+1}, fact = {n-1}!
+        inner = inner * alpha + fact * beta.coeffs[n - 1] / oplus[n]
         fact *= nums[n]
-        k = n - 1
-        if k > 0:
-            kfact *= nums[k]
-        # inner_n = sum_{k=0}^{n-1} {k}! alpha^{n-1-k} b_k / (a(+)b)^{k+1}
-        inner = inner * alpha + kfact * beta.coeffs[k] / oplus[k + 1]
         coeffs.append(inner * oplus[n] / fact)
     return homog + Series(p, coeffs)
 
@@ -376,8 +366,16 @@ def solve_integration_factor(problem: LinearProblem, N: int = DEFAULT_ORDER,
             raise StInputError("numeric mode (eta > 0 or q-periodic datum) needs "
                                "evaluation points")
         values = [(x, integration_factor_value(problem, x, N, tol)) for x in points]
-        res_points = _integration_factor_point_residuals(problem, None, points, N, tol)
-        return SolutionReport(None, None, None, res_points, N,
+        ratio = _integration_factor_ratio(problem, N)
+        _, unknown_scale = _delay_scales(problem)
+        beta_eval = _beta_eval(problem, N)
+
+        def y(r):
+            return integration_factor_value(problem, r, N, tol)
+
+        res_points = [(x, abs(st_derive_at(y, x, p) + ratio.eval(x) * y(unknown_scale * x)
+                              - beta_eval(x))) for x in map(p.wrap, points)]
+        return SolutionReport(problem, None, None, None, res_points, N,
                               {"mode": "numeric", "values": values})
 
     factor, _ = integrating_factor(p, problem.spec, problem.alpha, N)
@@ -409,8 +407,7 @@ def integration_factor_value(problem: LinearProblem, x, N: int = DEFAULT_ORDER,
     factor, _ = integrating_factor(p, problem.spec, problem.alpha, N)
     factor_scale, _ = _delay_scales(problem)
     factor_delayed = scale(factor, factor_scale)
-    beta = problem.beta if callable(problem.beta) else _as_series(problem.beta, p, N)
-    beta_eval = beta if callable(beta) else beta.eval
+    beta_eval = _beta_eval(problem, N)
 
     if isinstance(problem.initial, QPeriodic):
         g = problem.initial
@@ -424,29 +421,19 @@ def integration_factor_value(problem: LinearProblem, x, N: int = DEFAULT_ORDER,
     return (integral + gval) / factor.eval(x)
 
 
-def _integration_factor_ratio(problem: LinearProblem, N: int) -> tuple[Series, Series]:
-    """(coefficient series alpha*R, delayed-factor series E[A(delay x)])."""
+def _beta_eval(problem: LinearProblem, N: int) -> Callable:
+    """The forcing as a function: a callable (a Series is one) as given."""
+    beta = problem.beta
+    return beta if callable(beta) else _as_series(beta, problem.params, N).eval
+
+
+def _integration_factor_ratio(problem: LinearProblem, N: int) -> Series:
+    """The coefficient series alpha*R = alpha (D E)[A] / E[A(delay x)]."""
     p = problem.params
     factor, numerator = integrating_factor(p, problem.spec, problem.alpha, N)
     factor_scale, _ = _delay_scales(problem)
-    factor_delayed = scale(factor, factor_scale)
     alpha = _as_series(problem.alpha, p, N)
-    return alpha * numerator / factor_delayed, factor_delayed
-
-
-def _integration_factor_point_residuals(problem, y, points, N, tol):
-    ratio, _ = _integration_factor_ratio(problem, N)
-    p = problem.params
-    _, unknown_scale = _delay_scales(problem)
-    beta = problem.beta if callable(problem.beta) else _as_series(problem.beta, p, N)
-    beta_eval = beta if callable(beta) else beta.eval
-    yval = (lambda r: integration_factor_value(problem, r, N, tol)) if y is None else y.eval
-    out = []
-    for x in points:
-        x = p.wrap(x)
-        r = st_derive_at(yval, x, p) + ratio.eval(x) * yval(unknown_scale * x) - beta_eval(x)
-        out.append((x, abs(r)))
-    return out
+    return alpha * numerator / scale(factor, factor_scale)
 
 
 # -- Bernoulli family ---------------------------------------------------------
@@ -512,10 +499,8 @@ def bernoulli_reconstruct(z, n, params: Params, y_anchor=None,
     truncated once the factor is within tol of 1; the anchor is y(0) for
     (0 < |q| < 1, n > 1) or (|q| > 1, n < 1), and a caller-supplied y(inf)
     otherwise (never inferred)."""
-    zval = z.eval if isinstance(z, Series) else z
-
     def safe_z(x):
-        v = zval(x)
+        v = z(x)
         if v == 0:
             raise ZeroDenominator(f"z vanishes at a product node x = {x}")
         return v
@@ -599,7 +584,7 @@ def residual(problem: LinearProblem, y, sample_points: Sequence = ()) -> Residua
             return st_derive_at(y.eval, x, p) - rhs
 
     elif fam == "integration-factor":
-        ratio, _ = _integration_factor_ratio(problem, y.order)
+        ratio = _integration_factor_ratio(problem, y.order)
         _, unknown_scale = _delay_scales(problem)
         beta = _as_series(problem.beta, p, y.order)
 
@@ -625,19 +610,15 @@ def _bernoulli_residual(problem: LinearProblem, y, sample_points) -> ResidualInf
     if n != 2:
         raise StInputError("point residuals for Bernoulli problems are only "
                            "implemented for order n = 2")
-    yval = y.eval if isinstance(y, Series) else y
-    alpha = problem.alpha
-    aval = alpha.eval if isinstance(alpha, Series) else (
-        alpha if callable(alpha) else (lambda _x, _c=p.wrap(alpha): _c))
-    beta = problem.beta
-    bval = beta.eval if isinstance(beta, Series) else (
-        beta if callable(beta) else (lambda _x, _c=p.wrap(beta): _c))
+    # y, alpha and beta are callables (a Series is one); alpha, beta may be constants
+    aval, bval = (v if callable(v) else (lambda _x, _c=p.wrap(v): _c)
+                  for v in (problem.alpha, problem.beta))
     delayed, other = ((p.phi, p.phi_prime) if problem.delay_side == PHI_DELAY
                       else (p.phi_prime, p.phi))
     points = []
     for x in sample_points:
         x = p.wrap(x)
-        r = (st_derive_at(yval, x, p) + aval(x) * yval(delayed * x)
-             - bval(x) * yval(p.phi * x) * yval(p.phi_prime * x))
+        r = (st_derive_at(y, x, p) + aval(x) * y(delayed * x)
+             - bval(x) * y(p.phi * x) * y(p.phi_prime * x))
         points.append((x, abs(r)))
     return ResidualInfo(None, points, 0)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -279,3 +282,69 @@ class TestVerifyRoundTrip:
         code, verification = run_cli(capsys, "verify", "--doc", str(out))
         assert code == 0
         assert verification["matches_document"] is True
+
+    @pytest.mark.parametrize("family, extra", [
+        ("integration-factor", ["--a", "1", "--b", "1/2", "--u", "1/3", "--alpha", "1",
+                                "--beta", "x", "--y0", "1", "--order", "12",
+                                "--points", "1/5,2/5"]),
+        ("series-linear", ["--a", "0", "--b", "1", "--u", "1", "--alpha", "1",
+                           "--beta", "0", "--y0", "1", "--order", "10", "--points=1/3"]),
+    ])
+    def test_verify_float_doc(self, capsys, tmp_path, family, extra):
+        # the stored residual is that of the coefficients and points as
+        # written, so reading them back reproduces it digit for digit
+        out = tmp_path / "float.json"
+        code = main(["solve", "--family", family, "--s", "1", "--t", "1", *extra,
+                     "--out", str(out)])
+        assert code == 0
+        stored = json.loads(out.read_text())
+        assert stored["params"]["backend"] == "float"
+        code, verification = run_cli(capsys, "verify", "--doc", str(out))
+        assert code == 0
+        assert verification["matches_document"] is True
+        assert verification["residual"] == stored["residual"]
+        assert [row[2] for row in stored["grid"]] == \
+            [r for _, r in stored["residual"]["points"]]
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+BAD_ARGV = {
+    "verify-missing-file": lambda tmp: ["verify", "--doc", str(tmp / "missing.json")],
+    "verify-not-json": lambda tmp: ["verify", "--doc", _write(tmp / "bad.json", '{"a":')],
+    "verify-without-input": lambda tmp: ["verify", "--doc",
+                                         _write(tmp / "noinput.json", '{"command": "solve"}')],
+    "eval-u-over-zero": lambda tmp: ["eval", "--s=3", "--t=-2", "--fn=exp", "--u=1/0"],
+    "eval-u-over-zero-float": lambda tmp: ["eval", "--s=1", "--t=1", "--fn=pantograph",
+                                           "--u=1/0"],
+    "numbers-s-nan": lambda tmp: ["numbers", "--s=nan", "--t=1", "--upto=3"],
+    "numbers-t-inf": lambda tmp: ["numbers", "--s=1", "--t=inf", "--upto=3"],
+    "precision-zero": lambda tmp: ["numbers", "--s=1", "--t=1", "--upto=3", "--precision=0"],
+    "upto-negative": lambda tmp: ["numbers", "--s=1", "--t=1", "--upto=-1"],
+    "order-negative": lambda tmp: ["solve", "--family=series-linear", "--s=3", "--t=-2",
+                                   "--order=-1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGV))
+def test_bad_input_is_one_error_line(capsys, tmp_path, case):
+    code = main(BAD_ARGV[case](tmp_path))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "vanishes" not in lines[0]
+
+
+def test_import_leaves_cli_unloaded():
+    # the library does not import its command line (nor argparse with it)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__import__("stpanto").__file__)))
+    probe = "import sys, stpanto; print('stpanto.cli' in sys.modules, 'argparse' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False", "False"]

@@ -1,20 +1,20 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stpanto._stable import delay_factors, golden_factors, point_terms, stable_sum, weights
 from stpanto.errors import ConvergenceFailure
 from stpanto.stnum import golden_pair, q_pochhammer, q_pochhammer_inf
 from stpanto.stseries import Series, scale, st_antiderive, st_derive
 from stpanto.stfun import (
-    OplusProduct,
     PantographSpec,
     deformed_exp,
     deformed_exp_at,
     oplus_delay_pow,
     oplus_golden_pow,
-    oplus_pow,
     pantograph,
     pantograph_at,
     partial_theta,
@@ -30,19 +30,19 @@ small_fraction = st.fractions(min_value=-2, max_value=2, max_denominator=8)
 
 class TestOplus:
     def test_empty_product(self):
-        assert oplus_pow(OplusProduct.delay(F(2), F(3), F(1, 2)), 0) == 1
-        assert oplus_pow(OplusProduct.golden(P32, F(1), F(4)), 0) == 1
+        assert weights(delay_factors(F(2), F(3), F(1, 2)), 0, F(1)) == [1]
+        assert weights(golden_factors(P32, F(1), F(4)), 0, P32.one()) == [1]
 
     def test_annihilating_pair(self):
-        p = OplusProduct.delay(F(3), F(-3), F(1, 2))
+        p = weights(delay_factors(F(3), F(-3), F(1, 2)), 7, F(1))
         for n in range(1, 8):
-            assert oplus_pow(p, n) == 0
+            assert p[n] == 0
 
     def test_prefix_recurrence(self):
         a, b, u = F(1), F(1, 2), F(1, 3)
-        p = OplusProduct.delay(a, b, u)
+        p = weights(delay_factors(a, b, u), 12, F(1))
         for n in range(12):
-            assert oplus_pow(p, n + 1) == oplus_pow(p, n) * (a + b * u ** n)
+            assert p[n + 1] == p[n] * (a + b * u ** n)
 
     @given(small_fraction, small_fraction, small_fraction,
            st.integers(min_value=0, max_value=10))
@@ -56,13 +56,16 @@ class TestOplus:
 
     def test_golden_matches_direct(self):
         alpha, beta = F(2), F(-1, 3)
-        p = OplusProduct.golden(P32, alpha, beta)
+        p = weights(golden_factors(P32, alpha, beta), 7, P32.one())
         for n in range(8):
-            assert oplus_pow(p, n) == oplus_golden_pow(P32, alpha, beta, n)
+            direct = math.prod((alpha * P32.phi ** k + beta * P32.phi_prime ** k
+                                for k in range(n)), start=F(1))
+            assert p[n] == direct
+            assert oplus_golden_pow(P32, alpha, beta, n) == direct
 
     def test_cache_extension_past_capacity(self):
-        p = OplusProduct.delay(F(1), F(1), F(1), capacity=4)
-        assert p.value(70) == 2 ** 70
+        # long prefix products: 70 factors of 1 + 1
+        assert weights(delay_factors(F(1), F(1), F(1)), 70, F(1))[70] == 2 ** 70
 
 
 class TestDeformedExp:
@@ -246,13 +249,117 @@ class TestQBinomialTheorem:
         for x in (p.wrap("0.1"), p.wrap("0.2")):
             z = (1 - p.q) * x
             total, term_w = p.zero(), p.one()
-            op = OplusProduct.delay(p.phi, -b, p.q)
+            oplus = weights(delay_factors(p.phi, -b, p.q), 200, p.one())
             qq = p.one()
             for n in range(200):
-                total += (op.value(n) / p.phi ** n) * term_w / qq
+                total += (oplus[n] / p.phi ** n) * term_w / qq
                 term_w *= z
                 qq *= 1 - p.q ** (n + 1)
                 if abs(term_w) < 1e-25:
                     break
             rhs = q_pochhammer_inf((b / p.phi) * z, p.q) / q_pochhammer_inf(z, p.q)
             assert abs(total - rhs) < 1e-10
+
+
+# -- the kernel against the inline loops it replaced ---------------------------
+
+
+def _ref_nums(params, n):
+    nums = [params.zero(), params.one()]
+    while len(nums) <= n:
+        nums.append(params.s * nums[-1] + params.t * nums[-2])
+    return nums
+
+
+def _ref_pantograph(params, a, b, u, N):
+    nums = _ref_nums(params, N)
+    coeffs, w, uk, fact = [], params.one(), params.one(), params.one()
+    for n in range(N + 1):
+        if n > 0:
+            fact *= nums[n]
+        coeffs.append(w / fact)
+        w *= a + b * uk
+        uk *= u
+    return coeffs
+
+
+def _ref_deformed_exp(params, u, N):
+    if u == 0:
+        return [params.one(), params.one()] + [params.zero()] * (N - 1)
+    nums = _ref_nums(params, N)
+    coeffs, w, p, fact = [], params.one(), params.one(), params.one()
+    for n in range(N + 1):
+        if n > 0:
+            fact *= nums[n]
+        coeffs.append(w / fact)
+        w *= p
+        p *= u
+    return coeffs
+
+
+def _ref_product_exp(params, alpha, beta, N):
+    nums = _ref_nums(params, N)
+    coeffs, w, fact = [], params.one(), params.one()
+    pk, ppk = params.one(), params.one()
+    for n in range(N + 1):
+        if n > 0:
+            fact *= nums[n]
+        coeffs.append(w / fact)
+        w *= alpha * pk + beta * ppk
+        pk *= params.phi
+        ppk *= params.phi_prime
+    return coeffs
+
+
+def _ref_pantograph_terms(params, a, b, u, x):
+    nums = _ref_nums(params, 1)
+    t, uk, n = params.one(), params.one(), 0
+    while True:
+        yield t
+        if len(nums) <= n + 1:
+            nums.append(params.s * nums[-1] + params.t * nums[-2])
+        t = t * (a + b * uk) * x / nums[n + 1]
+        uk *= u
+        n += 1
+
+
+KERNEL_PARAMS = [golden_pair(3, -2), golden_pair(1, 1, backend="float", precision=30),
+                 golden_pair(1, 1, backend="float", precision=50)]
+KERNEL_SPECS = [("1", "1/2", "1/3"), ("2", "-2", "1/3"), ("0", "1", "-1/2"),
+                ("3/2", "-1/3", "0"), ("1", "1/5", "2")]
+
+
+@pytest.mark.parametrize("params", KERNEL_PARAMS, ids=["rational", "float30", "float50"])
+class TestKernelMatchesInlineLoops:
+    """The prefix-product kernel reproduces the hand-written loops exactly,
+    float rounding included."""
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS)
+    def test_pantograph(self, params, spec):
+        a, b, u = (params.wrap(v) for v in spec)
+        for N in (0, 1, 12):
+            got = pantograph(params, PantographSpec(a, b, u), N).coeffs
+            assert got == _ref_pantograph(params, a, b, u, N)
+
+    @pytest.mark.parametrize("u", ["1/3", "-2/3", "0", "1", "2"])
+    def test_deformed_exp(self, params, u):
+        u = params.wrap(u)
+        for N in (1, 12):
+            assert deformed_exp(params, u, N).coeffs == _ref_deformed_exp(params, u, N)
+
+    @pytest.mark.parametrize("alpha, beta", [("2", "-1/3"), ("-1", "1"), ("1/2", "0")])
+    def test_product_exp(self, params, alpha, beta):
+        alpha, beta = params.wrap(alpha), params.wrap(beta)
+        got = product_exp(params, alpha, beta, 12).coeffs
+        assert got == _ref_product_exp(params, alpha, beta, 12)
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS[:4])
+    def test_pantograph_at(self, params, spec):
+        a, b, u = (params.wrap(v) for v in spec)
+        for x in ("1/3", "-2/5", "0"):
+            x = params.wrap(x)
+            want = stable_sum(_ref_pantograph_terms(params, a, b, u, x), 1e-20)
+            got = stable_sum(point_terms(delay_factors(a, b, u), x, params.one(), params),
+                             1e-20)
+            assert got == want  # same value from the same number of terms
+            assert pantograph_at(params, PantographSpec(a, b, u), x, tol=1e-20) == want[0]

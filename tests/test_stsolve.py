@@ -20,7 +20,7 @@ from stpanto.stseries import (
     st_antiderive,
     st_derive,
 )
-from stpanto.stfun import PantographSpec, deformed_exp, oplus_delay_pow, pantograph
+from stpanto.stfun import PantographSpec, deformed_exp, pantograph
 from stpanto.stsolve import (
     LinearProblem,
     bernoulli_reconstruct,
@@ -62,8 +62,8 @@ class TestSeriesLinear:
         spec = PantographSpec(a, b, u)
         prob = LinearProblem.series_linear(P32, spec, alpha, Series(P32, [delta, eps]), a0)
         rep = solve_series_linear(prob, 20)
-        o1 = oplus_delay_pow(a, b, u, 1)
-        o2 = oplus_delay_pow(a, b, u, 2)
+        o1 = a + b
+        o2 = (a + b) * (a + b * u)
         cconst = a0 + delta / (alpha * o1) + eps / (alpha ** 2 * o2)
         e_at_alpha = scale(pantograph(P32, spec, 20), alpha)
         expected = e_at_alpha * cconst - Series.constant(
@@ -82,9 +82,11 @@ class TestSeriesLinear:
         rep = solve_series_linear(prob, N)
         e_at_alpha = scale(pantograph(P32, spec, N), alpha)
         partial = Series(P32, [
-            oplus_delay_pow(a, b, u, n) * alpha ** n / st_factorial(P32, n)
+            math.prod((a + b * u ** k for k in range(n)), start=F(1))
+            * alpha ** n / st_factorial(P32, n)
             if n <= m else F(0) for n in range(N + 1)])
-        pref = st_factorial(P32, m) / (alpha ** (m + 1) * oplus_delay_pow(a, b, u, m + 1))
+        oplus = math.prod((a + b * u ** k for k in range(m + 1)), start=F(1))
+        pref = st_factorial(P32, m) / (alpha ** (m + 1) * oplus)
         expected = e_at_alpha * a0 + (e_at_alpha - partial) * pref
         assert rep.solution == expected
         assert rep.residual_coeff_max == 0
@@ -94,7 +96,7 @@ class TestSeriesLinear:
            st.lists(small_fraction, min_size=1, max_size=5))
     def test_recurrence_matches_closed_form(self, a, b, u, beta):
         alpha = F(3, 2)
-        if any(oplus_delay_pow(a, b, u, k) == 0 for k in range(1, 17)):
+        if any(a + b * u ** k == 0 for k in range(16)):
             return
         spec = PantographSpec(a, b, u)
         prob = LinearProblem.series_linear(P32, spec, alpha, Series(P32, beta), F(2))
@@ -123,6 +125,16 @@ class TestSpecialRhs:
         rep = solve_special_rhs(P32, spec, 0, F(3), 14)
         assert rep.solution == scale(pantograph(P32, spec, 14), P32.phi_prime) * 3
         assert rep.residual_coeff_max == 0
+
+    def test_report_carries_its_problem(self):
+        # the solver builds the theorem's forcing once and hands it back
+        spec = PantographSpec(F(1, 2), F(1, 3), F(2, 5))
+        rep = solve_special_rhs(P32, spec, F(3), F(2), 12)
+        e = pantograph(P32, spec, 12)
+        forcing = (scale(e, P32.phi) * spec.a + scale(e, P32.phi * spec.u) * spec.b) * 3
+        assert rep.problem.family == "series-linear"
+        assert rep.problem.alpha == P32.phi_prime and rep.problem.beta == forcing
+        assert residual(rep.problem, rep.solution).coeff_max == 0
 
     def test_deformed_exp_corollary(self):
         # spec (0, 1, u): y = c exp(phi' x, u) + beta x exp(u x, u)
@@ -352,6 +364,7 @@ class TestSolveIntegrationFactor:
             eta=p.wrap("0.2"))
         rep = solve_integration_factor(prob, 40, points=[p.wrap("0.5")], tol=1e-20)
         assert rep.solution is None
+        assert rep.problem is prob
         assert rep.diagnostics["mode"] == "numeric"
         (x, r), = rep.residual_points
         assert r < 1e-8
