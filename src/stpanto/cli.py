@@ -158,9 +158,10 @@ def _cmd_integrate(args) -> dict:
     value = st_integral(series, interval, tol=args.tol)
     echo = {"s": args.s, "t": args.t, "expr": args.expr,
             "from": args.frm, "to": args.to, "tol": args.tol}
+    # A value outside the double range keeps only its exact form.
+    decimal = repr(float(value)) if abs(value) <= sys.float_info.max else None
     return result_document("integrate", echo, p, value=p.to_str(value),
-                           value_decimal=repr(float(value)),
-                           diagnostics={"converged": True})
+                           value_decimal=decimal, diagnostics={"converged": True})
 
 
 def _solve_problem(args, p: Params) -> SolutionReport:

@@ -52,7 +52,13 @@ FLOAT_EQ_TOL = 1e-12
 
 
 def _default_precision() -> int:
-    return int(os.environ.get("ST_PANTO_PRECISION", DEFAULT_PRECISION))
+    text = os.environ.get("ST_PANTO_PRECISION", str(DEFAULT_PRECISION))
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise StInputError(f"ST_PANTO_PRECISION must be an integer of at least 1, got {text!r}")
 
 
 def _as_fraction(x) -> Fraction:

@@ -1,29 +1,29 @@
 """Solvers for first-order linear proportional difference equations, plus
-the Bernoulli transformation.  Four families:
+the Bernoulli transformation.  Every linear solution is checked against
+D y = alpha(x) (a y(x) + b y(u x)) + beta(x).  Three families:
 
-* series-linear:      D y = alpha (a y(x) + b y(u x)) + beta(x), y(0) = a0,
-                      solved by the coefficient recurrence
-                      c_{n+1} = (a + b u^n) alpha c_n / {n+1} + b_n / {n+1};
+* series-linear:      that equation with y(0) = a0, solved by the
+                      coefficient recurrence
+                      c_{n+1} = (a + b u^n) alpha c_n / {n+1} + b_n / {n+1},
+                      or in closed form by the phi'-coefficient theorem and
+                      the operator (shift-identity) method;
 * integration-factor: D y + alpha(x) R(x) y(phi' x) = beta(x) where
                       R = (a E[A] + b E[u A]) / E[A](phi .) and A is the
                       antiderivative of alpha, solved by multiplying through
                       by the composed pantograph factor E[a,b; A(x), u]
                       (or the phi-delay variant with phi and phi' swapped);
-* operator:           D y = a beta y + gamma T_u y + delta E(a,b; alpha x, u),
-                      solved through the shift identity
-                      (D - a beta - gamma T_u) E(a,b; beta x, u)
-                          = (b beta - gamma) E(a,b; u beta x, u);
 * bernoulli:          the nonlinear proportional equations linearized by the
                       infinite-product substitution z, with y recovered by
                       product inversion (1/z when the order is 2).
 
-Every solver returns a SolutionReport whose residuals are recomputed from
-the returned solution at report time by substitution into the equation.
+Every solver returns a SolutionReport whose coefficient residual is computed
+by substitution into the equation when it is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 from ._stable import DEFAULT_TOL, delay_factors, weights
@@ -54,8 +54,7 @@ from .stquad import QInterval, st_integral
 PHI_PRIME_DELAY = "phi-prime-delay"
 PHI_DELAY = "phi-delay"
 
-FAMILIES = ("series-linear", "integration-factor", "operator",
-            "bernoulli", "u-bernoulli")
+FAMILIES = ("series-linear", "integration-factor", "bernoulli", "u-bernoulli")
 
 
 def _as_series(value, params: Params, order: int) -> Series:
@@ -86,28 +85,15 @@ class LinearProblem:
     eta: object = 0
     n_bernoulli: object = None
     delay_side: str = PHI_PRIME_DELAY
-    # operator-family coefficients
-    alpha_coef: object = None
-    beta_coef: object = None
-    gamma: object = None
-    delta: object = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise StInputError(f"unknown family {self.family!r}")
         if self.delay_side not in (PHI_PRIME_DELAY, PHI_DELAY):
             raise StInputError(f"unknown delay side {self.delay_side!r}")
-        if self.family == "operator":
-            missing = [n for n in ("alpha_coef", "beta_coef", "gamma", "delta")
-                       if getattr(self, n) is None]
-            if missing:
-                raise StInputError(f"operator family needs {', '.join(missing)}")
-        elif self.family in ("bernoulli", "u-bernoulli"):
-            if self.n_bernoulli is None:
-                raise StInputError(f"{self.family} needs the order n")
-            if self.alpha is None:
-                raise StInputError(f"{self.family} needs alpha")
-        elif self.alpha is None:
+        if self.family in ("bernoulli", "u-bernoulli") and self.n_bernoulli is None:
+            raise StInputError(f"{self.family} needs the order n")
+        if self.alpha is None:
             raise StInputError(f"{self.family} needs alpha")
 
     # -- constructors --------------------------------------------------
@@ -150,12 +136,6 @@ class LinearProblem:
                                       alpha, beta, initial, eta, delay_side)
 
     @classmethod
-    def operator_form(cls, params, spec, alpha_coef, beta_coef, gamma, delta,
-                      c=0) -> "LinearProblem":
-        return cls("operator", params, spec, initial=c, alpha_coef=alpha_coef,
-                   beta_coef=beta_coef, gamma=gamma, delta=delta)
-
-    @classmethod
     def bernoulli(cls, params, spec, alpha, beta, n, delay_side=PHI_DELAY) -> "LinearProblem":
         """D_{phi^{n-1},phi'^{n-1}} y + alpha y(phi^{n-1} x) = beta * (product RHS).
 
@@ -180,22 +160,22 @@ class ResidualInfo:
 @dataclass
 class SolutionReport:
     """A solver's answer together with the problem it solves, so that a
-    caller can recompute residuals without rebuilding the problem."""
+    caller can recompute residuals without rebuilding the problem.  Numeric
+    mode, which has no series, fills ``residual_points`` instead."""
 
     problem: LinearProblem
     solution: Series | None
     closed_form: dict | None
-    residual_coeff_max: object
-    residual_points: list
     order: int
+    residual_points: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
-    @classmethod
-    def build(cls, problem: LinearProblem, solution: Series, closed_form=None,
-              sample_points=(), diagnostics=None) -> "SolutionReport":
-        info = residual(problem, solution, sample_points)
-        return cls(problem, solution, closed_form, info.coeff_max, info.points,
-                   solution.order, diagnostics or {})
+    @cached_property
+    def residual_coeff_max(self):
+        """Max |coefficient| of the substitution residual, computed when first read."""
+        if self.solution is None:
+            return None
+        return residual(self.problem, self.solution).coeff_max
 
 
 # -- series-linear family ---------------------------------------------------
@@ -217,7 +197,7 @@ def solve_series_linear(problem: LinearProblem, N: int = DEFAULT_ORDER) -> Solut
     closed = {"tag": "a0*E(a,b;alpha*x,u) + particular",
               "parameters": {"a0": p.to_str(coeffs[0]), "alpha": p.to_str(alpha),
                              "a": p.to_str(a), "b": p.to_str(b), "u": p.to_str(u)}}
-    return SolutionReport.build(problem, y, closed)
+    return SolutionReport(problem, y, closed, y.order)
 
 
 def series_linear_closed_form(problem: LinearProblem, N: int = DEFAULT_ORDER) -> Series:
@@ -264,10 +244,10 @@ def solve_special_rhs(params: Params, spec: PantographSpec, beta_amplitude, a0,
     problem = LinearProblem.series_linear(p, spec, p.phi_prime, forcing, a0)
     closed = {"tag": "c*E(a,b;phi'*x,u) + beta*x*(a*E(a,b;x,u) + b*E(a,b;u*x,u))",
               "parameters": {"c": p.to_str(p.wrap(a0)), "beta": p.to_str(beta)}}
-    return SolutionReport.build(problem, y, closed)
+    return SolutionReport(problem, y, closed, y.order)
 
 
-# -- operator family ---------------------------------------------------------
+# -- operator method ---------------------------------------------------------
 
 
 def operator_identity_residual(params: Params, spec: PantographSpec, beta, gamma,
@@ -291,7 +271,9 @@ def solve_operator(params: Params, spec: PantographSpec, alpha_coef, beta_coef,
     The shift identity produces the particular term only when beta = alpha/u
     (the substitution the method's derivation makes); with delta != 0 and
     beta != alpha/u the displayed formula does not solve the equation, so
-    that combination is rejected.
+    that combination is rejected.  The report carries the series-linear
+    problem solved: spec (a beta, gamma, u), alpha = 1, the forcing
+    delta E(a,b; alpha x, u) as a Series and the initial value y(0).
     """
     p = params
     a, b, u = p.wrap(spec.a), p.wrap(spec.b), p.wrap(spec.u)
@@ -308,15 +290,15 @@ def solve_operator(params: Params, spec: PantographSpec, alpha_coef, beta_coef,
             "the operator method needs beta = alpha/u when delta != 0; "
             "use the series-linear solver for the general case")
     ident = operator_identity_residual(p, spec, alpha / u, gamma, N)
-    homog = pantograph(p, PantographSpec(a * beta, gamma, u), N) * p.wrap(c)
-    particular = scale(pantograph(p, spec, N), alpha / u) * (u * delta / denom)
-    y = homog + particular
-    problem = LinearProblem.operator_form(p, spec, alpha, beta, gamma, delta, c)
+    shifted = PantographSpec(a * beta, gamma, u)
+    e = pantograph(p, spec, N)
+    y = pantograph(p, shifted, N) * p.wrap(c) + scale(e, alpha / u) * (u * delta / denom)
+    problem = LinearProblem.series_linear(p, shifted, 1, scale(e, alpha) * delta, y.coeffs[0])
     closed = {"tag": "c*E(a*beta,gamma;x,u) + u*delta/(b*alpha-u*gamma)*E(a,b;alpha*x/u,u)",
               "parameters": {"c": p.to_str(p.wrap(c)),
                              "factor": p.to_str(u * delta / denom)}}
     diags = {"operator_identity_max": ident.max_abs_coeff()}
-    return SolutionReport.build(problem, y, closed, diagnostics=diags)
+    return SolutionReport(problem, y, closed, y.order, diagnostics=diags)
 
 
 # -- integration-factor family -----------------------------------------------
@@ -360,22 +342,16 @@ def solve_integration_factor(problem: LinearProblem, N: int = DEFAULT_ORDER,
     if problem.family != "integration-factor":
         raise StInputError(f"expected integration-factor, got {problem.family}")
     p = problem.params
-    numeric = _wants_numeric(problem)
-    if numeric:
+    if _wants_numeric(problem):
         if not points:
             raise StInputError("numeric mode (eta > 0 or q-periodic datum) needs "
                                "evaluation points")
-        values = [(x, integration_factor_value(problem, x, N, tol)) for x in points]
-        ratio = _integration_factor_ratio(problem, N)
-        _, unknown_scale = _delay_scales(problem)
-        beta_eval = _beta_eval(problem, N)
 
         def y(r):
             return integration_factor_value(problem, r, N, tol)
 
-        res_points = [(x, abs(st_derive_at(y, x, p) + ratio.eval(x) * y(unknown_scale * x)
-                              - beta_eval(x))) for x in map(p.wrap, points)]
-        return SolutionReport(problem, None, None, None, res_points, N,
+        values = [(x, y(x)) for x in points]
+        return SolutionReport(problem, None, None, N, residual(problem, y, points, N).points,
                               {"mode": "numeric", "values": values})
 
     factor, _ = integrating_factor(p, problem.spec, problem.alpha, N)
@@ -387,7 +363,7 @@ def solve_integration_factor(problem: LinearProblem, N: int = DEFAULT_ORDER,
     y = (st_antiderive(integrand).truncated(N) + xi) / factor
     closed = {"tag": "(antiderivative(beta*E[a,b;A(delay x),u]) + xi)/E[a,b;A(x),u]",
               "parameters": {"xi": p.to_str(xi), "delay_side": problem.delay_side}}
-    return SolutionReport.build(problem, y, closed)
+    return SolutionReport(problem, y, closed, y.order)
 
 
 def _wants_numeric(problem: LinearProblem) -> bool:
@@ -425,15 +401,6 @@ def _beta_eval(problem: LinearProblem, N: int) -> Callable:
     """The forcing as a function: a callable (a Series is one) as given."""
     beta = problem.beta
     return beta if callable(beta) else _as_series(beta, problem.params, N).eval
-
-
-def _integration_factor_ratio(problem: LinearProblem, N: int) -> Series:
-    """The coefficient series alpha*R = alpha (D E)[A] / E[A(delay x)]."""
-    p = problem.params
-    factor, numerator = integrating_factor(p, problem.spec, problem.alpha, N)
-    factor_scale, _ = _delay_scales(problem)
-    alpha = _as_series(problem.alpha, p, N)
-    return alpha * numerator / scale(factor, factor_scale)
 
 
 # -- Bernoulli family ---------------------------------------------------------
@@ -538,69 +505,58 @@ def bernoulli_reconstruct(z, n, params: Params, y_anchor=None,
 # -- substitution residuals ---------------------------------------------------
 
 
-def residual(problem: LinearProblem, y, sample_points: Sequence = ()) -> ResidualInfo:
+def residual(problem: LinearProblem, y, sample_points: Sequence = (),
+             order: int | None = None) -> ResidualInfo:
     """Substitution residual of y in the problem's equation.
 
-    Coefficient level: LHS - RHS assembled as a Series, max |coefficient|
-    reported up to order N-1.  Point level: the divided-difference form at
-    each sample point.  Bernoulli problems (nonlinear) report points only,
-    with y a callable, in the telescoped n = 2 form; u-bernoulli problems
-    are checked on their transformed linear z-equation, so pass z as y.
+    Linear problems are checked as D y = alpha(x) (a y(x) + b y(u x)) + beta(x):
+    series-linear problems as given, integration-factor problems with
+    alpha -> -alpha R, (a, b) = (0, 1) and u the delay of the unknown.  A
+    term whose weight is zero is not evaluated.  Coefficient level (y a
+    Series): LHS - RHS assembled as a Series, max |coefficient| reported up
+    to order N-1.  Point level (any callable y): the divided-difference form
+    at each sample point; a plain callable has no series order, so
+    ``order`` gives the one alpha and beta are expanded to.  Bernoulli
+    problems (nonlinear) report points only, with y a callable, in the
+    telescoped n = 2 form; u-bernoulli problems are checked on their
+    transformed linear z-equation, so pass z as y.
     """
     p = problem.params
-    fam = problem.family
-
-    if fam == "bernoulli":
+    if problem.family == "bernoulli":
         return _bernoulli_residual(problem, y, sample_points)
+    if problem.family == "u-bernoulli":
+        return residual(bernoulli_transform(problem), y, sample_points, order)
 
-    if fam == "u-bernoulli":
-        transformed = bernoulli_transform(problem)
-        return residual(transformed, y, sample_points)
-
-    if fam == "series-linear":
-        a, b, u = (p.wrap(problem.spec.a), p.wrap(problem.spec.b), p.wrap(problem.spec.u))
+    is_series = isinstance(y, Series)
+    if is_series:
+        order = y.order
+    elif order is None:
+        raise StInputError("a residual of a plain callable needs the series order")
+    if problem.family == "series-linear":
+        a, b, u = p.wrap(problem.spec.a), p.wrap(problem.spec.b), p.wrap(problem.spec.u)
         alpha = p.wrap(problem.alpha)
-        beta = _as_series(problem.beta, p, y.order)
-
-        def lhs_series():
-            return st_derive(y) - ((y * a + scale(y, u) * b) * alpha + beta).truncated(y.order - 1)
-
-        def point(x):
-            return (st_derive_at(y.eval, x, p)
-                    - alpha * (a * y.eval(x) + b * y.eval(u * x)) - beta.eval(x))
-
-    elif fam == "operator":
-        a, b, u = (p.wrap(problem.spec.a), p.wrap(problem.spec.b), p.wrap(problem.spec.u))
-        ab, g, d = p.wrap(problem.beta_coef), p.wrap(problem.gamma), p.wrap(problem.delta)
-        al = p.wrap(problem.alpha_coef)
-        forcing = scale(pantograph(p, problem.spec, y.order), al) * d
-
-        def lhs_series():
-            rhs = y * (a * ab) + scale(y, u) * g + forcing
-            return st_derive(y) - rhs.truncated(y.order - 1)
-
-        def point(x):
-            rhs = (a * ab * y.eval(x) + g * y.eval(u * x) + forcing.eval(x))
-            return st_derive_at(y.eval, x, p) - rhs
-
-    elif fam == "integration-factor":
-        ratio = _integration_factor_ratio(problem, y.order)
-        _, unknown_scale = _delay_scales(problem)
-        beta = _as_series(problem.beta, p, y.order)
-
-        def lhs_series():
-            return (st_derive(y)
-                    + (ratio * scale(y, unknown_scale) - beta).truncated(y.order - 1))
-
-        def point(x):
-            return (st_derive_at(y.eval, x, p)
-                    + ratio.eval(x) * y.eval(unknown_scale * x) - beta.eval(x))
-
     else:
-        raise StInputError(f"no residual form for family {fam!r}")
+        # alpha R = alpha (D E)[A] / E[A(delay x)], moved to the right-hand side
+        factor, numerator = integrating_factor(p, problem.spec, problem.alpha, order)
+        factor_scale, u = _delay_scales(problem)
+        alpha = -(_as_series(problem.alpha, p, order) * numerator / scale(factor, factor_scale))
+        a, b = p.zero(), p.one()
+    beta = _as_series(problem.beta, p, order) if is_series else _beta_eval(problem, order)
+    alpha_at = alpha.eval if isinstance(alpha, Series) else (lambda _x: alpha)
 
-    series_res = lhs_series()
-    points = [(p.wrap(x), abs(point(p.wrap(x)))) for x in sample_points]
+    def linear(at_x, at_ux, zero):
+        # a y(x) + b y(u x) at one level; a zero weight skips its (costly) term
+        return sum((w * f() for w, f in ((a, at_x), (b, at_ux)) if w != 0), zero)
+
+    def point(x):
+        lin = linear(lambda: y(x), lambda: y(u * x), p.zero())
+        return st_derive_at(y, x, p) - alpha_at(x) * lin - beta(x)
+
+    points = [(x, abs(point(x))) for x in map(p.wrap, sample_points)]
+    if not is_series:
+        return ResidualInfo(None, points)
+    lin = linear(lambda: y, lambda: scale(y, u), Series.zero(p, order))
+    series_res = st_derive(y) - (alpha * lin + beta).truncated(order - 1)
     return ResidualInfo(series_res.max_abs_coeff(), points, series_res.order)
 
 
@@ -613,8 +569,7 @@ def _bernoulli_residual(problem: LinearProblem, y, sample_points) -> ResidualInf
     # y, alpha and beta are callables (a Series is one); alpha, beta may be constants
     aval, bval = (v if callable(v) else (lambda _x, _c=p.wrap(v): _c)
                   for v in (problem.alpha, problem.beta))
-    delayed, other = ((p.phi, p.phi_prime) if problem.delay_side == PHI_DELAY
-                      else (p.phi_prime, p.phi))
+    _, delayed = _delay_scales(problem)
     points = []
     for x in sample_points:
         x = p.wrap(x)

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stpanto import cli, stsolve
 from stpanto.cli import format_series, main, parse_expression
 from stpanto.errors import DegreeOverflow, ExpressionSyntaxError
+from stpanto.stfun import PantographSpec
 from stpanto.stnum import golden_pair
 from stpanto.stseries import Series
+from stpanto.stsolve import LinearProblem, solve_series_linear
 
 P32 = golden_pair(3, -2)
 
@@ -338,6 +341,82 @@ def test_bad_input_is_one_error_line(capsys, tmp_path, case):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "vanishes" not in lines[0]
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_precision_variable_is_one_error_line(capsys, monkeypatch, value):
+    monkeypatch.setenv("ST_PANTO_PRECISION", value)
+    code = main(["numbers", "--s=1", "--t=1", "--upto=3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "ST_PANTO_PRECISION" in lines[0]
+    assert "vanishes" not in lines[0]
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_integrate_beyond_double_range(capsys, backend):
+    # the integral of x over [0, b]_q is b^2/3 at (3, -2)
+    argv = ["integrate", "--s=3", "--t=-2", "--expr=x", "--from=0", f"--backend={backend}"]
+    code = main(argv + ["--to=1e400"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    doc = json.loads(captured.out)
+    assert "value_decimal" not in doc
+    assert doc["value"].startswith("3333333333") and len(doc["value"]) >= 800
+    code, doc = run_cli(capsys, *argv, "--to=1e100")
+    assert code == 0
+    assert float(doc["value_decimal"]) == pytest.approx(1e200 / 3, rel=1e-12)
+
+
+class TestWorkCounts:
+    """Factor builds and residual calls per solve: each residual is computed once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"builds": 0, "residuals": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(stsolve, "integrating_factor",
+                            counting("builds", stsolve.integrating_factor))
+        residual = counting("residuals", stsolve.residual)
+        monkeypatch.setattr(stsolve, "residual", residual)
+        monkeypatch.setattr(cli, "residual", residual)
+        return counts
+
+    def test_series_mode_solve_and_verify(self, counts, tmp_path):
+        out = tmp_path / "if.json"
+        code = main(["solve", "--family=integration-factor", "--s=3", "--t=-2", "--a=0",
+                     "--b=1", "--u=2", "--alpha=-1", "--beta=x^2", "--y0=3", "--order=12",
+                     "--points=1/5,2/5", f"--out={out}"])
+        assert code == 0
+        assert counts == {"builds": 2, "residuals": 1}
+        counts["builds"] = 0
+        assert main(["verify", f"--doc={out}", f"--out={tmp_path / 'v.json'}"]) == 0
+        assert counts["builds"] == 2
+
+    def test_numeric_mode_solve(self, counts, capsys):
+        code, doc = run_cli(capsys, "solve", "--family=integration-factor", "--s=3",
+                            "--t=-2", "--backend=float", "--a=0", "--b=1", "--u=2",
+                            "--alpha=-1", "--beta=x^2", "--y0=1", "--eta=0.2",
+                            "--order=12", "--points=0.5,0.7")
+        assert code == 0 and len(doc["residual"]["points"]) == 2
+        assert counts["builds"] == 4 * 2 + 1
+
+    def test_report_residual_is_computed_when_read(self, counts):
+        prob = LinearProblem.series_linear(P32, PantographSpec(0, 1, 1), 1, 0, 1)
+        rep = solve_series_linear(prob, 8)
+        assert counts["residuals"] == 0
+        assert rep.residual_coeff_max == 0
+        assert rep.residual_coeff_max == 0
+        assert counts["residuals"] == 1
 
 
 def test_import_leaves_cli_unloaded():

@@ -185,6 +185,20 @@ class TestOperator:
         expected = scale(pantograph(P32, spec, 16), 2) * F(3, 5)
         assert rep.solution == expected
 
+    @pytest.mark.parametrize("spec, coefs, c", [
+        (PantographSpec(1, 1, F(1, 2)), (1, 2, F(1, 3), 1), 0),
+        (PantographSpec(0, F(1, 2), F(1, 3)), (2, 5, 0, 3), 1),
+        (PantographSpec(2, F(-1, 2), F(-1, 3)), (1, -3, F(1, 4), 2), F(1, 2)),
+    ])
+    def test_report_is_a_series_linear_problem(self, spec, coefs, c):
+        # the shift-identity closed form equals the coefficient recurrence
+        # of the same equation
+        N = 14
+        rep = solve_operator(P32, spec, *coefs, c=c, N=N)
+        assert rep.problem.family == "series-linear"
+        assert solve_series_linear(rep.problem, N).solution == rep.solution
+        assert residual(rep.problem, rep.solution).coeff_max == 0
+
     def test_rejects_inconsistent_beta(self):
         with pytest.raises(HypothesisViolated):
             solve_operator(P32, PantographSpec(1, 1, F(1, 2)), 1, 1, F(1, 3), 1)
