@@ -109,16 +109,21 @@ def product_exp(params: Params, alpha, beta, N: int) -> Series:
 # -- partial Theta ---------------------------------------------------------
 
 
+def theta_domain(x, y):
+    """Raise unless the terms y^C(n,2) x^n of Theta0(x, y) can decay."""
+    if abs(y) > 1:
+        raise ConvergenceFailure(f"Theta0 needs |y| <= 1, got y = {y}")
+    if abs(y) == 1 and abs(x) >= 1:
+        raise ConvergenceFailure("Theta0 at |y| = 1 needs |x| < 1")
+
+
 def partial_theta(x, y, tol: float = DEFAULT_TOL):
     """Theta0(x, y) = sum_n y^C(n,2) x^n at a point.
 
     Needs |y| <= 1, and |x| < 1 on the boundary |y| = 1; outside that the
     terms cannot decay and the sum is rejected.
     """
-    if abs(y) > 1:
-        raise ConvergenceFailure(f"Theta0 needs |y| <= 1, got y = {y}")
-    if abs(y) == 1 and abs(x) >= 1:
-        raise ConvergenceFailure("Theta0 at |y| = 1 needs |x| < 1")
+    theta_domain(x, y)
     value, _ = stable_sum(point_terms(powers(y), x, x * 0 + 1), tol,
                           what="Theta0(x, y)")
     return value

@@ -177,11 +177,11 @@ class Params:
         return abs(a - b) <= tol * scale
 
     def to_str(self, x) -> str:
-        """Exact 'p/q' string, or a decimal string at the declared precision."""
+        """Exact 'p/q', or decimal at the declared precision (integers positional)."""
         if isinstance(x, Fraction):
             return str(x)
         if self.ctx.isint(x):
-            return str(int(x))
+            return self.ctx.nstr(x, self.precision, min_fixed=-math.inf, max_fixed=math.inf)[:-2]
         return self.ctx.nstr(x, self.precision)
 
 

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .stnum import Params
 from .stseries import Series, factorial_series, st_derive
-from .stfun import PantographSpec, pantograph_at, partial_theta
+from .stfun import PantographSpec, theta_domain
 
 Integrand = Union[Series, Callable]
 
@@ -137,68 +137,48 @@ def pantograph_antiderivative_series(params: Params, spec: PantographSpec, N: in
     a, b, u = params.wrap(spec.a), params.wrap(spec.b), params.wrap(spec.u)
     if a == 0 or u == 0:
         raise HypothesisViolated("the k-sum form needs a != 0 and u != 0")
+    if a * u + b == 0:
+        raise HypothesisViolated("the constant u/(a u + b) is undefined at a u + b = 0")
     w = weights(delay_factors(a, b, u), N - 1, params.one())
     return factorial_series(params, [u / (a * u + b)] + w)
+
+
+def _antiderivative_point(params: Params, a, b, u, x, constant, tol, what):
+    """constant + sum_{n>=1} (a (+) b)^{n-1}_{1,u} x^n / {n}!, one sum."""
+    terms = point_terms(delay_factors(a, b, u), x, x, params, 1)
+    return stable_sum(chain([constant], terms), tol, what=what)[0]
 
 
 def pantograph_antiderivative_at(params: Params, spec: PantographSpec, x,
                                  tol: float = DEFAULT_TOL):
     """The (s,t)-antiderivative of E(a, b; .; u) at x, pinned to the value
-    u/(a u + b) at x = 0.
+    u/(a u + b) at x = 0: the point form of pantograph_antiderivative_series.
 
-    Hypotheses: a != 0 and |b/(a u)| < 1.  For |u| <= 1 this is the
-    alternating sum (1/a) sum_k (-1)^k (b/(a u))^k E(a, b; u^k x, u); for
-    |u| > 1 that sum leaves the convergence disk of E after finitely many
-    k, so the same analytic function is summed by its own power series
-    instead.
+    Hypotheses: a != 0 and |b/(a u)| < 1.  For |u| <= 1 the same function is
+    the alternating sum (1/a) sum_k (-1)^k (b/(a u))^k E(a, b; u^k x, u).
     """
     a, b, u = params.wrap(spec.a), params.wrap(spec.b), params.wrap(spec.u)
-    x = params.wrap(x)
     if a == 0 or u == 0:
         raise HypothesisViolated("antiderivative formula needs a != 0 and u != 0")
     r = -b / (a * u)
     if abs(r) >= 1:
         raise HypothesisViolated(f"needs |b/(a u)| < 1, got |b/(a u)| = {abs(r)}")
-
-    if abs(u) <= 1 or b == 0:
-        def terms():
-            w, xk = params.one() / a, x
-            while True:
-                yield w * pantograph_at(params, spec, xk, tol)
-                w = w * r
-                xk = xk * u
-
-        value, _ = stable_sum(terms(), tol, what="pantograph antiderivative")
-        return value
-
-    # term_n = (a (+) b)^{n-1} x^n / {n}! for n >= 1, after the constant
-    power_terms = point_terms(delay_factors(a, b, u), x, x, params, 1)
-    value, _ = stable_sum(chain([u / (a * u + b)], power_terms), tol,
-                          what="pantograph antiderivative")
-    return value
+    return _antiderivative_point(params, a, b, u, params.wrap(x), u / (a * u + b), tol,
+                                 "pantograph antiderivative")
 
 
 def theta_antiderivative_at(params: Params, x, tol: float = DEFAULT_TOL):
-    """The antiderivative of Theta0((1-q) x, 1/phi) at x, vanishing at 0:
-
-        sum_k (Theta0((1-q) q^k x, 1/phi) - 1).
+    """The antiderivative of Theta0((1-q) x, 1/phi) = E(1, -q; x, q) at x,
+    vanishing at 0; the same function is sum_k (Theta0((1-q) q^k x, 1/phi) - 1).
 
     This is the boundary case b/(a u) = -1 of the pantograph antiderivative
-    at spec (1, -q, q), where only the subtract-one form converges.
+    at spec (1, -q, q), where u/(a u + b) is undefined: the same power series
+    with constant 0.
     """
     if not abs(params.q) < 1:
         raise QOutOfRange(f"needs |q| < 1, got q = {params.q}")
-    x = params.wrap(x)
-    if x == 0:
-        return params.zero()
-    one_minus_q = 1 - params.q
-    inv_phi = 1 / params.phi
-
-    def terms():
-        qk = params.one()
-        while True:
-            yield partial_theta(one_minus_q * qk * x, inv_phi, tol) - 1
-            qk = qk * params.q
-
-    value, _ = stable_sum(terms(), tol, what="theta antiderivative")
-    return value
+    x, q = params.wrap(x), params.q
+    if x != 0:
+        theta_domain((1 - q) * x, 1 / params.phi)
+    return _antiderivative_point(params, params.one(), -q, q, x, params.zero(), tol,
+                                 "theta antiderivative")

@@ -32,7 +32,7 @@ from .errors import (
     QOutOfRange,
     ZeroPoint,
 )
-from .stnum import Params, st_factorial, st_number_range
+from .stnum import Params, st_number_range
 
 DEFAULT_ORDER = 32
 
@@ -254,7 +254,7 @@ def symbolic_power(f: Series, k: int) -> Series:
 
 def factorial_series(params: Params, w: Sequence) -> Series:
     """The series sum w_n x^n / {n}! of a weight sequence w_0..w_N."""
-    nums = st_number_range(params, len(w) - 1)
+    nums = st_number_range(params, max(len(w) - 1, 0))
     coeffs, fact = [], params.one()
     for n, wn in enumerate(w):
         if n > 0:
@@ -271,13 +271,12 @@ def _composition(g_coeffs: Sequence, factors, f: Series) -> Series:
     p = f.params
     n_top = min(len(g_coeffs) - 1, f.order) if g_coeffs else -1
     w = weights(factors, n_top, p.one())
+    c = factorial_series(p, [wn * p.wrap(gn) for wn, gn in zip(w, g_coeffs)]).coeffs
     sym = symbolic_powers(f, max(n_top, 0))
     acc = Series.zero(p, f.order)
     for n in range(n_top + 1):
-        gn = p.wrap(g_coeffs[n])
-        if gn == 0:
-            continue
-        acc = acc + sym[n] * (w[n] * gn / st_factorial(p, n))
+        if c[n] != 0:
+            acc = acc + sym[n] * c[n]
     return acc
 
 
@@ -319,9 +318,8 @@ def sq_int(f, lower: Series, upper: Series, u=None) -> Series:
     else:
         if u is None:
             raise NonzeroConstantTerm("coefficient-sequence integrand needs the deformation u")
-        fs = [params.wrap(fm) for fm in f]
-        w = weights(powers(params.wrap(u)), len(fs) - 1, params.one())
-        a = [w[m] * fm / st_factorial(params, m) for m, fm in enumerate(fs)]
+        w = weights(powers(params.wrap(u)), len(f) - 1, params.one())
+        a = factorial_series(params, [wm * params.wrap(fm) for wm, fm in zip(w, f)]).coeffs
     m_top = min(len(a) - 1, order - 1)
     low_pows = symbolic_powers(lower, m_top + 1)
     up_pows = symbolic_powers(upper, m_top + 1)

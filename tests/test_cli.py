@@ -371,6 +371,26 @@ def test_integrate_beyond_double_range(capsys, backend):
     assert float(doc["value_decimal"]) == pytest.approx(1e200 / 3, rel=1e-12)
 
 
+def significant_digits(text):
+    mantissa = text.lower().split("e")[0]
+    return len(mantissa.lstrip("-").replace(".", "").strip("0"))
+
+
+@pytest.mark.parametrize("argv, values", [
+    (["eval", "--s=1", "--t=1", "--expr=x", "--at=1e50"],
+     lambda doc: doc["grid"][0][:2]),
+    (["integrate", "--backend=float", "--s=3", "--t=-2", "--expr=x", "--from=0",
+      "--to=1e3000"], lambda doc: [doc["value"]]),
+])
+def test_big_integer_valued_floats_keep_the_declared_precision(capsys, argv, values):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0 and "Traceback" not in captured.err
+    doc = json.loads(captured.out)
+    for text in values(doc):
+        assert 0 < significant_digits(text) <= doc["params"]["precision"]
+
+
 class TestWorkCounts:
     """Factor builds and residual calls per solve: each residual is computed once."""
 

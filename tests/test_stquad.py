@@ -164,6 +164,8 @@ class TestPantographAntiderivative:
             pantograph_antiderivative_at(P32, PantographSpec(1, 3, 2), F(1, 2))
         with pytest.raises(HypothesisViolated):
             pantograph_antiderivative_series(P32, PantographSpec(0, 1, F(1, 2)), 8)
+        with pytest.raises(HypothesisViolated, match=r"u/\(a u \+ b\)"):
+            pantograph_antiderivative_series(P32, PantographSpec(1, -P32.q, P32.q), 8)
 
     def test_series_cross_check_exact(self):
         # k-sum closed form vs coefficient integration, exact rationals,
@@ -207,6 +209,42 @@ class TestPantographAntiderivative:
         with pytest.raises(ConvergenceFailure):
             pantograph_antiderivative_at(pf, spec, 25.0)
 
+    @pytest.mark.parametrize("a, b, u", [
+        (1, 0.3, 0.8), (2, 0, 0.5), (1, 0.2, -0.6), (-1.5, 0.5, -1), (1, -0.4, 1),
+    ])
+    @pytest.mark.parametrize("x", [-0.75, 0.5, 3.0])
+    def test_alternating_k_sum_oracle(self, a, b, u, x):
+        # |u| <= 1: (1/a) sum_k (-b/(a u))^k E(a, b; u^k x, u), summed inline
+        pf = golden_pair(3, -2, backend="float", precision=30)
+        spec = PantographSpec(a, b, u)
+        want, w, xk = pf.zero(), pf.one() / a, pf.wrap(x)
+        for _ in range(400):
+            term = w * pantograph_at(pf, spec, xk, tol=1e-25)
+            want += term
+            if abs(term) < 1e-25 * (1 + abs(want)):
+                break
+            w, xk = w * (-pf.wrap(b) / (a * pf.wrap(u))), xk * u
+        got = pantograph_antiderivative_at(pf, spec, x, tol=1e-25)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_one_level_of_summation(self, monkeypatch):
+        # each antiderivative value is one sum, not one sum per term
+        from stpanto import _stable, stfun, stquad
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("what"))
+            return _stable.stable_sum(*args, **kwargs)
+
+        monkeypatch.setattr(stfun, "stable_sum", counting)
+        monkeypatch.setattr(stquad, "stable_sum", counting)
+        pf = golden_pair(3, -2, backend="float")
+        pantograph_antiderivative_at(pf, PantographSpec(1, 0.3, 0.8), 0.4)
+        assert calls == ["pantograph antiderivative"]
+        calls.clear()
+        theta_antiderivative_at(pf, 0.4)
+        assert calls == ["theta antiderivative"]
+
 
 class TestThetaAntiderivative:
     def test_at_zero(self):
@@ -238,3 +276,13 @@ class TestThetaAntiderivative:
     def test_q_out_of_range(self):
         p = golden_pair(1, 1)  # q negative but |q| < 1: allowed
         theta_antiderivative_at(p, 0.1)
+
+    def test_phi_below_one_is_rejected(self):
+        # (11/10, -6/25): phi = 4/5, so Theta0(., 1/phi) has growing terms
+        # and the power series has radius 0, though its first terms decay
+        from stpanto.errors import ConvergenceFailure
+        p = golden_pair(F(11, 10), F(-6, 25))
+        assert p.phi == F(4, 5) and abs(p.q) < 1
+        assert theta_antiderivative_at(p, 0) == 0
+        with pytest.raises(ConvergenceFailure):
+            theta_antiderivative_at(p, F(1, 10))
