@@ -18,16 +18,20 @@ matching point terms.  exp(z, u) is E(0, 1; z, u), whose factors
 rewrite a^n (-b/a; u)_n is kept as a cross-check only.
 
 Point evaluation truncates by the shared decay rule (three consecutive
-terms below tol); convergence domains are checked empirically through that
-rule rather than analytically.
+terms below tol).  Before summing, E and Theta0 check analytically that
+their series converge at the point at all (``pantograph_domain``,
+``theta_domain``): the first terms of a series of radius 0 can decay, and
+the decay rule would stop on them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ._stable import (
     DEFAULT_TOL,
+    TERM_CAP,
     delay_factors,
     golden_factors,
     point_terms,
@@ -69,9 +73,11 @@ def _delay_factors(params: Params, spec: PantographSpec):
     return delay_factors(params.wrap(spec.a), params.wrap(spec.b), params.wrap(spec.u))
 
 
-def _pantograph_point(params: Params, factors, x, tol, what):
-    terms = point_terms(factors, params.wrap(x), params.one(), params)
-    value, _ = stable_sum(terms, tol, what=what)
+def _pantograph_point(params: Params, a, b, u, factors, x, tol, what):
+    """The point sum of E(a, b; x, u), ``factors`` the stream a + b u^k."""
+    x = params.wrap(x)
+    pantograph_domain(params, a, b, u, x)
+    value, _ = stable_sum(point_terms(factors, x, params.one(), params), tol, what=what)
     return value
 
 
@@ -82,7 +88,8 @@ def pantograph(params: Params, spec: PantographSpec, N: int) -> Series:
 
 def pantograph_at(params: Params, spec: PantographSpec, x, tol: float = DEFAULT_TOL):
     """E(a, b; x, u) at a point."""
-    return _pantograph_point(params, _delay_factors(params, spec), x, tol, "E(a, b; x, u)")
+    a, b, u = params.wrap(spec.a), params.wrap(spec.b), params.wrap(spec.u)
+    return _pantograph_point(params, a, b, u, delay_factors(a, b, u), x, tol, "E(a, b; x, u)")
 
 
 def deformed_exp(params: Params, u, N: int) -> Series:
@@ -93,7 +100,9 @@ def deformed_exp(params: Params, u, N: int) -> Series:
 
 def deformed_exp_at(params: Params, u, z, tol: float = DEFAULT_TOL):
     """exp(z, u) at a point, by the decay-truncated term sum."""
-    return _pantograph_point(params, powers(params.wrap(u)), z, tol, "exp(z, u)")
+    u = params.wrap(u)
+    return _pantograph_point(params, params.zero(), params.one(), u, powers(u), z, tol,
+                             "exp(z, u)")
 
 
 def product_exp(params: Params, alpha, beta, N: int) -> Series:
@@ -106,7 +115,43 @@ def product_exp(params: Params, alpha, beta, N: int) -> Series:
     return factorial_series(params, weights(factors, N, params.one()))
 
 
-# -- partial Theta ---------------------------------------------------------
+# -- convergence domains -----------------------------------------------------
+
+
+def pantograph_domain(params: Params, a, b, u, x):
+    """Raise unless the series of E(a, b; ., u) converges at x.
+
+    The weights (a (+) b)^n_{1,u} grow like G^(n^2/2), with G = |u| when
+    b != 0 and (a = 0 or |u| > 1) and G = 1 otherwise, and {n}! grows like
+    m^(n^2/2) with m = max(|phi|, |phi'|) (``params.growth``).  So the
+    radius is 0 when G > m, unless some factor a + b u^k is 0 and E is a
+    polynomial.  A series of radius 0 converges only at x = 0.
+    """
+    m = params.growth
+    if abs(u) <= m >= 1 or x == 0:
+        return      # G <= max(|u|, 1) <= m
+    grow = abs(u) if b != 0 and (a == 0 or abs(u) > 1) else 1
+    if grow > m and not _has_zero_factor(params, a, b, u):
+        raise ConvergenceFailure(
+            f"E(a, b; x, u) has radius 0: its weights outgrow {{n}}! "
+            f"(G = {float(grow):.6g} > max(|phi|, |phi'|) = {float(m):.6g})")
+
+
+def _has_zero_factor(params: Params, a, b, u) -> bool:
+    """Whether a + b u^k = 0 for some k below the point sums' term cap."""
+    if b == 0:
+        return a == 0
+    r = -a / b
+    if r == 0 or abs(u) in (0, 1):
+        return r == 1 or r == u     # then u^k only takes the values 1, u (and 0)
+    k = round(_log_abs(params, r) / _log_abs(params, u))
+    return 0 <= k < TERM_CAP and a + b * u ** k == 0
+
+
+def _log_abs(params: Params, x) -> float:
+    if params.rational:
+        return math.log(abs(x.numerator)) - math.log(x.denominator)
+    return float(params.log(abs(x)))
 
 
 def theta_domain(x, y):
@@ -115,6 +160,9 @@ def theta_domain(x, y):
         raise ConvergenceFailure(f"Theta0 needs |y| <= 1, got y = {y}")
     if abs(y) == 1 and abs(x) >= 1:
         raise ConvergenceFailure("Theta0 at |y| = 1 needs |x| < 1")
+
+
+# -- partial Theta ---------------------------------------------------------
 
 
 def partial_theta(x, y, tol: float = DEFAULT_TOL):

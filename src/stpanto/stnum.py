@@ -100,9 +100,10 @@ class Params:
 
     Immutable; safe to share across threads.  All scalar values used with a
     Params must come from its own backend (``wrap`` converts literals).
+    ``growth`` is max(|phi|, |phi'|), the base {n} grows like.
     """
 
-    __slots__ = ("s", "t", "phi", "phi_prime", "q", "backend", "precision", "ctx")
+    __slots__ = ("s", "t", "phi", "phi_prime", "q", "backend", "precision", "ctx", "growth")
 
     def __init__(self, s, t, phi, phi_prime, q, backend, precision, ctx):
         object.__setattr__(self, "s", s)
@@ -113,6 +114,7 @@ class Params:
         object.__setattr__(self, "backend", backend)
         object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "growth", max(abs(phi), abs(phi_prime)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Params is immutable")

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .stnum import Params
 from .stseries import Series, factorial_series, st_derive
-from .stfun import PantographSpec, theta_domain
+from .stfun import PantographSpec, pantograph_domain, theta_domain
 
 Integrand = Union[Series, Callable]
 
@@ -163,7 +163,9 @@ def pantograph_antiderivative_at(params: Params, spec: PantographSpec, x,
     r = -b / (a * u)
     if abs(r) >= 1:
         raise HypothesisViolated(f"needs |b/(a u)| < 1, got |b/(a u)| = {abs(r)}")
-    return _antiderivative_point(params, a, b, u, params.wrap(x), u / (a * u + b), tol,
+    x = params.wrap(x)
+    pantograph_domain(params, a, b, u, x)
+    return _antiderivative_point(params, a, b, u, x, u / (a * u + b), tol,
                                  "pantograph antiderivative")
 
 

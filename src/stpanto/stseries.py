@@ -263,17 +263,24 @@ def factorial_series(params: Params, w: Sequence) -> Series:
     return Series(params, coeffs)
 
 
-def _composition(g_coeffs: Sequence, factors, f: Series) -> Series:
-    """sum_n w_n g_n f^[n] / {n}! truncated at f's order, w_n the prefix
-    products of the factor stream."""
+def _powers_for(g_coeffs: Sequence, f: Series) -> list[Series]:
+    """The symbolic-power table a composition of g with f needs: f^[n] for
+    n up to min(len(g) - 1, f's order)."""
     if f.coeffs[0] != 0:
         raise NonzeroConstantTerm("composition needs f(0) = 0")
-    p = f.params
-    n_top = min(len(g_coeffs) - 1, f.order) if g_coeffs else -1
+    return symbolic_powers(f, max(min(len(g_coeffs) - 1, f.order), 0))
+
+
+def _composition(g_coeffs: Sequence, factors, sym: list[Series]) -> Series:
+    """sum_n w_n g_n f^[n] / {n}! over a symbolic-power table
+    sym = [f^[0], ..., f^[K]], truncated at f's order, w_n the prefix
+    products of the factor stream.  One table serves every g and every
+    factor stream composed with the same f."""
+    p = sym[0].params
+    n_top = min(len(g_coeffs), len(sym)) - 1
     w = weights(factors, n_top, p.one())
     c = factorial_series(p, [wn * p.wrap(gn) for wn, gn in zip(w, g_coeffs)]).coeffs
-    sym = symbolic_powers(f, max(n_top, 0))
-    acc = Series.zero(p, f.order)
+    acc = Series.zero(p, sym[0].order)
     for n in range(n_top + 1):
         if c[n] != 0:
             acc = acc + sym[n] * c[n]
@@ -286,7 +293,7 @@ def compose_deformed(g_coeffs: Sequence, u, f: Series) -> Series:
 
     g_coeffs are the factorial-basis coefficients g_n of g.
     """
-    return _composition(g_coeffs, powers(f.params.wrap(u)), f)
+    return _composition(g_coeffs, powers(f.params.wrap(u)), _powers_for(g_coeffs, f))
 
 
 def compose_ab(g_coeffs: Sequence, spec, f: Series) -> Series:
@@ -295,7 +302,8 @@ def compose_ab(g_coeffs: Sequence, spec, f: Series) -> Series:
     ``spec`` carries the delay triple (a, b, u).
     """
     p = f.params
-    return _composition(g_coeffs, delay_factors(p.wrap(spec.a), p.wrap(spec.b), p.wrap(spec.u)), f)
+    factors = delay_factors(p.wrap(spec.a), p.wrap(spec.b), p.wrap(spec.u))
+    return _composition(g_coeffs, factors, _powers_for(g_coeffs, f))
 
 
 def sq_int(f, lower: Series, upper: Series, u=None) -> Series:

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import Callable, Sequence
 
-from ._stable import DEFAULT_TOL, delay_factors, weights
+from ._stable import DEFAULT_TOL, delay_factors, powers, weights
 from .errors import (
     ConvergenceFailure,
     DegenerateStNumber,
@@ -42,11 +43,12 @@ from .stseries import (
     DEFAULT_ORDER,
     QPeriodic,
     Series,
-    compose_ab,
+    _composition,
     scale,
     st_antiderive,
     st_derive,
     st_derive_at,
+    symbolic_powers,
 )
 from .stfun import PantographSpec, pantograph
 from .stquad import QInterval, st_integral
@@ -74,6 +76,11 @@ class LinearProblem:
     the integration factor or of the delayed combination a y + b y(ux).
     ``initial`` is y(0) for series solvers, or a QPeriodic datum for the
     numeric integration-factor path with eta > 0.
+
+    What depends on the problem alone (the integration factor at an order,
+    say) is built once and kept on the problem (``cached``), so a solve, its
+    residuals and every point value share one build.  The memo lives and
+    dies with the problem: change no field once it has been solved.
     """
 
     family: str
@@ -85,6 +92,7 @@ class LinearProblem:
     eta: object = 0
     n_bernoulli: object = None
     delay_side: str = PHI_PRIME_DELAY
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -95,6 +103,12 @@ class LinearProblem:
             raise StInputError(f"{self.family} needs the order n")
         if self.alpha is None:
             raise StInputError(f"{self.family} needs alpha")
+
+    def cached(self, key, build: Callable):
+        """``build()``, computed the first time ``key`` is asked for."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     # -- constructors --------------------------------------------------
 
@@ -123,7 +137,9 @@ class LinearProblem:
 
         On the phi-delay side the interchanged factor is Exp'[A] = exp[A, phi'].
         Either way the equation's ratio collapses to alpha(x) alone when A is
-        linear (constant alpha), which covers the worked cases."""
+        linear (constant alpha = c), which covers the worked cases; the factor
+        is then exp(c x, u), the deformed exponential rescaled by c, built with
+        no composition (see ``integrating_factor``)."""
         u = params.phi if delay_side == PHI_PRIME_DELAY else params.phi_prime
         return cls.exp_factor(params, u, alpha, beta, initial, eta, delay_side)
 
@@ -312,14 +328,31 @@ def integrating_factor(params: Params, spec: PantographSpec, alpha: Series,
 
     The first is the integration factor (constant term 1, so invertible);
     the second is the composed derivative coefficient (D E)(a,b;.,u) [] A.
+
+    A constant alpha = c gives A = c x and (c x)^[k] = c^k x^k, so no
+    composition is needed: E[A] is the pantograph series E(a,b; x, u)
+    rescaled by c, and E[u A] the same series rescaled by c u.  Otherwise
+    one symbolic-power table of A serves both compositions, because
+    (u A)^[k] = u^k A^[k] moves u into the coefficients: E[u A] composes
+    g_k = u^k with A.  The solvers build this once per problem and order
+    (``LinearProblem.cached``).
     """
     alpha = _as_series(alpha, params, max(N - 1, 0))
-    big_a = st_antiderive(alpha).truncated(N)
-    ones = [1] * (N + 1)
-    factor = compose_ab(ones, spec, big_a)
-    a, b = params.wrap(spec.a), params.wrap(spec.b)
-    numerator = factor * a + compose_ab(ones, spec, big_a * params.wrap(spec.u)) * b
-    return factor, numerator
+    a, b, u = params.wrap(spec.a), params.wrap(spec.b), params.wrap(spec.u)
+    if all(c == 0 for c in alpha.coeffs[1:]):
+        e, c = pantograph(params, spec, N), alpha.coeffs[0]
+        factor = scale(e, c)
+        return factor, factor * a + scale(e, c * u) * b
+    table = symbolic_powers(st_antiderive(alpha).truncated(N), N)
+    factor = _composition([1] * (N + 1), delay_factors(a, b, u), table)
+    delayed = _composition(list(islice(powers(u), N + 1)), delay_factors(a, b, u), table)
+    return factor, factor * a + delayed * b
+
+
+def _factor(problem: LinearProblem, N: int) -> tuple[Series, Series]:
+    """The problem's (factor, numerator) at order N, built once per problem."""
+    return problem.cached(("factor", N), lambda: integrating_factor(
+        problem.params, problem.spec, problem.alpha, N))
 
 
 def _delay_scales(problem: LinearProblem):
@@ -354,7 +387,7 @@ def solve_integration_factor(problem: LinearProblem, N: int = DEFAULT_ORDER,
         return SolutionReport(problem, None, None, N, residual(problem, y, points, N).points,
                               {"mode": "numeric", "values": values})
 
-    factor, _ = integrating_factor(p, problem.spec, problem.alpha, N)
+    factor, _ = _factor(problem, N)
     factor_scale, _ = _delay_scales(problem)
     beta = _as_series(problem.beta, p, N)
     xi = problem.initial.evaluate(1) if isinstance(problem.initial, QPeriodic) \
@@ -380,21 +413,28 @@ def integration_factor_value(problem: LinearProblem, x, N: int = DEFAULT_ORDER,
 
     with the integral taken as a Jackson sum over [eta, x]_q."""
     p = problem.params
-    factor, _ = integrating_factor(p, problem.spec, problem.alpha, N)
+    factor, factor_delayed, beta_eval, g = problem.cached(
+        ("pointwise", N), lambda: _pointwise_parts(problem, N))
+    gval = g.evaluate(x)
+    integral = st_integral(lambda r: beta_eval(r) * factor_delayed.eval(r),
+                           QInterval(problem.eta, x, p), tol)
+    return (integral + gval) / factor.eval(x)
+
+
+def _pointwise_parts(problem: LinearProblem, N: int) -> tuple:
+    """What every point value y(x) shares: the factor, the factor at the
+    delayed argument, the forcing as a function and the q-periodic datum
+    (whose periodicity is checked here, once)."""
+    factor, _ = _factor(problem, N)
     factor_scale, _ = _delay_scales(problem)
     factor_delayed = scale(factor, factor_scale)
     beta_eval = _beta_eval(problem, N)
-
     if isinstance(problem.initial, QPeriodic):
         g = problem.initial
         g.check_periodicity()
     else:
-        g = QPeriodic.constant(p, problem.initial)
-    gval = g.evaluate(x)
-
-    integral = st_integral(lambda r: beta_eval(r) * factor_delayed.eval(r),
-                           QInterval(problem.eta, x, p), tol)
-    return (integral + gval) / factor.eval(x)
+        g = QPeriodic.constant(problem.params, problem.initial)
+    return factor, factor_delayed, beta_eval, g
 
 
 def _beta_eval(problem: LinearProblem, N: int) -> Callable:
@@ -424,7 +464,9 @@ def bernoulli_transform(problem: LinearProblem) -> LinearProblem:
     (u-deformed, alpha scalar).  The rescaled coefficient -{n-1} alpha is
     re-integrated by those solvers, so the equation is integrating-factor
     solvable exactly when the composed ratio degenerates (linear A with the
-    matching corollary spec, as in every worked case of the theory).
+    matching corollary spec, as in every worked case of the theory).  A
+    constant alpha keeps A linear after the rescaling, so the factor of the
+    z-problem is a rescaled pantograph series, built with no composition.
     """
     n = problem.n_bernoulli
     if n in (0, 1):
@@ -537,7 +579,7 @@ def residual(problem: LinearProblem, y, sample_points: Sequence = (),
         alpha = p.wrap(problem.alpha)
     else:
         # alpha R = alpha (D E)[A] / E[A(delay x)], moved to the right-hand side
-        factor, numerator = integrating_factor(p, problem.spec, problem.alpha, order)
+        factor, numerator = _factor(problem, order)
         factor_scale, u = _delay_scales(problem)
         alpha = -(_as_series(problem.alpha, p, order) * numerator / scale(factor, factor_scale))
         a, b = p.zero(), p.one()

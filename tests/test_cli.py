@@ -417,10 +417,10 @@ class TestWorkCounts:
                      "--b=1", "--u=2", "--alpha=-1", "--beta=x^2", "--y0=3", "--order=12",
                      "--points=1/5,2/5", f"--out={out}"])
         assert code == 0
-        assert counts == {"builds": 2, "residuals": 1}
+        assert counts == {"builds": 1, "residuals": 1}
         counts["builds"] = 0
         assert main(["verify", f"--doc={out}", f"--out={tmp_path / 'v.json'}"]) == 0
-        assert counts["builds"] == 2
+        assert counts["builds"] == 1
 
     def test_numeric_mode_solve(self, counts, capsys):
         code, doc = run_cli(capsys, "solve", "--family=integration-factor", "--s=3",
@@ -428,7 +428,18 @@ class TestWorkCounts:
                             "--alpha=-1", "--beta=x^2", "--y0=1", "--eta=0.2",
                             "--order=12", "--points=0.5,0.7")
         assert code == 0 and len(doc["residual"]["points"]) == 2
-        assert counts["builds"] == 4 * 2 + 1
+        assert counts["builds"] == 1
+
+    def test_no_build_outlives_its_call(self, counts, capsys):
+        # the factor is kept on the problem, not in a process-wide cache, so
+        # the same solve run twice builds it once each time
+        argv = ["solve", "--family=integration-factor", "--s=3", "--t=-2", "--u=1/2",
+                "--alpha=1 + x", "--beta=x", "--y0=1", "--order=8", "--points=1/3"]
+        first = run_cli(capsys, *argv)
+        assert counts["builds"] == 1
+        second = run_cli(capsys, *argv)
+        assert counts["builds"] == 2
+        assert first[0] == 0 and first == second
 
     def test_report_residual_is_computed_when_read(self, counts):
         prob = LinearProblem.series_linear(P32, PantographSpec(0, 1, 1), 1, 0, 1)

@@ -237,6 +237,52 @@ class TestPartialTheta:
         assert abs(val - brute) < F(1, 10 ** 15)
 
 
+class TestPantographDomain:
+    """E's series has radius 0 when its weights outgrow {n}!; its point
+    values are then rejected away from x = 0."""
+
+    # (11/10, -6/25): phi = 4/5, phi' = 3/10, so m = max(|phi|, |phi'|) < 1
+    SMALL_PHI = [golden_pair(F(11, 10), F(-6, 25)),
+                 golden_pair(F(11, 10), F(-6, 25), backend="float", precision=30)]
+
+    @pytest.mark.parametrize("params", SMALL_PHI, ids=["rational", "float30"])
+    def test_radius_zero_is_rejected(self, params):
+        # the first terms of these sums decay, so the decay rule used to
+        # stop on them: E(1, 1/2; 0.01, 1/3) came out as 1.0151...
+        spec = PantographSpec(1, F(1, 2), F(1, 3))
+        for x in (F(1, 100), F(-1, 1000)):
+            with pytest.raises(ConvergenceFailure):
+                pantograph_at(params, spec, params.wrap(x))
+        with pytest.raises(ConvergenceFailure):
+            deformed_exp_at(params, F(9, 10), params.wrap(F(1, 100)))  # G = |u| > 4/5
+        assert pantograph_at(params, spec, 0) == 1  # a series of radius 0 converges at 0
+
+    @pytest.mark.parametrize("params, spec, x", [
+        (P32, (1, F(1, 2), F(1, 3)), F(1, 3)),
+        (P32, (0, 1, 2), F(1, 3)),                 # G = |u| = phi = m: finite radius
+        (P32, (F(3, 2), F(-1, 3), F(3, 2)), F(-1, 2)),
+        (golden_pair(1, 1, backend="float"), (1, F(1, 5), F(3, 2)), F(1, 4)),
+        (SMALL_PHI[0], (0, 1, F(1, 2)), F(1, 2)),  # G = 1/2 < 4/5: entire
+        (SMALL_PHI[0], (1, F(-1, 4), 2), F(1, 2)),  # 1 - u^2/4 = 0: a polynomial
+        (SMALL_PHI[1], (1, F(-1, 4), 2), F(1, 2)),
+        (SMALL_PHI[0], (1, 1, -1), F(1, 2)),        # 1 + u = 0: 1 + 2x
+    ])
+    def test_finite_radius_values_unchanged(self, params, spec, x):
+        a, b, u = (params.wrap(v) for v in spec)
+        x = params.wrap(x)
+        want, _ = stable_sum(_ref_pantograph_terms(params, a, b, u, x))
+        assert pantograph_at(params, PantographSpec(a, b, u), x) == want
+        if a == 0 and b == 1:
+            assert deformed_exp_at(params, u, x) == want
+
+    def test_polynomial_values(self):
+        p = self.SMALL_PHI[0]
+        assert pantograph_at(p, PantographSpec(1, 1, -1), F(1, 2)) == 2
+        # weights 1, 3/4, 3/8, 0: E = 1 + (3/4) x + (3/8) x^2 / {2}!, {2} = s
+        want = 1 + F(3, 4) * F(1, 2) + F(3, 8) * F(1, 4) / F(11, 10)
+        assert pantograph_at(p, PantographSpec(1, F(-1, 4), 2), F(1, 2)) == want
+
+
 class TestQBinomialTheorem:
     def test_corrected_1phi0_identity(self):
         # sum (b/phi; q)_n z^n/(q;q)_n = ((b/phi) z; q)_inf / (z; q)_inf

@@ -245,6 +245,16 @@ class TestPantographAntiderivative:
         theta_antiderivative_at(pf, 0.4)
         assert calls == ["theta antiderivative"]
 
+    def test_radius_zero_is_rejected(self):
+        # at phi = 4/5 the weights (1 (+) 1/4)^n_{1,1/2} outgrow {n}!: radius 0
+        from stpanto.errors import ConvergenceFailure
+        spec = PantographSpec(1, F(1, 4), F(1, 2))
+        for p in (golden_pair(F(11, 10), F(-6, 25)),
+                  golden_pair(F(11, 10), F(-6, 25), backend="float")):
+            assert pantograph_antiderivative_at(p, spec, 0) == p.wrap(F(2, 3))  # u/(a u + b)
+            with pytest.raises(ConvergenceFailure):
+                pantograph_antiderivative_at(p, spec, p.wrap(F(1, 100)))
+
 
 class TestThetaAntiderivative:
     def test_at_zero(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stpanto import stsolve
 from stpanto.errors import (
     HypothesisViolated,
     InvalidBernoulliOrder,
@@ -15,10 +16,12 @@ from stpanto.errors import (
 from stpanto.stnum import golden_pair, st_factorial, st_number
 from stpanto.stseries import (
     Series,
+    compose_ab,
     compose_deformed,
     scale,
     st_antiderive,
     st_derive,
+    symbolic_powers,
 )
 from stpanto.stfun import PantographSpec, deformed_exp, pantograph
 from stpanto.stsolve import (
@@ -242,6 +245,70 @@ class TestIntegratingFactor:
         rhs = scale(factor, P32.phi) * st_derive(y) + \
             alpha.padded(N) * numer * scale(y, P32.phi_prime)
         assert lhs == rhs.truncated(lhs.order)
+
+
+def composition_route(params, spec, alpha, N):
+    """The factor as two full compositions, on A and on u A: the route
+    integrating_factor took before its constant-alpha and shared-table
+    paths, kept as their oracle.  ``alpha`` has order max(N - 1, 0)."""
+    big_a = st_antiderive(alpha).truncated(N)
+    ones = [1] * (N + 1)
+    factor = compose_ab(ones, spec, big_a)
+    delayed = compose_ab(ones, spec, big_a * params.wrap(spec.u))
+    return factor, factor * params.wrap(spec.a) + delayed * params.wrap(spec.b)
+
+
+ROUTE_SPECS = [(0, 1, F(2, 5)), (0, 1, F(-3, 2)), (1, -1, F(2, 5)), (2, -2, F(-1, 3)),
+               (F(1, 2), F(1, 3), F(-2, 5)), (F(3, 2), F(-1, 2), F(3, 2))]
+ROUTE_ALPHAS = {"constant": [F(-3, 2)], "general": [F(1), F(-1, 2), F(2, 3), 0, F(1, 5)]}
+
+
+def route_alpha(params, kind, N):
+    coeffs = ROUTE_ALPHAS[kind][:max(N, 1)]
+    return Series(params, coeffs).padded(max(N - 1, 0))
+
+
+class TestFactorRoutes:
+    """The constant-alpha closed form and the shared power table against
+    the two-composition route."""
+
+    @pytest.mark.parametrize("pair", [(3, -2), (4, -3), (2, 3)])
+    @pytest.mark.parametrize("N", [0, 1, 8, 24])
+    @pytest.mark.parametrize("kind", ["constant", "general"])
+    def test_rational_routes_agree_exactly(self, pair, N, kind):
+        p = golden_pair(*pair)
+        for a, b, u in ROUTE_SPECS:
+            spec = PantographSpec(a, b, u)
+            alpha = route_alpha(p, kind, N)
+            got = integrating_factor(p, spec, alpha, N)
+            want = composition_route(p, spec, alpha, N)
+            assert got[0].coeffs == want[0].coeffs and got[1].coeffs == want[1].coeffs
+
+    @pytest.mark.parametrize("precision", [30, 50])
+    @pytest.mark.parametrize("kind", ["constant", "general"])
+    def test_float_routes_agree(self, precision, kind):
+        tol = 10.0 ** (3 - precision)
+        for pair in [(1, 1), (3, -2)]:
+            p = golden_pair(*pair, backend="float", precision=precision)
+            for N in (0, 1, 8, 24):
+                for a, b, u in ROUTE_SPECS:
+                    spec = PantographSpec(*(p.wrap(v) for v in (a, b, u)))
+                    alpha = route_alpha(p, kind, N)
+                    got = integrating_factor(p, spec, alpha, N)
+                    want = composition_route(p, spec, alpha, N)
+                    for g, w in zip(got, want):
+                        assert g.order == w.order == N
+                        assert all(abs(x - y) <= tol * abs(y)
+                                   for x, y in zip(g.coeffs, w.coeffs))
+
+    @pytest.mark.parametrize("kind, tables", [("constant", 0), ("general", 1)])
+    def test_one_power_table_at_most(self, monkeypatch, kind, tables):
+        built = []
+        monkeypatch.setattr(stsolve, "symbolic_powers",
+                            lambda f, k: built.append(k) or symbolic_powers(f, k))
+        integrating_factor(P32, PantographSpec(1, F(1, 2), F(1, 3)),
+                           route_alpha(P32, kind, 12), 12)
+        assert built == [12] * tables
 
 
 class TestSolveIntegrationFactor:
