@@ -155,13 +155,13 @@ def _cmd_integrate(args) -> dict:
     p = _build_params(args)
     series = parse_expression(args.expr, p, args.order)
     interval = QInterval(p.wrap(args.frm), p.wrap(args.to), p)
-    value = st_integral(series, interval, tol=args.tol)
+    value = st_integral(series, interval)
     echo = {"s": args.s, "t": args.t, "expr": args.expr,
             "from": args.frm, "to": args.to, "tol": args.tol}
     # A value outside the double range keeps only its exact form.
     decimal = repr(float(value)) if abs(value) <= sys.float_info.max else None
     return result_document("integrate", echo, p, value=p.to_str(value),
-                           value_decimal=decimal, diagnostics={"converged": True})
+                           value_decimal=decimal, diagnostics={"method": "antiderivative"})
 
 
 def _solve_problem(args, p: Params) -> SolutionReport:
@@ -179,7 +179,7 @@ def _solve_problem(args, p: Params) -> SolutionReport:
             p, spec, alpha, beta, initial=p.wrap(args.y0), eta=p.wrap(args.eta),
             delay_side=args.delay_side)
         points = [p.wrap(x) for x in _parse_points(args.points)]
-        return solve_integration_factor(prob, args.order, points=points, tol=args.tol)
+        return solve_integration_factor(prob, args.order, points=points)
     if args.family == "special-rhs":
         return solve_special_rhs(p, spec, p.wrap(args.beta_amplitude), p.wrap(args.y0),
                                  args.order)
@@ -229,11 +229,11 @@ def _cmd_solve(args) -> dict:
             blocks["grid"] = _eval_grid(rep.solution, points,
                                         [r for _, r in blocks["residual"]["points"]])
     else:
-        blocks["residual"] = {
-            "coeff_max": None,
-            "points": [[p.to_str(x), p.to_str(r)] for x, r in rep.residual_points]}
+        res_points = [[p.to_str(x), p.to_str(r)] for x, r in rep.residual_points]
+        blocks["residual"] = {"coeff_max": None, "points": res_points}
         blocks["values"] = [[p.to_str(x), p.to_str(v)]
                             for x, v in rep.diagnostics.get("values", [])]
+        blocks["grid"] = [[x, v, r] for (x, v), (_, r) in zip(blocks["values"], res_points)]
     diags = {"order": rep.order, "backend": p.backend}
     for k, v in rep.diagnostics.items():
         if isinstance(v, (str, int, bool)):

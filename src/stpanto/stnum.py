@@ -318,10 +318,7 @@ def q_factorial(q, n: int):
         raise IndexOutOfRange(f"n = {n} must be nonnegative")
     if q == 1:
         raise DegenerateQ("[n]_q! requires q != 1")
-    prod = 1 - q * 0  # one in the operand arithmetic
-    for k in range(1, n + 1):
-        prod *= q_number(q, k)
-    return prod
+    return weights((q_number(q, k) for k in range(1, n + 1)), n, 1 - q * 0)[n]
 
 
 def q_pochhammer(a, q, n: int):

@@ -1,4 +1,4 @@
-"""Jackson-type numerical integration on geometric node sets.
+"""Jackson-type integration on geometric node sets.
 
 The basic object is the integral over the geometric interval
 [a, b]_q = {a q^n/phi} u {b q^n/phi},
@@ -6,9 +6,9 @@ The basic object is the integral over the geometric interval
     int_a^b f d = (1 - q) sum_n [b f(b q^n/phi) - a f(a q^n/phi)] q^n,
 
 which inverts the divided-difference derivative (fundamental theorem) and
-supports integration by parts.  Series integrands are evaluated through
-their truncated polynomial; callables directly; both share one summation
-kernel with the package-wide decay truncation, so convergence is a
+supports integration by parts.  For a Series (a polynomial) the sum is
+exactly F(b) - F(a) with F its antiderivative, so none runs.  A callable
+is summed with the package-wide decay truncation, so convergence is a
 runtime diagnostic (the sum settled before the cap), not an a-priori
 membership test.  Negative q with |q| < 1 is allowed: the node terms then
 alternate and the same decay rule applies.
@@ -27,7 +27,7 @@ from .errors import (
     QOutOfRange,
 )
 from .stnum import Params
-from .stseries import Series, factorial_series, st_derive
+from .stseries import Series, factorial_series, st_antiderive, st_derive
 from .stfun import PantographSpec, pantograph_domain, theta_domain
 
 Integrand = Union[Series, Callable]
@@ -50,35 +50,24 @@ class QInterval:
         return f"QInterval({p.to_str(self.a)}, {p.to_str(self.b)}, q={p.to_str(p.q)})"
 
 
-def _evaluator(f: Integrand, params: Params) -> Callable:
+def st_integral(f: Integrand, interval: QInterval, tol: float = DEFAULT_TOL):
+    """int_a^b f d over [a, b]_q.  A Series gives F(b) - F(a) with F = st_antiderive(f),
+    the node sum in closed form: (1 - q) sum_n b (b q^n/phi)^k q^n = b^(k+1)/{k+1}.
+    A callable gives the node sum, pq_integral at (phi, phi') for each endpoint
+    (nodes x q^n/phi, weights (1 - q) x q^n), decay-truncated at tol."""
+    params = interval.params
     if isinstance(f, Series):
         if f.params != params:
             raise ParamsMismatch("integrand Series carries different Params")
-        return f.eval
-    return lambda x: params.wrap(f(x))
+        big_f = st_antiderive(f)
+        return big_f.eval(interval.b) - big_f.eval(interval.a)
 
+    def g(x):
+        return params.wrap(f(x))
 
-def st_integral(f: Integrand, interval: QInterval, tol: float = DEFAULT_TOL):
-    """The geometric-node sum over [a, b]_q, decay-truncated."""
-    params = interval.params
-    a, b, q, phi = interval.a, interval.b, params.q, params.phi
-    if a == b:
-        return params.zero()
-    g = _evaluator(f, params)
-
-    def terms():
-        qn = params.one()
-        while True:
-            term = params.zero()
-            if b != 0:
-                term = term + b * g(b * qn / phi)
-            if a != 0:
-                term = term - a * g(a * qn / phi)
-            yield term * qn
-            qn = qn * q
-
-    value, _ = stable_sum(terms(), tol, what="st_integral")
-    return (1 - q) * value
+    phi, phi_prime = params.phi, params.phi_prime
+    return (pq_integral(g, interval.b, phi, phi_prime, tol)
+            - pq_integral(g, interval.a, phi, phi_prime, tol))
 
 
 def pq_integral(f: Callable, a, p, q, tol: float = DEFAULT_TOL):
@@ -107,8 +96,9 @@ def pq_integral(f: Callable, a, p, q, tol: float = DEFAULT_TOL):
 
 
 def check_ftc(f: Series, interval: QInterval, tol: float = DEFAULT_TOL):
-    """|int_a^b (D f) d  -  (f(b) - f(a))|: the fundamental-theorem defect."""
-    lhs = st_integral(st_derive(f), interval, tol)
+    """|int_a^b (D f) d  -  (f(b) - f(a))|: the fundamental-theorem defect of
+    the node sum (D f enters as a callable; a Series would use this theorem)."""
+    lhs = st_integral(st_derive(f).eval, interval, tol)
     rhs = f.eval(interval.b) - f.eval(interval.a)
     return abs(lhs - rhs)
 

@@ -23,11 +23,11 @@ by substitution into the equation when it is first read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 from typing import Callable, Sequence
 
-from ._stable import DEFAULT_TOL, delay_factors, powers, weights
+from ._stable import delay_factors, powers, weights
 from .errors import (
     ConvergenceFailure,
     DegenerateStNumber,
@@ -51,7 +51,7 @@ from .stseries import (
     symbolic_powers,
 )
 from .stfun import PantographSpec, pantograph
-from .stquad import QInterval, st_integral
+from .stquad import QInterval
 
 PHI_PRIME_DELAY = "phi-prime-delay"
 PHI_DELAY = "phi-delay"
@@ -363,7 +363,7 @@ def _delay_scales(problem: LinearProblem):
 
 
 def solve_integration_factor(problem: LinearProblem, N: int = DEFAULT_ORDER,
-                             points: Sequence = (), tol: float = DEFAULT_TOL) -> SolutionReport:
+                             points: Sequence = ()) -> SolutionReport:
     """Series mode of the general theorem (eta = 0, scalar initial value):
 
         y = (1/E[a,b;A(x),u]) (antiderivative(beta(x) E[a,b;A(phi x),u]) + xi),
@@ -380,9 +380,7 @@ def solve_integration_factor(problem: LinearProblem, N: int = DEFAULT_ORDER,
             raise StInputError("numeric mode (eta > 0 or q-periodic datum) needs "
                                "evaluation points")
 
-        def y(r):
-            return integration_factor_value(problem, r, N, tol)
-
+        y = partial(integration_factor_value, problem, N=N)
         values = [(x, y(x)) for x in points]
         return SolutionReport(problem, None, None, N, residual(problem, y, points, N).points,
                               {"mode": "numeric", "values": values})
@@ -405,42 +403,37 @@ def _wants_numeric(problem: LinearProblem) -> bool:
     return eta_positive or nonconstant
 
 
-def integration_factor_value(problem: LinearProblem, x, N: int = DEFAULT_ORDER,
-                             tol: float = DEFAULT_TOL):
+def integration_factor_value(problem: LinearProblem, x, N: int = DEFAULT_ORDER):
     """Pointwise solution value
 
-        y(x) = (1/E[A(x)]) (int_eta^x beta(r) E[A(delay r)] d r + G(log_q x)),
+        y(x) = (1/E[A(x)]) (int_eta^x beta(r) E[A(delay r)] d r + G(log_q x)).
 
-    with the integral taken as a Jackson sum over [eta, x]_q."""
-    p = problem.params
-    factor, factor_delayed, beta_eval, g = problem.cached(
+    The integrand is a polynomial, so its Jackson integral over [eta, x]_q is
+    F(x) - F(eta), F its antiderivative, built once per problem."""
+    factor, big_f, big_f_eta, g = problem.cached(
         ("pointwise", N), lambda: _pointwise_parts(problem, N))
     gval = g.evaluate(x)
-    integral = st_integral(lambda r: beta_eval(r) * factor_delayed.eval(r),
-                           QInterval(problem.eta, x, p), tol)
-    return (integral + gval) / factor.eval(x)
+    QInterval(problem.eta, x, problem.params)  # the domain of the integral: 0 < |q| < 1
+    return (big_f.eval(x) - big_f_eta + gval) / factor.eval(x)
 
 
 def _pointwise_parts(problem: LinearProblem, N: int) -> tuple:
-    """What every point value y(x) shares: the factor, the factor at the
-    delayed argument, the forcing as a function and the q-periodic datum
-    (whose periodicity is checked here, once)."""
+    """What every point value y(x) shares: the factor, the antiderivative F
+    of beta(r) E[A(delay r)] and F(eta), and the q-periodic datum (whose
+    periodicity is checked here, once)."""
+    p = problem.params
     factor, _ = _factor(problem, N)
     factor_scale, _ = _delay_scales(problem)
-    factor_delayed = scale(factor, factor_scale)
-    beta_eval = _beta_eval(problem, N)
+    # pad both to the product's degree: Series.__mul__ truncates at the smaller order
+    integrand = (_as_series(problem.beta, p, N).padded(2 * N)
+                 * scale(factor, factor_scale).padded(2 * N))
+    big_f = st_antiderive(integrand)
     if isinstance(problem.initial, QPeriodic):
         g = problem.initial
         g.check_periodicity()
     else:
-        g = QPeriodic.constant(problem.params, problem.initial)
-    return factor, factor_delayed, beta_eval, g
-
-
-def _beta_eval(problem: LinearProblem, N: int) -> Callable:
-    """The forcing as a function: a callable (a Series is one) as given."""
-    beta = problem.beta
-    return beta if callable(beta) else _as_series(beta, problem.params, N).eval
+        g = QPeriodic.constant(p, problem.initial)
+    return factor, big_f, big_f.eval(problem.eta), g
 
 
 # -- Bernoulli family ---------------------------------------------------------
@@ -479,11 +472,7 @@ def bernoulli_transform(problem: LinearProblem) -> LinearProblem:
     factor = -scale_num
 
     def rescale(v):
-        if isinstance(v, Series):
-            return v * factor
-        if callable(v):
-            return lambda x: factor * v(x)
-        return factor * p.wrap(v)
+        return v * factor if isinstance(v, Series) else factor * p.wrap(v)
 
     if problem.family == "u-bernoulli":
         u = p.wrap(problem.spec.u)
@@ -524,7 +513,7 @@ def bernoulli_reconstruct(z, n, params: Params, y_anchor=None,
         raise StInputError("non-integer order with q < 0 puts the product nodes "
                            "on complex rays; not supported")
     anchor = p.wrap(y_anchor)
-    shift = p.power(p.phi, n - 2) if not isinstance(n, int) else p.phi ** (n - 2)
+    shift = p.power(p.phi, n - 2)
 
     def y(x):
         x = p.wrap(x)
@@ -532,9 +521,7 @@ def bernoulli_reconstruct(z, n, params: Params, y_anchor=None,
             return anchor
         acc = anchor
         for i in range(max_factors):
-            e = i * (n - 1)
-            lo = p.power(p.q, e) if not isinstance(e, int) else p.q ** e
-            node = lo * x / shift
+            node = p.power(p.q, i * (n - 1)) * x / shift
             fac = safe_z(p.q * node) / safe_z(node)
             acc *= fac
             if abs(fac - 1) < tol:
@@ -583,7 +570,7 @@ def residual(problem: LinearProblem, y, sample_points: Sequence = (),
         factor_scale, u = _delay_scales(problem)
         alpha = -(_as_series(problem.alpha, p, order) * numerator / scale(factor, factor_scale))
         a, b = p.zero(), p.one()
-    beta = _as_series(problem.beta, p, order) if is_series else _beta_eval(problem, order)
+    beta = _as_series(problem.beta, p, order)
     alpha_at = alpha.eval if isinstance(alpha, Series) else (lambda _x: alpha)
 
     def linear(at_x, at_ux, zero):

@@ -317,7 +317,7 @@ def test_criterion_10_theta_fixture():
     xi = p.wrap(F(1, 4))
     xstar = 1 / (p.phi * (1 - p.q))
     prob = LinearProblem.theta_factor(p, 1, 1, initial=xi)
-    got = integration_factor_value(prob, xstar, N=40, tol=1e-18)
+    got = integration_factor_value(prob, xstar, N=40)
     # displayed combination: the prefactor is 1/psi(1/phi) by Gauss's
     # product form, against the sum over Theta0(q^k, 1/phi) - 1 (the
     # example's own previous line carries the 1/phi the final display drops)

@@ -112,6 +112,30 @@ class TestCommands:
         assert code == 0
         assert abs(F(doc["value"]) - F(1, 3)) < F(1, 10 ** 12)
 
+    def test_readme_integrate_example_is_exact(self, capsys):
+        code, doc = run_cli(capsys, "integrate", "--s", "3", "--t", "-2",
+                            "--expr", "x", "--from", "0", "--to", "1")
+        assert code == 0 and doc["value"] == "1/3"
+        assert doc["diagnostics"] == {"method": "antiderivative"}
+
+    def test_rational_numeric_mode_is_exact(self, capsys):
+        code, doc = run_cli(capsys, "solve", "--family=integration-factor", "--s=3",
+                            "--t=-2", "--alpha=-1", "--beta=x", "--y0=1", "--eta=1/10",
+                            "--points=1/2", "--order=4")
+        assert code == 0 and doc["values"] == [["1/2", "2562694352/1410015625"]]
+
+    @pytest.mark.parametrize("backend", [[], ["--backend=float"]])
+    def test_numeric_mode_csv(self, capsys, backend):
+        argv = ["solve", "--family=integration-factor", "--s=3", "--t=-2", "--alpha=-1",
+                "--beta=x", "--y0=1", "--eta=1/10", "--points=1/2,7/10", *backend]
+        code, doc = run_cli(capsys, *argv)
+        assert code == 0
+        rows = [[x, y, r] for (x, y), (_, r) in zip(doc["values"], doc["residual"]["points"])]
+        assert len(rows) == 2 and doc["grid"] == rows
+        code, text = run_cli(capsys, *argv, "--format=csv")
+        assert code == 0
+        assert text.splitlines() == ["x,y,residual"] + [",".join(row) for row in rows]
+
     def test_solve_series_linear(self, capsys):
         code, doc = run_cli(capsys, "solve", "--family", "series-linear",
                             "--s", "3", "--t", "-2", "--a", "0", "--b", "1",
@@ -365,7 +389,10 @@ def test_integrate_beyond_double_range(capsys, backend):
     assert code == 0 and captured.err == ""
     doc = json.loads(captured.out)
     assert "value_decimal" not in doc
-    assert doc["value"].startswith("3333333333") and len(doc["value"]) >= 800
+    if backend == "rational":
+        assert F(doc["value"]) == F(10 ** 800, 3)
+    else:
+        assert doc["value"].startswith("3333333333") and len(doc["value"]) >= 800
     code, doc = run_cli(capsys, *argv, "--to=1e100")
     assert code == 0
     assert float(doc["value_decimal"]) == pytest.approx(1e200 / 3, rel=1e-12)

@@ -23,7 +23,9 @@ from stpanto.stseries import (
     st_derive,
     symbolic_powers,
 )
+from stpanto.expr import parse_expression
 from stpanto.stfun import PantographSpec, deformed_exp, pantograph
+from stpanto.stquad import QInterval, st_integral
 from stpanto.stsolve import (
     LinearProblem,
     bernoulli_reconstruct,
@@ -429,7 +431,7 @@ class TestSolveIntegrationFactor:
         N = 40  # the scaled factor series decays only geometrically here
         beta = Series.monomial(p, 2, order=N)
         numeric_prob = LinearProblem.classical_factor(p, alpha, beta, initial=g, eta=eta)
-        val = integration_factor_value(numeric_prob, x, N=N, tol=1e-22)
+        val = integration_factor_value(numeric_prob, x, N=N)
         factor, _ = integrating_factor(p, PantographSpec(0, 1, p.phi),
                                        Series.constant(p, alpha, N - 1), N)
         f_at = st_antiderive(beta * scale(factor, p.phi)).truncated(N)
@@ -443,7 +445,7 @@ class TestSolveIntegrationFactor:
         prob = LinearProblem.classical_factor(
             p, -p.one(), Series.monomial(p, 2, order=40), initial=p.wrap(1),
             eta=p.wrap("0.2"))
-        rep = solve_integration_factor(prob, 40, points=[p.wrap("0.5")], tol=1e-20)
+        rep = solve_integration_factor(prob, 40, points=[p.wrap("0.5")])
         assert rep.solution is None
         assert rep.problem is prob
         assert rep.diagnostics["mode"] == "numeric"
@@ -456,6 +458,67 @@ class TestSolveIntegrationFactor:
             p, -p.one(), Series.monomial(p, 2, order=12), initial=1, eta=p.wrap("0.5"))
         with pytest.raises(StInputError):
             solve_integration_factor(prob, 12)
+
+
+NUMERIC_CASES = [
+    # (spec, alpha, beta, delay side)
+    ((0, 1, 2), "-1", "x^2", "phi-prime-delay"),
+    ((0, 1, "1/2"), "1 + x", "1 - x", "phi-prime-delay"),
+    ((1, "1/2", "1/3"), "-1", "x", "phi-delay"),
+]
+
+
+def numeric_problem(p, case, order, eta, y0):
+    spec, alpha, beta, side = case
+    return LinearProblem.integration_factor(
+        p, PantographSpec(*(p.wrap(v) for v in spec)), parse_expression(alpha, p, order),
+        parse_expression(beta, p, order), initial=p.wrap(y0), eta=p.wrap(eta),
+        delay_side=side)
+
+
+class TestNumericModeValues:
+    """y(x) = (int_eta^x beta E[A(delay r)] d r + y0) / E[A](x) at eta > 0."""
+
+    @pytest.mark.parametrize("case", NUMERIC_CASES)
+    def test_rational_value_is_exact(self, case):
+        # the integrand is a polynomial: its Jackson integral is F(x) - F(eta),
+        # with F from an explicit convolution of the two coefficient lists
+        N, eta, y0 = 6, F(1, 10), F(3, 2)
+        prob = numeric_problem(P32, case, N, eta, y0)
+        factor, _ = integrating_factor(P32, prob.spec, prob.alpha, N)
+        delay = P32.phi if case[3] == "phi-prime-delay" else P32.phi_prime
+        fb = [c * delay ** n for n, c in enumerate(factor.coeffs)]
+        bc = prob.beta.padded(N).coeffs[:N + 1]
+        conv = [sum(bc[i] * fb[n - i] for i in range(n + 1) if i <= N and n - i <= N)
+                for n in range(2 * N + 1)]
+
+        def big_f(x):
+            return sum(c * x ** (n + 1) / st_number(P32, n + 1) for n, c in enumerate(conv))
+
+        for x in (F(1, 2), F(7, 10), F(-1, 3)):
+            want = (big_f(x) - big_f(eta) + y0) / factor.eval(x)
+            assert integration_factor_value(prob, x, N) == want
+
+    @pytest.mark.parametrize("pair", [(3, -2), (1, 1)])
+    @pytest.mark.parametrize("precision", [30, 50])
+    @pytest.mark.parametrize("case", NUMERIC_CASES)
+    def test_float_values_meet_the_precision(self, case, precision, pair):
+        # reference: the callable node sum at 80 digits and tol 1e-70
+        N, eta, y0, xs = 16, "1/10", "1/2", ("1/2", "7/10")
+        p = golden_pair(*pair, backend="float", precision=precision)
+        ref_p = golden_pair(*pair, backend="float", precision=80)
+        prob = numeric_problem(p, case, N, eta, y0)
+        ref = numeric_problem(ref_p, case, N, eta, y0)
+        factor, _ = integrating_factor(ref_p, ref.spec, ref.alpha, N)
+        delay = ref_p.phi if case[3] == "phi-prime-delay" else ref_p.phi_prime
+        delayed = scale(factor, delay)
+        beta = ref.beta.padded(N).truncated(N)
+        for x in xs:
+            nodes = st_integral(lambda r: beta.eval(r) * delayed.eval(r),
+                                QInterval(eta, x, ref_p), tol=1e-70)
+            want = F(ref_p.to_str((nodes + ref_p.wrap(y0)) / factor.eval(x)))
+            got = F(p.to_str(integration_factor_value(prob, p.wrap(x), N)))
+            assert abs(got - want) <= F(10) ** (3 - precision) * abs(want)
 
 
 class TestBernoulli:
