@@ -211,6 +211,16 @@ def _written_residual(problem: LinearProblem, coeffs: list[str], points: list[st
             "points": [[p.to_str(x), p.to_str(r)] for x, r in info.points]}
 
 
+def _point_blocks(rep: SolutionReport) -> dict:
+    """The residual, values and grid blocks of a numeric-mode (eta > 0)
+    report, which has point values and no series."""
+    p = rep.problem.params
+    res_points = [[p.to_str(x), p.to_str(r)] for x, r in rep.residual_points]
+    values = [[p.to_str(x), p.to_str(v)] for x, v in rep.diagnostics.get("values", [])]
+    return {"residual": {"coeff_max": None, "points": res_points}, "values": values,
+            "grid": [[x, v, r] for (x, v), (_, r) in zip(values, res_points)]}
+
+
 def _cmd_solve(args) -> dict:
     p = _build_params(args)
     rep = _solve_problem(args, p)
@@ -229,11 +239,7 @@ def _cmd_solve(args) -> dict:
             blocks["grid"] = _eval_grid(rep.solution, points,
                                         [r for _, r in blocks["residual"]["points"]])
     else:
-        res_points = [[p.to_str(x), p.to_str(r)] for x, r in rep.residual_points]
-        blocks["residual"] = {"coeff_max": None, "points": res_points}
-        blocks["values"] = [[p.to_str(x), p.to_str(v)]
-                            for x, v in rep.diagnostics.get("values", [])]
-        blocks["grid"] = [[x, v, r] for (x, v), (_, r) in zip(blocks["values"], res_points)]
+        blocks.update(_point_blocks(rep))
     diags = {"order": rep.order, "backend": p.backend}
     for k, v in rep.diagnostics.items():
         if isinstance(v, (str, int, bool)):
@@ -252,8 +258,10 @@ def _cmd_verify(args) -> dict:
         raise StInputError(f"cannot read {args.doc}: {err.strerror}") from None
     except ValueError as err:
         raise StInputError(f"{args.doc} is not a JSON document: {err}") from None
+    series_doc = isinstance(doc, dict) and isinstance(doc.get("solution"), dict)
+    points = [] if series_doc else _stored_points(doc)
     if not (isinstance(doc, dict) and doc.get("command") == "solve"
-            and isinstance(doc.get("input"), dict) and isinstance(doc.get("solution"), dict)):
+            and isinstance(doc.get("input"), dict) and (series_doc or points)):
         raise StInputError("verify expects a solve result document with its input "
                            "and a series solution")
     # The stored input is read back by the solve parser itself, so it takes
@@ -262,6 +270,14 @@ def _cmd_verify(args) -> dict:
             for key, value in doc["input"].items() if value is not None]
     ns = build_parser().parse_args(["solve", *argv])
     p = _build_params(ns)
+    if not series_doc:
+        # Numeric mode: re-solve at the stored points and compare the values
+        # and point residuals as written.
+        ns.points = ",".join(points)
+        blocks = _point_blocks(_solve_problem(ns, p))
+        matches = all(blocks[key] == doc.get(key) for key in ("values", "residual"))
+        return result_document("verify", {"doc": args.doc}, p, residual=blocks["residual"],
+                               values=blocks["values"], matches_document=matches)
     rep = _solve_problem(ns, p)
     point_strs = [row[0] for row in doc.get("residual", {}).get("points", [])]
     new_residual = _written_residual(rep.problem, doc["solution"].get("coeffs", []),
@@ -269,6 +285,16 @@ def _cmd_verify(args) -> dict:
     matches = new_residual == doc.get("residual")
     return result_document("verify", {"doc": args.doc}, p,
                            residual=new_residual, matches_document=matches)
+
+
+def _stored_points(doc) -> list[str]:
+    """The x column of a numeric-mode document's ``values`` rows; empty if
+    the document has no well-formed rows."""
+    rows = doc.get("values") if isinstance(doc, dict) else None
+    if isinstance(rows, list) and all(isinstance(r, list) and len(r) == 2
+                                      and isinstance(r[0], str) for r in rows):
+        return [r[0] for r in rows]
+    return []
 
 
 def _cmd_identities(args) -> dict:

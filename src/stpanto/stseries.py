@@ -17,10 +17,25 @@ f(y) = f(q y), modelled by QPeriodic below.
 Symbolic powers f^[k] are defined by f^[0] = 1, f^[k](0) = 0 and
 D f^[k] = {k} f^[k-1] D f; they are what makes composition (and hence
 integration factors) compatible with D.
+
+Products are computed in two ways.  On the rational backend, two dense
+operands are multiplied on integers: each is split into contiguous blocks
+scaled to integers over their own common denominator (a block ends where
+that denominator's bit length has doubled), every pair of blocks that
+reaches an index <= N is one big-integer product by Kronecker substitution
+(Harvey, J. Symbolic Comput. 2009), and each output coefficient is
+accumulated over one denominator and reduced once.  The pantograph
+coefficients' denominators grow like phi^(n^2/2), which is why one
+denominator for a whole operand would not do.  An operand with at most
+three nonzero terms, and every float product, take the term loop over the
+nonzero terms instead; the float loop adds in the order of the left
+operand's index, so its rounding is that of the full O(N^2) loop.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from ._stable import delay_factors, powers, weights
@@ -126,13 +141,14 @@ class Series:
             return Series(self.params, [c * w for c in self.coeffs])
         self._check(other)
         n = min(self.order, other.order)
-        out = [self.params.zero()] * (n + 1)
-        for i, a in enumerate(self.coeffs[:n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                out[i + j] += a * other.coeffs[j]
-        return Series(self.params, out)
+        a, b = self.coeffs[:n + 1], other.coeffs[:n + 1]
+        if self.params.rational:
+            terms_a, terms_b = _nonzeros(a), _nonzeros(b)
+            if min(terms_a, terms_b) > _TERM_LOOP_TERMS:
+                return Series(self.params, _kronecker_product(a, b, n))
+            if terms_a > terms_b:  # exact, so the sparser operand may lead
+                a, b = b, a
+        return Series(self.params, _term_product(a, b, n, self.params.zero()))
 
     __rmul__ = __mul__
 
@@ -183,6 +199,111 @@ class Series:
 
     def max_abs_coeff(self):
         return max(abs(c) for c in self.coeffs)
+
+
+# -- the product kernels ----------------------------------------------------
+
+# A rational operand with at most this many nonzero terms (a constant, x,
+# a quadratic) is multiplied term by term: the integer path would reduce
+# every output coefficient over a full-size denominator for a few products.
+_TERM_LOOP_TERMS = 3
+# The smallest denominator a block grows from, in bits, so the first
+# coefficients (denominators of a few bits) do not each open a block.
+_BLOCK_BITS = 128
+
+
+def _nonzeros(coeffs) -> int:
+    return sum(1 for c in coeffs if c != 0)
+
+
+def _term_product(a, b, n: int, zero) -> list:
+    """sum a_i b_j x^(i+j) up to x^n over the nonzero terms of both operands.
+    Each output coefficient adds its terms in the order of the left index i,
+    and a skipped term is an exact zero, so float rounding is that of the
+    full O(n^2) loop."""
+    right = [(j, y) for j, y in enumerate(b) if y != 0]
+    out = [zero] * (n + 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in right:
+            if i + j > n:
+                break
+            out[i + j] += x * y
+    return out
+
+
+def _integer_blocks(coeffs) -> list[tuple[int, int, list[int]]]:
+    """Contiguous blocks (start, D, numerators) of a Fraction list, each
+    scaled to integers c * D.  D is the lcm of every denominator up to the
+    block's end, so each block's D is a multiple of the ones before it.  A
+    block ends where D's bit length would pass twice what it was where the
+    block began."""
+    bounds, den, start, limit = [], 1, 0, 2 * _BLOCK_BITS
+    for i, c in enumerate(coeffs):
+        d = c.denominator
+        if den % d:
+            grown = den // math.gcd(den, d) * d
+            if grown.bit_length() > limit and i > start:
+                bounds.append((start, den))
+                start, limit = i, 2 * max(den.bit_length(), _BLOCK_BITS)
+            den = grown
+    bounds.append((start, den))
+    ends = [s for s, _ in bounds[1:]] + [len(coeffs)]
+    return [(s, D, [c.numerator * (D // c.denominator) for c in coeffs[s:e]])
+            for (s, D), e in zip(bounds, ends)]
+
+
+def _kronecker_low(xs: list[int], ys: list[int], m: int) -> list[int]:
+    """The first min(m, len(xs) + len(ys) - 1) coefficients of the product
+    of two integer polynomials, by Kronecker substitution: both are
+    evaluated at 2^(8 width), with width bytes enough for any product
+    coefficient, multiplied as one big integer and read back slot by slot.
+    Biasing each slot by half its range keeps the slots nonnegative, so
+    packing and unpacking are linear-time bytes joins and slices."""
+    xs, ys = xs[:m], ys[:m]
+    m = min(m, len(xs) + len(ys) - 1)
+    bound = max(map(abs, xs)) * max(map(abs, ys)) * min(len(xs), len(ys))
+    if not bound:
+        return [0] * m
+    width = bound.bit_length() // 8 + 1  # so that bound < half
+    half = 1 << (8 * width - 1)
+    slot = half.to_bytes(width, "little")
+
+    def pack(zs):
+        raw = b"".join((z + half).to_bytes(width, "little") for z in zs)
+        return int.from_bytes(raw, "little") - int.from_bytes(slot * len(zs), "little")
+
+    # The biased low m slots of the product are its value mod 2^(8 width m).
+    low = pack(xs) * pack(ys) + int.from_bytes(slot * m, "little")
+    raw = (low & ((1 << 8 * width * m) - 1)).to_bytes(width * m, "little")
+    return [int.from_bytes(raw[k:k + width], "little") - half
+            for k in range(0, width * m, width)]
+
+
+def _kronecker_product(a, b, n: int) -> list[Fraction]:
+    """The exact product of two Fraction coefficient lists up to x^n.
+
+    Every pair of integer blocks that reaches an index <= n is one
+    Kronecker product.  Output k is accumulated over D_p D_q of the blocks
+    that hold index k in each operand, which every contributing pair's
+    denominators divide, and reduced once."""
+    A, B = _integer_blocks(a), _integer_blocks(b)
+    at_a = [p for p, (_, _, xs) in enumerate(A) for _ in xs]
+    at_b = [q for q, (_, _, ys) in enumerate(B) for _ in ys]
+    acc = [0] * (n + 1)
+    for sa, da, xs in A:
+        for sb, db, ys in B:
+            if sa + sb > n:
+                break
+            lift = {}  # (p, q) of the output's blocks -> D_p D_q / (da db)
+            for k, v in enumerate(_kronecker_low(xs, ys, n + 1 - sa - sb), sa + sb):
+                if v:
+                    key = (at_a[k], at_b[k])
+                    if key not in lift:
+                        lift[key] = A[key[0]][1] // da * (B[key[1]][1] // db)
+                    acc[k] += v * lift[key]
+    return [Fraction(acc[k], A[at_a[k]][1] * B[at_b[k]][1]) for k in range(n + 1)]
 
 
 # -- calculus -----------------------------------------------------------

@@ -334,6 +334,50 @@ class TestVerifyRoundTrip:
             [r for _, r in stored["residual"]["points"]]
 
 
+class TestVerifyNumericMode:
+    """eta > 0 documents carry point values and no series: verify re-solves
+    at the stored points and compares the values and point residuals."""
+
+    def solve_to_file(self, tmp_path, *backend):
+        out = tmp_path / "numeric.json"
+        code = main(["solve", "--family", "integration-factor", "--s", "3", "--t", "-2",
+                     "--alpha", "-1", "--beta", "x", "--y0", "1", "--eta", "1/10",
+                     "--points", "1/2,7/10", "--order", "12", *backend, "--out", str(out)])
+        assert code == 0
+        return out
+
+    @pytest.mark.parametrize("backend", [[], ["--backend", "float"]])
+    def test_round_trip(self, capsys, tmp_path, backend):
+        out = self.solve_to_file(tmp_path, *backend)
+        stored = json.loads(out.read_text())
+        assert "solution" not in stored and len(stored["values"]) == 2
+        code, verification = run_cli(capsys, "verify", "--doc", str(out))
+        assert code == 0
+        assert verification["matches_document"] is True
+        assert verification["values"] == stored["values"]
+        assert verification["residual"] == stored["residual"]
+
+    @pytest.mark.parametrize("backend", [[], ["--backend", "float"]])
+    def test_tampered_value(self, capsys, tmp_path, backend):
+        out = self.solve_to_file(tmp_path, *backend)
+        stored = json.loads(out.read_text())
+        stored["values"][1][1] = "3/2" if not backend else "1.5"
+        out.write_text(json.dumps(stored))
+        code, verification = run_cli(capsys, "verify", "--doc", str(out))
+        assert code == 0
+        assert verification["matches_document"] is False
+
+    def test_neither_solution_nor_values(self, capsys, tmp_path):
+        out = self.solve_to_file(tmp_path)
+        stored = json.loads(out.read_text())
+        del stored["values"]
+        out.write_text(json.dumps(stored))
+        code = main(["verify", "--doc", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == ("error: verify expects a solve result document "
+                                           "with its input and a series solution\n")
+
+
 def _write(path, text):
     path.write_text(text)
     return str(path)

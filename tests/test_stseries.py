@@ -12,6 +12,7 @@ from stpanto.errors import (
     ParamsMismatch,
     ZeroPoint,
 )
+from stpanto.stfun import PantographSpec, pantograph
 from stpanto.stnum import golden_pair, st_factorial, st_number
 from stpanto.stseries import (
     QPeriodic,
@@ -85,6 +86,84 @@ class TestSeriesArithmetic:
         g = Series(p, [1 + 1e-14, 2])
         assert f == g
         assert not f.equals(Series(p, [1 + 1e-9, 2]))
+
+
+def schoolbook(a, b):
+    """The truncated convolution sum a_i b_(k-i), k up to the smaller order."""
+    n = min(len(a), len(b)) - 1
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), F(0)) for k in range(n + 1)]
+
+
+def left_loop(f, g):
+    """The float product as a full loop over the left operand's nonzero
+    terms and every term of the right one."""
+    n = min(f.order, g.order)
+    out = [f.params.zero()] * (n + 1)
+    for i, a in enumerate(f.coeffs[:n + 1]):
+        if a == 0:
+            continue
+        for j in range(n + 1 - i):
+            out[i + j] += a * g.coeffs[j]
+    return out
+
+
+# Coefficients of every size: zeros, small fractions, and denominators of
+# up to 400 bits, so that dense operands split into several integer blocks.
+product_coeff = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=30),
+    st.builds(F, st.integers(-2 ** 90, 2 ** 90), st.integers(1, 2 ** 400)),
+)
+dense_operand = st.integers(3, 40).flatmap(
+    lambda n: st.lists(st.tuples(product_coeff, st.integers(1, 4)), min_size=n + 1,
+                       max_size=n + 1)).map(
+    lambda runs: [c for c, k in runs for _ in range(k)][:41])
+sparse_operand = st.tuples(
+    st.integers(0, 40),
+    st.lists(st.tuples(st.integers(0, 40), product_coeff), max_size=3),
+).map(lambda d: [next((c for i, c in d[1] if i == k), F(0)) for k in range(d[0] + 1)])
+zero_operand = st.integers(0, 40).map(lambda n: [F(0)] * (n + 1))
+product_operand = st.one_of(dense_operand, dense_operand, sparse_operand, zero_operand)
+
+
+class TestExactProduct:
+    """The rational product (integer blocks and Kronecker substitution, or
+    a term loop over a sparse operand) against the schoolbook convolution."""
+
+    @given(product_operand, product_operand)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_schoolbook(self, a, b):
+        f, g = Series(P32, a), Series(P32, b)
+        got = (f * g).coeffs
+        assert got == schoolbook(a, b)
+        assert all(type(c) is F for c in got)
+        assert (g * f).coeffs == got
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_coefficients_at_the_slot_bound(self, sign):
+        # Equal extreme numerators make the last coefficient reach the
+        # bound max|a| max|b| min(len) that sizes the Kronecker slots, for
+        # bound bit lengths on both sides of a byte boundary.
+        for bits in range(60, 69):
+            top = 2 ** bits - 1
+            a = [F(top)] * 10
+            b = [F(sign * top)] * 10
+            assert (Series(P32, a) * Series(P32, b)).coeffs == schoolbook(a, b)
+
+    def test_pantograph_order_128(self):
+        f = pantograph(P32, PantographSpec(F(2), F(1, 2), F(1, 3)), 128)
+        g = pantograph(P32, PantographSpec(F(1), F(1), F(1, 2)), 128)
+        got = (f * g).coeffs
+        assert got == schoolbook(f.coeffs, g.coeffs)
+        assert all(type(c) is F for c in got)
+
+    @pytest.mark.parametrize("precision", [30, 50])
+    @given(a=product_operand, b=product_operand)
+    @settings(max_examples=30, deadline=None)
+    def test_float_product_is_left_loop(self, precision, a, b):
+        p = golden_pair(1, 1, backend="float", precision=precision)
+        f, g = Series(p, a[:21]), Series(p, b[:21])
+        assert repr((f * g).coeffs) == repr(left_loop(f, g))
 
 
 class TestDerivative:
