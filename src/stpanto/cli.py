@@ -259,7 +259,7 @@ def _cmd_verify(args) -> dict:
     except ValueError as err:
         raise StInputError(f"{args.doc} is not a JSON document: {err}") from None
     series_doc = isinstance(doc, dict) and isinstance(doc.get("solution"), dict)
-    points = [] if series_doc else _stored_points(doc)
+    points = [] if series_doc else _stored_points(doc, "values")
     if not (isinstance(doc, dict) and doc.get("command") == "solve"
             and isinstance(doc.get("input"), dict) and (series_doc or points)):
         raise StInputError("verify expects a solve result document with its input "
@@ -278,23 +278,27 @@ def _cmd_verify(args) -> dict:
         matches = all(blocks[key] == doc.get(key) for key in ("values", "residual"))
         return result_document("verify", {"doc": args.doc}, p, residual=blocks["residual"],
                                values=blocks["values"], matches_document=matches)
+    point_strs = _stored_points(doc.get("residual", {}), "points")
+    coeffs = doc["solution"].get("coeffs", [])
+    if point_strs is None or not (isinstance(coeffs, list)
+                                  and all(isinstance(c, str) for c in coeffs)):
+        raise StInputError("verify expects solution.coeffs as a list of strings and "
+                           "residual.points as [x, residual] rows")
     rep = _solve_problem(ns, p)
-    point_strs = [row[0] for row in doc.get("residual", {}).get("points", [])]
-    new_residual = _written_residual(rep.problem, doc["solution"].get("coeffs", []),
-                                     point_strs)
+    new_residual = _written_residual(rep.problem, coeffs, point_strs)
     matches = new_residual == doc.get("residual")
     return result_document("verify", {"doc": args.doc}, p,
                            residual=new_residual, matches_document=matches)
 
 
-def _stored_points(doc) -> list[str]:
-    """The x column of a numeric-mode document's ``values`` rows; empty if
-    the document has no well-formed rows."""
-    rows = doc.get("values") if isinstance(doc, dict) else None
+def _stored_points(block, key: str) -> list[str] | None:
+    """The x column of the stored [x, value] rows ``block[key]``: empty if
+    the key is missing, None if the block or its rows are malformed."""
+    rows = block.get(key, []) if isinstance(block, dict) else None
     if isinstance(rows, list) and all(isinstance(r, list) and len(r) == 2
                                       and isinstance(r[0], str) for r in rows):
         return [r[0] for r in rows]
-    return []
+    return None
 
 
 def _cmd_identities(args) -> dict:

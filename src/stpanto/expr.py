@@ -4,56 +4,52 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import DegreeOverflow, ExpressionSyntaxError
 from .stnum import Params
-from .stseries import DEFAULT_ORDER, Series
+from .stseries import DEFAULT_ORDER, Series, _term_product
 
-_DIGITS = set("0123456789")
+# Parentheses nest at most this deep, so that the recursive descent below
+# stays far inside the interpreter's recursion limit.
+MAX_NESTING = 100
+
+_TOKEN = re.compile(r"""(?P<number>[0-9]+\.?[0-9]*|\.[0-9]+) | (?P<x>[xX])
+    | (?P<plus>\+) | (?P<minus>-) | (?P<star>\*) | (?P<slash>/) | (?P<caret>\^)
+    | (?P<lparen>\() | (?P<rparen>\)) | (?P<space>\s+) | (?P<bad>.)""", re.S | re.X)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _tokenize(text: str):
-    """Yield (kind, value, 1-based offset) tokens."""
+    """(kind, value, 1-based offset) tokens, closed by an ``end`` token."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        start = i
-        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
-            j = i
-            seen_dot = False
-            while j < n and (text[j] in _DIGITS or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            tokens.append(("number", text[i:j], start + 1))
-            i = j
-        elif ch in "xX":
-            tokens.append(("x", ch, start + 1))
-            i += 1
-        elif ch in "+-*/^()":
-            kinds = {"+": "plus", "-": "minus", "*": "star", "/": "slash",
-                     "^": "caret", "(": "lparen", ")": "rparen"}
-            tokens.append((kinds[ch], ch, start + 1))
-            i += 1
-        else:
-            raise ExpressionSyntaxError(f"unexpected character {ch!r}", start + 1)
-    tokens.append(("end", "", n + 1))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ExpressionSyntaxError(f"unexpected character {m.group()!r}", m.start() + 1)
+        if kind != "space":
+            tokens.append((kind, m.group(), m.start() + 1))
+    tokens.append(("end", "", len(text) + 1))
     return tokens
+
+
+def _degree(coeffs) -> int:
+    """The degree of the highest nonzero coefficient; -1 for zero."""
+    return next((d for d in range(len(coeffs) - 1, -1, -1) if coeffs[d]), -1)
 
 
 class _Parser:
     """Recursive descent over: expr := [sign] term ((+|-) term)*;
     term := factor ('*'? factor)*; factor := number ['/' number]
-    | 'x' ['^' nat] | '(' expr ')'.  Values are {degree: Fraction} maps."""
+    | 'x' ['^' nat] | '(' expr ')', parentheses at most MAX_NESTING deep.
+    Values are dense Fraction lists, index d holding the coefficient of x^d;
+    their length is the written degree plus one, capped at max_degree + 1."""
 
     def __init__(self, text: str, max_degree: int):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.max_degree = max_degree
 
     def peek(self):
@@ -66,7 +62,7 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse(self) -> dict[int, Fraction]:
+    def parse(self) -> list[Fraction]:
         value = self.expr()
         tok = self.peek()
         if tok[0] != "end":
@@ -74,92 +70,75 @@ class _Parser:
         return value
 
     def expr(self):
-        sign = 1
-        if self.peek()[0] in ("plus", "minus"):
-            sign = -1 if self.take()[0] == "minus" else 1
-        acc = _poly_scale(self.term(), sign)
+        sign = self.take()[0] if self.peek()[0] in ("plus", "minus") else "plus"
+        acc = self.term()
+        if sign == "minus":
+            acc = [-c for c in acc]
         while self.peek()[0] in ("plus", "minus"):
-            op = self.take()[0]
+            sign = self.take()[0]
             rhs = self.term()
-            acc = _poly_add(acc, _poly_scale(rhs, -1 if op == "minus" else 1))
+            acc.extend([_ZERO] * (len(rhs) - len(acc)))
+            for d, c in enumerate(rhs):
+                if c:
+                    acc[d] = acc[d] + c if sign == "plus" else acc[d] - c
         return acc
 
     def term(self):
         acc = self.factor()
-        while True:
-            kind = self.peek()[0]
-            if kind == "star":
+        while self.peek()[0] in ("star", "number", "x", "lparen"):
+            if self.peek()[0] == "star":
                 self.take()
-            elif kind not in ("number", "x", "lparen"):
-                return acc
-            acc = self._mul(acc, self.factor())
+            rhs = self.factor()
+            top = len(acc) + len(rhs) - 2
+            if top > self.max_degree:
+                # Two nonzero leading coefficients have a nonzero product,
+                # so the product's degree is the sum of the operands' degrees.
+                self._check_degree(_degree(acc) + _degree(rhs))
+                top = self.max_degree
+            acc = _term_product(acc, rhs, top, _ZERO)
+        return acc
 
-    def _mul(self, a, b):
-        out = {}
-        for i, ca in a.items():
-            for j, cb in b.items():
-                d = i + j
-                if d > self.max_degree:
-                    if ca * cb != 0:
-                        raise DegreeOverflow(
-                            f"degree {d} exceeds the configured order {self.max_degree}")
-                    continue
-                out[d] = out.get(d, Fraction(0)) + ca * cb
-        return out
+    def _check_degree(self, degree: int):
+        if degree > self.max_degree:
+            raise DegreeOverflow(f"degree {degree} exceeds the configured order {self.max_degree}")
 
     def factor(self):
-        tok = self.peek()
-        if tok[0] == "number":
-            self.take()
-            value = Fraction(tok[1])
+        kind, text, at = self.take()
+        if kind == "number":
+            value = Fraction(text)
             if self.peek()[0] == "slash":
                 self.take()
-                den_tok = self.take("number")
-                den = Fraction(den_tok[1])
+                _, den_text, den_at = self.take("number")
+                den = Fraction(den_text)
                 if den == 0:
-                    raise ExpressionSyntaxError("division by zero", den_tok[2])
+                    raise ExpressionSyntaxError("division by zero", den_at)
                 value /= den
-            return {0: value}
-        if tok[0] == "x":
-            self.take()
+            return [value]
+        if kind == "x":
             degree = 1
             if self.peek()[0] == "caret":
                 self.take()
-                exp_tok = self.peek()
-                if exp_tok[0] != "number" or "." in exp_tok[1]:
-                    raise ExpressionSyntaxError(
-                        "expected a nonnegative integer exponent", exp_tok[2])
-                self.take()
-                degree = int(exp_tok[1])
-            if degree > self.max_degree:
-                raise DegreeOverflow(
-                    f"degree {degree} exceeds the configured order {self.max_degree}")
-            return {degree: Fraction(1)}
-        if tok[0] == "lparen":
-            self.take()
+                exp_kind, exp, exp_at = self.take()
+                if exp_kind != "number" or "." in exp:
+                    raise ExpressionSyntaxError("expected a nonnegative integer exponent", exp_at)
+                degree = int(exp)
+            self._check_degree(degree)
+            return [_ZERO] * degree + [_ONE]
+        if kind == "lparen":
+            if self.depth == MAX_NESTING:
+                raise ExpressionSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}", at)
+            self.depth += 1
             inner = self.expr()
             self.take("rparen")
+            self.depth -= 1
             return inner
-        raise ExpressionSyntaxError(f"expected a term, found {tok[1] or 'end'!r}", tok[2])
-
-
-def _poly_add(a, b):
-    out = dict(a)
-    for d, c in b.items():
-        out[d] = out.get(d, Fraction(0)) + c
-    return out
-
-
-def _poly_scale(a, s):
-    return {d: c * s for d, c in a.items()}
+        raise ExpressionSyntaxError(f"expected a term, found {text or 'end'!r}", at)
 
 
 def parse_expression(text: str, params: Params, max_degree: int = DEFAULT_ORDER) -> Series:
     """Parse a polynomial expression ('1 + 2x - 3/4*x^2') into a Series."""
-    poly = _Parser(text, max_degree).parse()
-    top = max(poly) if poly else 0
-    coeffs = [poly.get(d, Fraction(0)) for d in range(top + 1)]
-    return Series(params, coeffs)
+    return Series(params, _Parser(text, max_degree).parse())
 
 
 def format_series(series: Series) -> str:

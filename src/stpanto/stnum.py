@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import Union
@@ -95,6 +96,7 @@ def _rational_sqrt(x: Fraction) -> Fraction:
     return Fraction(rp, rq)
 
 
+@dataclass(frozen=True, slots=True)
 class Params:
     """The (s, t) pair with derived constants and the scalar backend.
 
@@ -103,35 +105,22 @@ class Params:
     ``growth`` is max(|phi|, |phi'|), the base {n} grows like.
     """
 
-    __slots__ = ("s", "t", "phi", "phi_prime", "q", "backend", "precision", "ctx", "growth")
+    s: Scalar
+    t: Scalar
+    phi: Scalar = field(compare=False)
+    phi_prime: Scalar = field(compare=False)
+    q: Scalar = field(compare=False)
+    backend: str
+    precision: int
+    ctx: MPContext | None = field(compare=False)
+    growth: Scalar = field(init=False, compare=False)
 
-    def __init__(self, s, t, phi, phi_prime, q, backend, precision, ctx):
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "phi_prime", phi_prime)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "growth", max(abs(phi), abs(phi_prime)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Params is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "growth", max(abs(self.phi), abs(self.phi_prime)))
 
     def __repr__(self):
         return (f"Params(s={self.s}, t={self.t}, backend={self.backend!r}, "
                 f"phi={self.phi}, q={self.q})")
-
-    def __eq__(self, other):
-        if not isinstance(other, Params):
-            return NotImplemented
-        return (self.backend == other.backend
-                and self.precision == other.precision
-                and self.s == other.s and self.t == other.t)
-
-    def __hash__(self):
-        return hash((self.backend, self.precision, str(self.s), str(self.t)))
 
     # -- scalar field helpers -------------------------------------------
 

@@ -353,8 +353,10 @@ def symbolic_powers(f: Series, kmax: int) -> list[Series]:
     """[f^[0], ..., f^[kmax]] computed bottom-up.
 
     f^[k] is pinned down by f^[k](0) = 0 and D f^[k] = {k} f^[k-1] D f, so
-    each step is one multiplication and one coefficient integration.  The
-    memo list is local to this call.
+    each step is one multiplication and one coefficient integration.  A
+    power that vanishes under truncation makes every later one vanish, so
+    those are the same zero series, with no product.  The memo list is
+    local to this call.
     """
     if kmax >= 1 and f.coeffs[0] != 0:
         raise NonzeroConstantTerm("symbolic powers need f(0) = 0")
@@ -364,8 +366,10 @@ def symbolic_powers(f: Series, kmax: int) -> list[Series]:
     df = st_derive(f).padded(max(f.order - 1, 0))
     nums = st_number_range(f.params, kmax)
     for k in range(1, kmax + 1):
-        rhs = (powers[-1] * df) * nums[k]
-        powers.append(st_antiderive(rhs).truncated(f.order))
+        prev = powers[-1]
+        if any(c != 0 for c in prev.coeffs):
+            prev = st_antiderive((prev * df) * nums[k]).truncated(f.order)
+        powers.append(prev)
     return powers
 
 

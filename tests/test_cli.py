@@ -19,6 +19,69 @@ from stpanto.stsolve import LinearProblem, solve_series_linear
 P32 = golden_pair(3, -2)
 
 
+# -- random expressions with their coefficients by schoolbook arithmetic ----
+
+
+def _add(a, b, sign):
+    out = list(a) + [F(0)] * (len(b) - len(a))
+    for d, c in enumerate(b):
+        out[d] += sign * c
+    return out
+
+
+def _mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+_NUMBERS = st.one_of(
+    st.integers(0, 99).map(lambda n: (str(n), [F(n)])),
+    st.tuples(st.integers(0, 99), st.integers(1, 9), st.sampled_from(["/", " / "])).map(
+        lambda t: (f"{t[0]}{t[2]}{t[1]}", [F(t[0], t[1])])),
+    st.tuples(st.integers(0, 999), st.integers(1, 3)).map(
+        lambda t: (f"{t[0] // 10 ** t[1]}.{t[0] % 10 ** t[1]:0{t[1]}d}", [F(t[0], 10 ** t[1])])),
+)
+
+
+@st.composite
+def _factors(draw, depth):
+    kind = draw(st.sampled_from(["number", "x", "group"][:3 if depth else 2]))
+    if kind == "number":
+        return draw(_NUMBERS)
+    if kind == "x":
+        d = draw(st.integers(0, 3))
+        text = draw(st.sampled_from(["x", "X"])) + ("" if d == 1 else f"^{d}")
+        return text, [F(0)] * d + [F(1)]
+    text, value = draw(_expressions(depth - 1))
+    return f"({text})", value
+
+
+@st.composite
+def _terms(draw, depth):
+    text, value = draw(_factors(depth))
+    for _ in range(draw(st.integers(0, 2))):
+        f_text, f_value = draw(_factors(depth))
+        # an empty separator only where the tokens cannot run together
+        seps = ["*", " * ", " "] + ([""] if f_text[0] in "xX(" else [])
+        text += draw(st.sampled_from(seps)) + f_text
+        value = _mul(value, f_value)
+    return text, value
+
+
+@st.composite
+def _expressions(draw, depth=2):
+    text, value = "", [F(0)]
+    for k in range(draw(st.integers(1, 3))):
+        t_text, t_value = draw(_terms(depth))
+        sign = draw(st.sampled_from(["+", "-"] + ([""] if k == 0 else [])))
+        text += (f" {sign} " if k else sign) + t_text
+        value = _add(value, t_value, -1 if sign == "-" else 1)
+    return text, value
+
+
 class TestParser:
     def test_basic_polynomial(self):
         got = parse_expression("1 + 2x - x^3", P32)
@@ -78,6 +141,23 @@ class TestParser:
 
     def test_format_zero(self):
         assert format_series(Series.zero(P32, 3)) == "0"
+
+    @settings(max_examples=60)
+    @given(_expressions())
+    def test_matches_schoolbook_reference(self, case):
+        # degrees stay below 3^4 = 81: x^3 at most, three factors a term,
+        # two levels of parentheses
+        text, value = case
+        parsed = parse_expression(text, P32, max_degree=81)
+        assert parsed.coeffs == value
+        reparsed = parse_expression(format_series(parsed), P32, max_degree=81)
+        assert reparsed.padded(parsed.order).coeffs == parsed.coeffs
+
+    def test_nesting_bound(self):
+        assert parse_expression("(" * 100 + "x" + ")" * 100, P32).coeffs == [0, 1]
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse_expression("(" * 101 + "x" + ")" * 101, P32)
+        assert err.value.position == 101
 
     @settings(max_examples=100)
     @given(st.text(alphabet="0123456789x+-*/^(). ", max_size=24))
@@ -383,7 +463,22 @@ def _write(path, text):
     return str(path)
 
 
+def _verify_series_doc(tmp, **blocks):
+    """verify argv for a series-mode solve document with ``blocks`` replaced."""
+    doc = {"command": "solve", "input": {"family": "series-linear", "s": "3", "t": "-2",
+                                         "order": 2},
+           "solution": {"coeffs": ["1", "0", "0"]}, "residual": {"points": []}}
+    doc.update(blocks)
+    return ["verify", "--doc", _write(tmp / "series.json", json.dumps(doc))]
+
+
 BAD_ARGV = {
+    "derive-deep-nesting": lambda tmp: ["derive", "--s", "3", "--t", "-2", "--expr",
+                                        "(" * 330 + "x" + ")" * 330],
+    "verify-residual-string": lambda tmp: _verify_series_doc(tmp, residual="0"),
+    "verify-residual-points-not-rows": lambda tmp: _verify_series_doc(
+        tmp, residual={"points": [1, 2]}),
+    "verify-coeffs-string": lambda tmp: _verify_series_doc(tmp, solution={"coeffs": "100"}),
     "verify-missing-file": lambda tmp: ["verify", "--doc", str(tmp / "missing.json")],
     "verify-not-json": lambda tmp: ["verify", "--doc", _write(tmp / "bad.json", '{"a":')],
     "verify-without-input": lambda tmp: ["verify", "--doc",

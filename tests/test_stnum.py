@@ -241,6 +241,12 @@ class TestBackendPlumbing:
         assert golden_pair(3, -2) == golden_pair(3, -2)
         assert golden_pair(3, -2) != golden_pair(4, -3)
         assert golden_pair(3, -2) != golden_pair(3, -2, backend="float")
+        for backend, precision in (("rational", None), ("float", 30)):
+            p, same = (golden_pair(3, -2, backend, precision) for _ in range(2))
+            assert p == same and hash(p) == hash(same)
+        assert golden_pair(1, 1, precision=30) != golden_pair(1, 1, precision=50)
+        with pytest.raises(AttributeError):
+            p.s = 4
 
 
 def test_package_docstring_example():

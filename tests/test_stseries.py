@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stpanto import identities
 from stpanto.errors import (
     NonInvertibleSeries,
     NonQPeriodicInitial,
@@ -305,6 +306,25 @@ class TestSymbolicPowers:
         # (r f)^[k] = r^k f^[k]
         f = poly(P32, [0] + coeffs)
         assert symbolic_power(f * r, k) == symbolic_power(f, k) * r ** k
+
+    def test_vanished_powers_take_no_products(self, monkeypatch):
+        # x^3 at order 5: f^[2] has degree 6, so f^[2..] vanish under truncation
+        f = Series.monomial(P32, 3, order=5)
+        assert symbolic_powers(f, 5)[2:] == [Series.zero(P32, 5)] * 4
+        # once a power vanishes, every later power is zero with no product:
+        # the identity suite makes 58 Series x Series products, 2 of them
+        # with an all-zero operand
+        products = []
+        mul = Series.__mul__
+
+        def spy(a, b):
+            if isinstance(b, Series):
+                products.append(not any(a.coeffs) or not any(b.coeffs))
+            return mul(a, b)
+
+        monkeypatch.setattr(Series, "__mul__", spy)
+        identities.run_all()
+        assert (len(products), sum(products)) == (58, 2)
 
 
 class TestCompositions:
