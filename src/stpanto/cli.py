@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from ._stable import DEFAULT_TOL
 from .errors import StError, StInputError
@@ -106,15 +105,10 @@ def _cmd_numbers(args) -> dict:
     return result_document("numbers", echo, p, values=[p.to_str(v) for v in values])
 
 
-def _eval_grid(series: Series, points, residuals=None) -> list:
-    """Rows (x, y(x), residual(x)); ``residuals`` are the residual strings
-    at the same points, or blank."""
+def _point_values(series: Series, points) -> list:
+    """Rows (x, y(x)) of ``series`` at the points as given."""
     p = series.params
-    grid = []
-    for x, r in zip(points, residuals or [""] * len(points)):
-        xv = p.wrap(x)
-        grid.append([p.to_str(xv), p.to_str(series.eval(xv)), r])
-    return grid
+    return [[p.to_str(x), p.to_str(series.eval(x))] for x in map(p.wrap, points)]
 
 
 def _parse_points(text: str | None) -> list[str]:
@@ -139,7 +133,7 @@ def _cmd_eval(args) -> dict:
     echo = {"s": args.s, "t": args.t, "fn": args.fn, "expr": args.expr,
             "order": args.order, "at": points}
     return result_document("eval", echo, p, solution=_solution_block(series),
-                           grid=_eval_grid(series, points) or None)
+                           grid=[[x, y, ""] for x, y in _point_values(series, points)] or None)
 
 
 def _cmd_derive(args) -> dict:
@@ -148,7 +142,7 @@ def _cmd_derive(args) -> dict:
     points = _parse_points(args.at)
     echo = {"s": args.s, "t": args.t, "expr": args.expr, "order": args.order}
     return result_document("derive", echo, p, solution=_solution_block(series),
-                           grid=_eval_grid(series, points) or None)
+                           grid=[[x, y, ""] for x, y in _point_values(series, points)] or None)
 
 
 def _cmd_integrate(args) -> dict:
@@ -190,9 +184,8 @@ def _solve_problem(args, p: Params) -> SolutionReport:
     if args.family == "bernoulli":
         alpha = parse_expression(args.alpha, p, args.order)
         prob = LinearProblem.bernoulli(p, spec, alpha, beta, args.n,
-                                       delay_side=args.delay_side)
+                                       delay_side=args.delay_side, initial=p.wrap(args.y0))
         z_prob = bernoulli_transform(prob)
-        z_prob.initial = p.wrap(args.y0)
         rep = solve_integration_factor(z_prob, args.order)
         rep.diagnostics["transformed_family"] = z_prob.family
         rep.diagnostics["solution_is_z"] = True
@@ -200,25 +193,25 @@ def _solve_problem(args, p: Params) -> SolutionReport:
     raise StInputError(f"unknown family {args.family!r}")
 
 
-def _written_residual(problem: LinearProblem, coeffs: list[str], points: list[str]) -> dict:
-    """The residual block of a solution and sample points as written: each
-    value is read back from its string first, so that ``verify``, which has
-    only the strings, reproduces the block digit for digit."""
-    p = problem.params
-    y = Series(p, [p.wrap(c) for c in coeffs])
-    info = residual(problem, y, sample_points=[p.wrap(x) for x in points])
-    return {"coeff_max": p.to_str(info.coeff_max),
-            "points": [[p.to_str(x), p.to_str(r)] for x, r in info.points]}
+def _rows(p: Params, pairs) -> list:
+    return [[p.to_str(x), p.to_str(v)] for x, v in pairs]
 
 
-def _point_blocks(rep: SolutionReport) -> dict:
-    """The residual, values and grid blocks of a numeric-mode (eta > 0)
-    report, which has point values and no series."""
+def _check_blocks(rep: SolutionReport, points: list[str], coeffs: list[str] | None) -> dict:
+    """The blocks that ``verify`` recomputes.  For a series solution, the
+    residual of the coefficients and sample points as written: each value is
+    read back from its string first, so that ``verify``, which has only the
+    strings, reproduces the block digit for digit (``coeffs`` None checks the
+    report's own series).  In numeric mode (eta > 0), which has no series,
+    the point residuals and the point values."""
     p = rep.problem.params
-    res_points = [[p.to_str(x), p.to_str(r)] for x, r in rep.residual_points]
-    values = [[p.to_str(x), p.to_str(v)] for x, v in rep.diagnostics.get("values", [])]
-    return {"residual": {"coeff_max": None, "points": res_points}, "values": values,
-            "grid": [[x, v, r] for (x, v), (_, r) in zip(values, res_points)]}
+    if rep.solution is None:
+        return {"residual": {"coeff_max": None, "points": _rows(p, rep.residual_points)},
+                "values": _rows(p, rep.values)}
+    y = rep.solution if coeffs is None else Series(p, [p.wrap(c) for c in coeffs])
+    info = residual(rep.problem, y, sample_points=[p.wrap(x) for x in points])
+    return {"residual": {"coeff_max": p.to_str(info.coeff_max),
+                         "points": _rows(p, info.points)}}
 
 
 def _cmd_solve(args) -> dict:
@@ -233,20 +226,15 @@ def _cmd_solve(args) -> dict:
     blocks = {}
     if rep.solution is not None:
         blocks["solution"] = _solution_block(rep.solution, rep.closed_form)
-        blocks["residual"] = _written_residual(
-            rep.problem, blocks["solution"]["coeffs"], [p.to_str(p.wrap(x)) for x in points])
-        if points:
-            blocks["grid"] = _eval_grid(rep.solution, points,
-                                        [r for _, r in blocks["residual"]["points"]])
-    else:
-        blocks.update(_point_blocks(rep))
-    diags = {"order": rep.order, "backend": p.backend}
-    for k, v in rep.diagnostics.items():
-        if isinstance(v, (str, int, bool)):
-            diags[k] = v
-        elif isinstance(v, Fraction):
-            diags[k] = str(v)
-    blocks["diagnostics"] = diags
+    blocks.update(_check_blocks(rep, [p.to_str(p.wrap(x)) for x in points],
+                                blocks.get("solution", {}).get("coeffs")))
+    values = blocks["values"] if rep.solution is None else _point_values(rep.solution, points)
+    if values:
+        rows = zip(values, blocks["residual"]["points"])
+        blocks["grid"] = [[x, y, r] for (x, y), (_, r) in rows]
+    diags = {k: v if isinstance(v, (str, int, bool)) else p.to_str(v)
+             for k, v in rep.diagnostics.items()}
+    blocks["diagnostics"] = {"order": rep.order, "backend": p.backend, **diags}
     return result_document("solve", echo, p, **blocks)
 
 
@@ -259,36 +247,28 @@ def _cmd_verify(args) -> dict:
     except ValueError as err:
         raise StInputError(f"{args.doc} is not a JSON document: {err}") from None
     series_doc = isinstance(doc, dict) and isinstance(doc.get("solution"), dict)
-    points = [] if series_doc else _stored_points(doc, "values")
+    # the x column: of the residual rows for a series, of the values in numeric mode
+    points = (_stored_points(doc.get("residual", {}), "points") if series_doc
+              else _stored_points(doc, "values"))
     if not (isinstance(doc, dict) and doc.get("command") == "solve"
             and isinstance(doc.get("input"), dict) and (series_doc or points)):
         raise StInputError("verify expects a solve result document with its input "
                            "and a series solution")
-    # The stored input is read back by the solve parser itself, so it takes
-    # the same defaults and the same validation as a fresh solve.
-    argv = [f"--{key.replace('_', '-')}={value}"
-            for key, value in doc["input"].items() if value is not None]
-    ns = build_parser().parse_args(["solve", *argv])
-    p = _build_params(ns)
-    if not series_doc:
-        # Numeric mode: re-solve at the stored points and compare the values
-        # and point residuals as written.
-        ns.points = ",".join(points)
-        blocks = _point_blocks(_solve_problem(ns, p))
-        matches = all(blocks[key] == doc.get(key) for key in ("values", "residual"))
-        return result_document("verify", {"doc": args.doc}, p, residual=blocks["residual"],
-                               values=blocks["values"], matches_document=matches)
-    point_strs = _stored_points(doc.get("residual", {}), "points")
-    coeffs = doc["solution"].get("coeffs", [])
-    if point_strs is None or not (isinstance(coeffs, list)
-                                  and all(isinstance(c, str) for c in coeffs)):
+    coeffs = doc["solution"].get("coeffs", []) if series_doc else None
+    if points is None or not (coeffs is None or isinstance(coeffs, list)
+                              and all(isinstance(c, str) for c in coeffs)):
         raise StInputError("verify expects solution.coeffs as a list of strings and "
                            "residual.points as [x, residual] rows")
-    rep = _solve_problem(ns, p)
-    new_residual = _written_residual(rep.problem, coeffs, point_strs)
-    matches = new_residual == doc.get("residual")
-    return result_document("verify", {"doc": args.doc}, p,
-                           residual=new_residual, matches_document=matches)
+    # The stored input is read back by the solve parser itself, so it takes
+    # the same defaults and the same validation as a fresh solve; the solve
+    # is re-run at the stored points and every checked block is compared.
+    argv = [f"--{key.replace('_', '-')}={value}"
+            for key, value in doc["input"].items() if value is not None]
+    ns = build_parser().parse_args(["solve", *argv, f"--points={','.join(points)}"])
+    p = _build_params(ns)
+    blocks = _check_blocks(_solve_problem(ns, p), points, coeffs)
+    matches = all(doc.get(key) == block for key, block in blocks.items())
+    return result_document("verify", {"doc": args.doc}, p, **blocks, matches_document=matches)
 
 
 def _stored_points(block, key: str) -> list[str] | None:

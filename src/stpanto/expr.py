@@ -7,8 +7,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import DegreeOverflow, ExpressionSyntaxError
-from .stnum import Params
+from .errors import BackendMismatch, DegreeOverflow, ExpressionSyntaxError
+from .stnum import Params, _as_fraction
 from .stseries import DEFAULT_ORDER, Series, _term_product
 
 # Parentheses nest at most this deep, so that the recursive descent below
@@ -102,14 +102,22 @@ class _Parser:
         if degree > self.max_degree:
             raise DegreeOverflow(f"degree {degree} exceeds the configured order {self.max_degree}")
 
+    @staticmethod
+    def _number(text: str, at: int) -> Fraction:
+        try:
+            return _as_fraction(text)
+        except BackendMismatch:  # past the interpreter's integer-string limit
+            raise ExpressionSyntaxError(f"number of {len(text)} characters is too long",
+                                        at) from None
+
     def factor(self):
         kind, text, at = self.take()
         if kind == "number":
-            value = Fraction(text)
+            value = self._number(text, at)
             if self.peek()[0] == "slash":
                 self.take()
                 _, den_text, den_at = self.take("number")
-                den = Fraction(den_text)
+                den = self._number(den_text, den_at)
                 if den == 0:
                     raise ExpressionSyntaxError("division by zero", den_at)
                 value /= den
@@ -121,7 +129,7 @@ class _Parser:
                 exp_kind, exp, exp_at = self.take()
                 if exp_kind != "number" or "." in exp:
                     raise ExpressionSyntaxError("expected a nonnegative integer exponent", exp_at)
-                degree = int(exp)
+                degree = int(self._number(exp, exp_at))
             self._check_degree(degree)
             return [_ZERO] * degree + [_ONE]
         if kind == "lparen":

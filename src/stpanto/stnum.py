@@ -142,9 +142,6 @@ class Params:
     def one(self) -> Scalar:
         return self.wrap(1)
 
-    def sqrt(self, x) -> Scalar:
-        return _rational_sqrt(x) if self.rational else self.ctx.sqrt(x)
-
     def log(self, x) -> Scalar:
         if self.rational:
             raise BackendMismatch("log is not available in the rational backend")

@@ -152,12 +152,14 @@ class LinearProblem:
                                       alpha, beta, initial, eta, delay_side)
 
     @classmethod
-    def bernoulli(cls, params, spec, alpha, beta, n, delay_side=PHI_DELAY) -> "LinearProblem":
+    def bernoulli(cls, params, spec, alpha, beta, n, delay_side=PHI_DELAY,
+                  initial=0) -> "LinearProblem":
         """D_{phi^{n-1},phi'^{n-1}} y + alpha y(phi^{n-1} x) = beta * (product RHS).
 
         ``alpha`` is the full coefficient of the delayed term (any E-ratio
-        already folded in by the caller)."""
-        return cls("bernoulli", params, spec, alpha=alpha, beta=beta,
+        already folded in by the caller); ``initial`` is z(0) of the
+        substitution, which ``bernoulli_transform`` hands on."""
+        return cls("bernoulli", params, spec, alpha=alpha, beta=beta, initial=initial,
                    n_bernoulli=n, delay_side=delay_side)
 
     @classmethod
@@ -170,14 +172,14 @@ class LinearProblem:
 class ResidualInfo:
     coeff_max: object
     points: list = field(default_factory=list)
-    order: int = 0
 
 
 @dataclass
 class SolutionReport:
     """A solver's answer together with the problem it solves, so that a
     caller can recompute residuals without rebuilding the problem.  Numeric
-    mode, which has no series, fills ``residual_points`` instead."""
+    mode, which has no series, fills ``values`` and ``residual_points``
+    with (x, value) pairs instead.  ``diagnostics`` holds scalars only."""
 
     problem: LinearProblem
     solution: Series | None
@@ -185,6 +187,7 @@ class SolutionReport:
     order: int
     residual_points: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
+    values: list = field(default_factory=list)
 
     @cached_property
     def residual_coeff_max(self):
@@ -381,9 +384,8 @@ def solve_integration_factor(problem: LinearProblem, N: int = DEFAULT_ORDER,
                                "evaluation points")
 
         y = partial(integration_factor_value, problem, N=N)
-        values = [(x, y(x)) for x in points]
         return SolutionReport(problem, None, None, N, residual(problem, y, points, N).points,
-                              {"mode": "numeric", "values": values})
+                              diagnostics={"mode": "numeric"}, values=[(x, y(x)) for x in points])
 
     factor, _ = _factor(problem, N)
     factor_scale, _ = _delay_scales(problem)
@@ -586,7 +588,7 @@ def residual(problem: LinearProblem, y, sample_points: Sequence = (),
         return ResidualInfo(None, points)
     lin = linear(lambda: y, lambda: scale(y, u), Series.zero(p, order))
     series_res = st_derive(y) - (alpha * lin + beta).truncated(order - 1)
-    return ResidualInfo(series_res.max_abs_coeff(), points, series_res.order)
+    return ResidualInfo(series_res.max_abs_coeff(), points)
 
 
 def _bernoulli_residual(problem: LinearProblem, y, sample_points) -> ResidualInfo:
@@ -605,4 +607,4 @@ def _bernoulli_residual(problem: LinearProblem, y, sample_points) -> ResidualInf
         r = (st_derive_at(y, x, p) + aval(x) * y(delayed * x)
              - bval(x) * y(p.phi * x) * y(p.phi_prime * x))
         points.append((x, abs(r)))
-    return ResidualInfo(None, points, 0)
+    return ResidualInfo(None, points)

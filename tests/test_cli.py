@@ -287,6 +287,29 @@ class TestCommands:
         assert doc["all_pass"] is True
         assert len(doc["identities"]) >= 12
 
+    def test_numbers_csv(self, capsys):
+        code, text = run_cli(capsys, "numbers", "--s=1", "--t=1", "--upto=6", "--format=csv")
+        assert code == 0
+        assert text.splitlines() == ["n,value"] + [f"{n},{v}" for n, v in
+                                                   enumerate([0, 1, 1, 2, 3, 5, 8])]
+
+    def test_identities_csv(self, capsys):
+        code, doc = run_cli(capsys, "identities")
+        code, text = run_cli(capsys, "identities", "--format=csv")
+        assert code == 0
+        lines = text.splitlines()
+        assert lines[0] == "name,defect,tolerance,pass" and len(lines) == 14
+        assert lines[1:] == [f"{r['name']},{r['defect']},{r['tolerance']},{r['pass']}"
+                             for r in doc["identities"]]
+
+    @pytest.mark.parametrize("pair", [["--s=1", "--t=1"], ["--s=3", "--t=-2", "--backend=float"]])
+    def test_float_operator_identity_is_written(self, capsys, pair):
+        code, doc = run_cli(capsys, "solve", "--family=operator", *pair, "--a=1", "--b=1",
+                            "--u=1/2", "--alpha-coef=1", "--beta-coef=2", "--gamma=1/3",
+                            "--delta=1", "--order=10")
+        assert code == 0 and doc["params"]["backend"] == "float"
+        assert float(doc["diagnostics"]["operator_identity_max"]) < 1e-25
+
     def test_solve_special_rhs(self, capsys):
         code, doc = run_cli(capsys, "solve", "--family", "special-rhs",
                             "--s", "3", "--t", "-2", "--a", "1/2", "--b", "1/3",
@@ -447,6 +470,17 @@ class TestVerifyNumericMode:
         assert code == 0
         assert verification["matches_document"] is False
 
+    def test_input_tampered_into_series_mode(self, capsys, tmp_path):
+        # with eta = 0 the re-solve has a series and no values: no match
+        out = self.solve_to_file(tmp_path)
+        stored = json.loads(out.read_text())
+        stored["input"]["eta"] = "0"
+        out.write_text(json.dumps(stored))
+        code, verification = run_cli(capsys, "verify", "--doc", str(out))
+        assert code == 0
+        assert verification["matches_document"] is False
+        assert verification["residual"]["coeff_max"] == "0"
+
     def test_neither_solution_nor_values(self, capsys, tmp_path):
         out = self.solve_to_file(tmp_path)
         stored = json.loads(out.read_text())
@@ -492,6 +526,12 @@ BAD_ARGV = {
     "upto-negative": lambda tmp: ["numbers", "--s=1", "--t=1", "--upto=-1"],
     "order-negative": lambda tmp: ["solve", "--family=series-linear", "--s=3", "--t=-2",
                                    "--order=-1"],
+    # number literals past the interpreter's 4,300-digit integer-string limit
+    "derive-long-literal": lambda tmp: ["derive", "--s", "3", "--t", "-2", "--expr", "9" * 5000],
+    "derive-long-exponent": lambda tmp: ["derive", "--s", "3", "--t", "-2",
+                                         "--expr", "x^" + "9" * 5000],
+    "derive-long-denominator": lambda tmp: ["derive", "--s", "3", "--t", "-2",
+                                            "--expr", "1/" + "9" * 5000],
 }
 
 

@@ -9,12 +9,14 @@ from stpanto import stsolve
 from stpanto.errors import (
     HypothesisViolated,
     InvalidBernoulliOrder,
+    NonQPeriodicInitial,
     ResonantParameters,
     StInputError,
     ZeroDelay,
 )
 from stpanto.stnum import golden_pair, st_factorial, st_number
 from stpanto.stseries import (
+    QPeriodic,
     Series,
     compose_ab,
     compose_deformed,
@@ -451,6 +453,43 @@ class TestSolveIntegrationFactor:
         assert rep.diagnostics["mode"] == "numeric"
         (x, r), = rep.residual_points
         assert r < 1e-8
+
+    def test_numeric_mode_report_carries_values(self):
+        p = golden_pair(3, -2, backend="float")
+        prob = LinearProblem.classical_factor(
+            p, -p.one(), Series.monomial(p, 2, order=12), initial=1, eta=p.wrap("0.2"))
+        xs = [p.wrap("0.5"), p.wrap("0.7")]
+        rep = solve_integration_factor(prob, 12, points=xs)
+        assert rep.values == [(x, integration_factor_value(prob, x, N=12)) for x in xs]
+        assert set(rep.diagnostics) == {"mode"}
+
+    def test_q_periodic_datum(self):
+        # y(x) = (F(x) - F(eta) + G(log_q x)) / E[A](x): a q-periodic datum G
+        # moves each value by (G(log_q x) - 1)/E[A](x) from the datum G = 1
+        p = golden_pair(3, -2, backend="float")
+        N, eta, alpha = 12, p.wrap("0.1"), -p.one()
+        beta = Series.monomial(p, 1, order=N)
+        ctx = p.ctx
+
+        def g(y):
+            return 1 + ctx.cos(2 * ctx.pi * y) / 10
+
+        xs = [p.wrap("0.3"), p.wrap("0.5"), p.wrap("0.7")]
+        periodic = LinearProblem.classical_factor(
+            p, alpha, beta, initial=QPeriodic.periodic(p, g), eta=eta)
+        constant = LinearProblem.classical_factor(p, alpha, beta, initial=1, eta=eta)
+        moved = solve_integration_factor(periodic, N, points=xs).values
+        base = solve_integration_factor(constant, N, points=xs).values
+        factor, _ = integrating_factor(p, PantographSpec(0, 1, p.phi),
+                                       Series.constant(p, alpha, N - 1), N)
+        for (x, y), (_, y1) in zip(moved, base):
+            shift = (g(p.log(x) / p.log(p.q)) - 1) / factor.eval(x)
+            assert abs(shift) > 1e-3
+            assert abs((y - y1) - shift) < 1e-25
+        not_periodic = LinearProblem.classical_factor(
+            p, alpha, beta, initial=QPeriodic.periodic(p, lambda y: 1 + y), eta=eta)
+        with pytest.raises(NonQPeriodicInitial):
+            solve_integration_factor(not_periodic, N, points=xs)
 
     def test_numeric_mode_needs_points(self):
         p = golden_pair(3, -2, backend="float")
