@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from ._stable import DEFAULT_TOL
 from .errors import StError, StInputError
@@ -324,7 +325,10 @@ def _add_output(sub):
     sub.add_argument("--out", default=None)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process and shared by every call:
+    parsing leaves it unchanged, and callers must not modify it."""
     parser = _ArgumentParser(prog="stpanto",
                       description="Calculus on generalized Fibonacci polynomials: "
                                   "series, special functions, Jackson integration, "

@@ -29,6 +29,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 from typing import Union
 
@@ -79,11 +80,22 @@ def _as_fraction(x) -> Fraction:
 
 
 def _as_mpf(ctx, x):
-    """Read a literal at the context's precision (the float-backend path)."""
+    """Read a finite literal at the context's precision (the float-backend path)."""
     try:
-        return ctx.mpf(x)
+        value = ctx.mpf(x)
+        if ctx.isfinite(value):
+            return value
     except (ValueError, ZeroDivisionError):
-        raise StInputError(f"cannot interpret {x!r} as a number") from None
+        pass
+    raise StInputError(f"cannot interpret {x!r} as a finite number")
+
+
+@cache
+def _context(precision: int) -> MPContext:
+    """The process's one context of this precision (about 40 KB, never freed)."""
+    ctx = MPContext()
+    ctx.dps = precision
+    return ctx
 
 
 def _rational_sqrt(x: Fraction) -> Fraction:
@@ -100,8 +112,11 @@ def _rational_sqrt(x: Fraction) -> Fraction:
 class Params:
     """The (s, t) pair with derived constants and the scalar backend.
 
-    Immutable; safe to share across threads.  All scalar values used with a
-    Params must come from its own backend (``wrap`` converts literals).
+    Immutable; safe to share across threads.  Float Params of one precision
+    share one mpmath context, which is safe because stpanto never changes a
+    context's precision once made (nor may a caller).  All scalar values
+    used with a Params must come from its own backend (``wrap`` converts
+    literals).
     ``growth`` is max(|phi|, |phi'|), the base {n} grows like.
     """
 
@@ -129,9 +144,12 @@ class Params:
         return self.backend == "rational"
 
     def wrap(self, x) -> Scalar:
-        """Convert a literal (int, str, float, Fraction) to a backend scalar."""
+        """Convert a literal (int, str, float, Fraction) to a backend scalar;
+        a scalar of this backend is returned as it is."""
         if self.rational:
             return _as_fraction(x)
+        if type(x) is self.ctx.mpf:
+            return x
         if isinstance(x, Fraction):
             return self.ctx.mpf(x.numerator) / self.ctx.mpf(x.denominator)
         return _as_mpf(self.ctx, x)
@@ -211,15 +229,12 @@ def golden_pair(s, t, backend: str | None = None, precision: int | None = None) 
                     raise BackendMismatch(
                         f"sqrt(s^2+4t) = sqrt({disc}) is irrational; use the float backend")
 
-    ctx = MPContext()
-    ctx.dps = precision
+    ctx = _context(precision)
     if exact is not None:
         sw = ctx.mpf(exact[0].numerator) / ctx.mpf(exact[0].denominator)
         tw = ctx.mpf(exact[1].numerator) / ctx.mpf(exact[1].denominator)
     else:
         sw, tw = _as_mpf(ctx, s), _as_mpf(ctx, t)
-        if not (ctx.isfinite(sw) and ctx.isfinite(tw)):
-            raise StInputError(f"s and t must be finite, got (s, t) = ({s}, {t})")
     if sw == 0 or tw == 0:
         raise ZeroParameter("both s and t must be nonzero")
     disc = sw * sw + 4 * tw

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -532,6 +534,20 @@ BAD_ARGV = {
                                          "--expr", "x^" + "9" * 5000],
     "derive-long-denominator": lambda tmp: ["derive", "--s", "3", "--t", "-2",
                                             "--expr", "1/" + "9" * 5000],
+    # non-finite literals on the float backend, as for s and t above
+    "integrate-from-nan": lambda tmp: ["integrate", "--s=1", "--t=1", "--expr=x",
+                                       "--from=nan", "--to=1"],
+    "integrate-to-inf": lambda tmp: ["integrate", "--s=1", "--t=1", "--expr=x", "--from=0",
+                                     "--to=-inf"],
+    "eval-at-nan": lambda tmp: ["eval", "--s=1", "--t=1", "--expr=x", "--at=1/2,nan"],
+    "solve-y0-inf": lambda tmp: ["solve", "--family=series-linear", "--s=1", "--t=1",
+                                 "--y0=inf", "--order=4"],
+    "solve-eta-nan": lambda tmp: ["solve", "--family=integration-factor", "--s=1", "--t=1",
+                                  "--eta=nan", "--points=1/2", "--order=4"],
+    "solve-spec-inf": lambda tmp: ["solve", "--family=integration-factor", "--s=1", "--t=1",
+                                   "--u=inf", "--order=4"],
+    "eval-spec-nan": lambda tmp: ["eval", "--s=3", "--t=-2", "--backend=float",
+                                  "--fn=pantograph", "--a=nan", "--order=4"],
 }
 
 
@@ -654,6 +670,109 @@ class TestWorkCounts:
         assert rep.residual_coeff_max == 0
         assert rep.residual_coeff_max == 0
         assert counts["residuals"] == 1
+
+
+class TestOneProcess:
+    """One parser and one context per precision serve every call in a process."""
+
+    FLOAT_SOLVE = ["solve", "--family=integration-factor", "--s=3", "--t=-2",
+                   "--backend=float", "--u=2", "--alpha=-1", "--beta=x^2", "--y0=3",
+                   "--order=8", "--points=1/5,2/5"]
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_float_solve_is_unmoved_by_a_solve_at_other_precision(self, capsys):
+        first = run_cli(capsys, *self.FLOAT_SOLVE)
+        other = run_cli(capsys, *self.FLOAT_SOLVE, "--precision=50")
+        again = run_cli(capsys, *self.FLOAT_SOLVE)
+        assert first[0] == 0 and first == again
+        assert other[1]["params"]["precision"] == 50 and other[1] != first[1]
+        # and the bytes of a fresh interpreter
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        fresh = subprocess.run([sys.executable, "-m", "stpanto.cli", *self.FLOAT_SOLVE],
+                               env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                               text=True, check=True).stdout
+        assert json.loads(fresh) == first[1]
+        assert main(self.FLOAT_SOLVE) == 0 and capsys.readouterr().out == fresh
+
+    def test_calls_after_an_argparse_error_and_a_verify(self, capsys, tmp_path):
+        numbers = ["numbers", "--s=1", "--t=1", "--upto=6"]
+        before = run_cli(capsys, *numbers)
+        assert main(["numbers", "--s=1", "--t=1", "--upto=x"]) == 1
+        assert main(["solve", "--family=nope", "--s=1", "--t=1"]) == 1
+        assert main(["numbers", "--s=1"]) == 1
+        capsys.readouterr()
+        assert run_cli(capsys, *numbers) == before
+        doc = tmp_path / "solution.json"
+        solved = run_cli(capsys, *self.FLOAT_SOLVE, f"--out={doc}")
+        code, verified = run_cli(capsys, "verify", f"--doc={doc}")
+        assert solved[0] == code == 0 and verified["matches_document"] is True
+        assert run_cli(capsys, *numbers) == before
+        assert main(self.FLOAT_SOLVE) == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(doc.read_text())
+
+
+# Each flag takes mostly well-formed values, and now and then a bad one.
+_NUMBER = (["0", "1", "-1", "1/2", "-1/3", "2", "3/2", "0.25"],
+           ["1e400", "nan", "inf", "1/0", "", "x"])
+_EXPR = (["0", "1", "x", "1 + x", "2x - 3/4*x^2", "x^3", "-1"], ["1/0", "(", "nan", "y", ""])
+_POINTS = (["1/2", "1/3,1/5", "-1/2", "2/5,7/10"], ["0", "nan", "", "x", "1/0"])
+_VALUES = {
+    "--backend": (["rational", "float"], ["complex"]),
+    "--precision": (["5", "30", "50"], ["0", "x"]),
+    "--format": (["json", "csv"], ["xml"]),
+    "--fn": (["polynomial", "exp", "pantograph", "theta"], ["zeta"]),
+    "--family": (["series-linear", "integration-factor", "special-rhs", "operator",
+                  "bernoulli"], ["nope"]),
+    "--delay-side": (["phi-prime-delay", "phi-delay"], ["none"]),
+    "--n": (["0", "1", "2", "3"], ["-1", "x"]),
+    "--upto": (["0", "3", "8"], ["-1", "x"]),
+    "--expr": _EXPR, "--alpha": _EXPR, "--beta": _EXPR, "--at": _POINTS, "--points": _POINTS,
+    "--doc": (["missing.json"], [""]),
+}
+_COMMON = ["--backend", "--precision", "--format"]
+_COMMANDS = {
+    "numbers": (["--upto"], _COMMON),
+    "eval": ([], _COMMON + ["--fn", "--expr", "--a", "--b", "--u", "--y", "--at"]),
+    "derive": (["--expr"], _COMMON + ["--at"]),
+    "integrate": (["--expr", "--from", "--to"], _COMMON),
+    "solve": (["--family"], _COMMON + [
+        "--a", "--b", "--u", "--alpha", "--beta", "--y0", "--eta", "--delay-side", "--points",
+        "--beta-amplitude", "--alpha-coef", "--beta-coef", "--gamma", "--delta", "--c", "--n"]),
+}
+_PAIRS = ([("3", "-2"), ("1", "1"), ("2", "3"), ("4", "-3"), ("1", "3"), ("3/2", "-1/2")],
+          [("0", "1"), ("nan", "1"), ("1", "-1/4"), ("2", "-1"), ("1", "inf")])
+
+
+@st.composite
+def _argvs(draw):
+    def value(good_bad):
+        return draw(st.sampled_from(good_bad[draw(st.integers(0, 11)) == 0]))
+
+    command = draw(st.sampled_from([*_COMMANDS, "verify", "bogus"]))
+    if command not in _COMMANDS:
+        return [command, f"--doc={value(_VALUES['--doc'])}"]
+    required, optional = _COMMANDS[command]
+    flags = [f for f in required if draw(st.integers(0, 19))]  # now and then one is missing
+    flags += draw(st.lists(st.sampled_from(optional), max_size=6, unique=True))
+    s, t = value(_PAIRS)
+    argv = [command, f"--s={s}", f"--t={t}", f"--order={draw(st.integers(0, 6))}"]
+    argv += [f"{f}={value(_VALUES.get(f, _NUMBER))}" for f in flags]
+    return argv if draw(st.integers(0, 19)) else [*argv, "--unknown=1"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argvs())
+def test_argv_fuzz_ends_in_an_exit_code(argv):
+    # many calls in one process share the parser and the mpmath contexts
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().startswith("error: ") and out.getvalue() == ""
 
 
 def test_import_leaves_cli_unloaded():

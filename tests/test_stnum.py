@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.ctx_mp import MPContext
 
 from stpanto.errors import (
     BackendMismatch,
@@ -11,6 +13,7 @@ from stpanto.errors import (
     DegenerateQ,
     DivergentProduct,
     IndexOutOfRange,
+    StInputError,
     ZeroParameter,
 )
 from stpanto.stnum import (
@@ -247,6 +250,56 @@ class TestBackendPlumbing:
         assert golden_pair(1, 1, precision=30) != golden_pair(1, 1, precision=50)
         with pytest.raises(AttributeError):
             p.s = 4
+
+
+def _fresh(precision):
+    """A context of its own: what a shared context must reproduce."""
+    ctx = MPContext()
+    ctx.dps = precision
+    return ctx
+
+
+class TestSharedContext:
+    def test_one_context_per_precision(self):
+        p, same, other = (golden_pair(1, 1, "float", 30), golden_pair(2, 1, "float", 30),
+                          golden_pair(1, 1, "float", 50))
+        assert p.ctx is same.ctx and p.ctx.mpf is same.ctx.mpf
+        assert other.ctx is not p.ctx and other.ctx.dps == 50 and p.ctx.dps == 30
+
+    def test_own_scalar_is_returned_as_it_is(self):
+        p = golden_pair(1, 1, "float", 30)
+        v = p.phi / 7
+        assert p.wrap(v) is v
+        assert p.wrap(v)._mpf_ == p.ctx.mpf(v)._mpf_ == _fresh(30).mpf(v)._mpf_
+
+    def test_higher_precision_value_is_rounded_as_before(self):
+        p30, p50 = golden_pair(1, 1, "float", 30), golden_pair(1, 1, "float", 50)
+        v = p50.phi / 7
+        w = p30.wrap(v)
+        assert w is not v and type(w) is p30.ctx.mpf
+        assert w._mpf_ == _fresh(30).mpf(v)._mpf_ != v._mpf_
+
+    @pytest.mark.parametrize("literal", [0.1, 1 / 3, -2.5e-300, 7, "2/7", F(2, 7)])
+    def test_other_literals_are_read_as_before(self, literal):
+        p, ctx = golden_pair(1, 1, "float", 30), _fresh(30)
+        expected = (ctx.mpf(literal.numerator) / ctx.mpf(literal.denominator)
+                    if isinstance(literal, F) else ctx.mpf(literal))
+        assert p.wrap(literal)._mpf_ == expected._mpf_
+
+    def test_values_of_the_global_context_are_read_as_before(self):
+        p = golden_pair(1, 1, "float", 30)
+        v = mpmath.mp.mpf(1) / 3
+        w = p.wrap(v)
+        assert type(w) is p.ctx.mpf and w._mpf_ == _fresh(30).mpf(v)._mpf_ == v._mpf_
+
+    @pytest.mark.parametrize("literal", ["nan", "inf", "-inf", float("nan"), float("inf"),
+                                         mpmath.mp.inf])
+    def test_non_finite_literals_are_input_errors(self, literal):
+        p = golden_pair(1, 1, "float", 30)
+        with pytest.raises(StInputError, match="finite"):
+            p.wrap(literal)
+        with pytest.raises(StInputError, match="finite"):
+            golden_pair(literal, 1)
 
 
 def test_package_docstring_example():
