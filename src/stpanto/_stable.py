@@ -1,11 +1,15 @@
-"""Shared kernels: the truncation rule for infinite sums, and the
-prefix-product construction the special functions are built from.
+"""Shared kernels: the truncation rule for infinite sums and products, the
+numbers {n}, and the prefix-product construction the special functions are
+built from.
 
 One rule everywhere: a sum stops once three consecutive terms satisfy
-|term| <= tol * (1 + |partial sum|).  A sum whose term magnitudes instead
-keep growing past 1 for many consecutive steps is declared divergent
-early (convergent sums here have at most a short growth prefix before
-the factorials win), as is a sum still running at the term cap.
+|term| <= tol * (1 + |partial sum|), a product once three consecutive
+factors satisfy |factor - 1| <= tol or at an exact zero factor.  A sum
+whose term magnitudes instead keep growing past 1 for many consecutive
+steps is declared divergent early (convergent sums here have at most a
+short growth prefix before the factorials win); a product has no such
+guard, since (10^6; 9/10)_inf grows for over a hundred factors before it
+settles.  Either fails when still running at its cap.
 
 The construction: a factor stream f_k, its prefix products
 w_n = f_0 ... f_{n-1} and the point terms w_n x^n / {n}!; the series form
@@ -31,6 +35,10 @@ def _threshold(tol, magnitude):
     return tol * (1 + magnitude)
 
 
+def _cap_failure(what, cap):
+    return ConvergenceFailure(f"{what}: no convergence within {cap} terms")
+
+
 def stable_sum(terms, tol=DEFAULT_TOL, cap=TERM_CAP, what="series"):
     """Sum ``terms`` (an iterable) under the decay rule.
 
@@ -44,7 +52,7 @@ def stable_sum(terms, tol=DEFAULT_TOL, cap=TERM_CAP, what="series"):
     for n, term in enumerate(terms):
         total = term if total is None else total + term
         if n >= cap:
-            raise ConvergenceFailure(f"{what}: no convergence within {cap} terms")
+            raise _cap_failure(what, cap)
         mag = abs(term)
         if mag <= _threshold(tol, abs(total)):
             small += 1
@@ -64,6 +72,33 @@ def stable_sum(terms, tol=DEFAULT_TOL, cap=TERM_CAP, what="series"):
     return total, cap
 
 
+def stable_product(factors, tol=DEFAULT_TOL, cap=TERM_CAP, what="product"):
+    """Multiply ``factors`` (an iterable) until three consecutive ones lie
+    within tol of 1, or one is exactly zero (the product is then exactly 0).
+    Returns (value, factors_consumed) and fails at the cap like ``stable_sum``.
+    """
+    total, near_one = 1, 0
+    for n, factor in enumerate(factors):
+        if n >= cap:
+            raise _cap_failure(what, cap)
+        total *= factor
+        near_one = near_one + 1 if abs(factor - 1) <= tol else 0
+        if factor == 0 or near_one >= STABLE_RUN:
+            return total, n + 1
+    return total, cap
+
+
+def st_numbers(s, t, start: int = 0):
+    """{start}, {start+1}, ... lazily, by the bare recurrence
+    {0} = 0, {1} = 1, {n+2} = s{n+1} + t{n}."""
+    a, b = s * 0, s * 0 + 1
+    for _ in range(start):
+        a, b = b, s * b + t * a
+    while True:
+        yield a
+        a, b = b, s * b + t * a
+
+
 # -- prefix products of a factor stream ------------------------------------
 
 
@@ -81,10 +116,8 @@ def delay_factors(a, b, u):
 def golden_factors(params, alpha, beta):
     """alpha phi^k + beta phi'^k for k = 0, 1, ...: the factors of
     (alpha (+) beta)^n_{phi,phi'}."""
-    pk, ppk = params.one(), params.one()
-    while True:
-        yield alpha * pk + beta * ppk
-        pk, ppk = pk * params.phi, ppk * params.phi_prime
+    return map(add, map(mul, repeat(alpha), powers(params.phi)),
+               map(mul, repeat(beta), powers(params.phi_prime)))
 
 
 def weights(factors, n: int, one) -> list:
@@ -96,18 +129,12 @@ def weights(factors, n: int, one) -> list:
 def point_terms(factors, x, t, params=None, n=0):
     """The terms t_n = t, t_{k+1} = t_k f x / {k+1} (k >= n) of a point sum,
     f running over ``factors`` and {k} over the numbers of ``params``,
-    advanced in step with the terms; with ``params`` None there is no
-    divisor."""
+    drawn from ``st_numbers``; with ``params`` None there is no divisor."""
     if params is None:
         for f in factors:
             yield t
             t = t * f * x
         return
-    s, tt = params.s, params.t
-    prev, cur = params.zero(), params.one()
-    for _ in range(n):
-        prev, cur = cur, s * cur + tt * prev
-    for f in factors:
+    for f, num in zip(factors, st_numbers(params.s, params.t, n + 1)):
         yield t
-        t = t * f * x / cur
-        prev, cur = cur, s * cur + tt * prev
+        t = t * f * x / num

@@ -35,10 +35,9 @@ from typing import Union
 
 from mpmath.ctx_mp import MPContext
 
-from ._stable import DEFAULT_TOL, TERM_CAP, delay_factors, weights
+from ._stable import DEFAULT_TOL, delay_factors, st_numbers, stable_product, weights
 from .errors import (
     BackendMismatch,
-    ConvergenceFailure,
     DegenerateDiscriminant,
     DegenerateQ,
     DivergentProduct,
@@ -260,16 +259,6 @@ def st_number_raw(s, t, n: int):
     return next(st_numbers(s, t, n))
 
 
-def st_numbers(s, t, start: int = 0):
-    """{start}, {start+1}, ... lazily, by the bare recurrence."""
-    a, b = s * 0, s * 0 + 1
-    for _ in range(start):
-        a, b = b, s * b + t * a
-    while True:
-        yield a
-        a, b = b, s * b + t * a
-
-
 def st_number(params: Params, n: int) -> Scalar:
     """{n}_{s,t} via the linear recurrence (never Binet: no cancellation)."""
     return st_number_raw(params.s, params.t, n)
@@ -329,25 +318,10 @@ def q_pochhammer(a, q, n: int):
     return weights(delay_factors(1, -a, q), n, 1 - a * 0)[n]
 
 
-def q_pochhammer_inf(a, q, tol: float = DEFAULT_TOL, cap: int = TERM_CAP):
-    """(a;q)_inf, truncated once |a q^k| stays below tol for three factors."""
+def q_pochhammer_inf(a, q, tol: float = DEFAULT_TOL):
+    """(a;q)_inf = prod_k (1 - a q^k) under the shared product rule
+    (``stable_product``): it stops after three consecutive factors with
+    |a q^k| <= tol, or at an exact zero factor (a = q^-k), returning 0."""
     if abs(q) >= 1:
         raise DivergentProduct(f"(a;q)_inf requires |q| < 1, got q = {q}")
-    prod = 1 - a * 0
-    aqk = a * (1 - a * 0)
-    quiet = 0
-    for _ in range(cap):
-        factor = 1 - aqk
-        if factor == 0:
-            return prod * 0
-        prod *= factor
-        dev = abs(aqk)
-        threshold = Fraction(tol) if isinstance(dev, Fraction) else tol
-        if dev < threshold:
-            quiet += 1
-            if quiet >= 3:
-                return prod
-        else:
-            quiet = 0
-        aqk *= q
-    raise ConvergenceFailure(f"(a;q)_inf did not settle within {cap} factors")
+    return stable_product(delay_factors(1, -a, q), tol, what="(a;q)_inf")[0]

@@ -16,10 +16,11 @@ alternate and the same decay rule applies.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
+from operator import mul
 from typing import Callable, Union
 
-from ._stable import DEFAULT_TOL, delay_factors, point_terms, stable_sum, weights
+from ._stable import DEFAULT_TOL, delay_factors, point_terms, powers, stable_sum, weights
 from .errors import (
     DegenerateRatio,
     HypothesisViolated,
@@ -83,16 +84,9 @@ def pq_integral(f: Callable, a, p, q, tol: float = DEFAULT_TOL):
         raise DegenerateRatio(f"(p, q)-integral needs |p/q| != 1, got p = {p}, q = {q}")
     if ratio < 1:
         p, q = q, p
-    prefactor = (p - q) * a
-
-    def terms():
-        w = 1 / p  # q^k / p^{k+1}, advanced by q/p each step
-        while True:
-            yield w * f(w * a)
-            w = w * q / p
-
-    value, _ = stable_sum(terms(), tol, what="pq_integral")
-    return prefactor * value
+    nodes = map(mul, powers(q / p), repeat(1 / p))  # q^k / p^{k+1}
+    value, _ = stable_sum((w * f(w * a) for w in nodes), tol, what="pq_integral")
+    return (p - q) * a * value
 
 
 def check_ftc(f: Series, interval: QInterval, tol: float = DEFAULT_TOL):

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import islice
+from itertools import count, islice
 from typing import Callable, Sequence
 
-from ._stable import delay_factors, powers, weights
+from ._stable import DEFAULT_TOL, delay_factors, powers, stable_product, weights
 from .errors import (
-    ConvergenceFailure,
     DegenerateStNumber,
     HypothesisViolated,
     InvalidBernoulliOrder,
@@ -57,6 +56,7 @@ PHI_PRIME_DELAY = "phi-prime-delay"
 PHI_DELAY = "phi-delay"
 
 FAMILIES = ("series-linear", "integration-factor", "bernoulli", "u-bernoulli")
+RECONSTRUCT_CAP = 500
 
 
 def _as_series(value, params: Params, order: int) -> Series:
@@ -491,14 +491,15 @@ def bernoulli_transform(problem: LinearProblem) -> LinearProblem:
 
 
 def bernoulli_reconstruct(z, n, params: Params, y_anchor=None,
-                          tol: float = 1e-12, max_factors: int = 500) -> Callable:
+                          tol: float = DEFAULT_TOL) -> Callable:
     """Recover y from the substitution z.
 
     n = 2: y = 1/z exactly.  Otherwise y(x) = y_anchor *
     prod_i z(q^{i(n-1)+1} x / phi^{n-2}) / z(q^{i(n-1)} x / phi^{n-2}),
-    truncated once the factor is within tol of 1; the anchor is y(0) for
-    (0 < |q| < 1, n > 1) or (|q| > 1, n < 1), and a caller-supplied y(inf)
-    otherwise (never inferred)."""
+    stopped by ``stable_product`` (three factors within tol of 1) and given
+    up after RECONSTRUCT_CAP factors, each of which evaluates z twice.  The
+    anchor is y(0) for (0 < |q| < 1, n > 1) or (|q| > 1, n < 1), and a
+    caller-supplied y(inf) otherwise (never inferred)."""
     def safe_z(x):
         v = z(x)
         if v == 0:
@@ -521,14 +522,10 @@ def bernoulli_reconstruct(z, n, params: Params, y_anchor=None,
         x = p.wrap(x)
         if x == 0:
             return anchor
-        acc = anchor
-        for i in range(max_factors):
-            node = p.power(p.q, i * (n - 1)) * x / shift
-            fac = safe_z(p.q * node) / safe_z(node)
-            acc *= fac
-            if abs(fac - 1) < tol:
-                return acc
-        raise ConvergenceFailure(f"product factors did not settle within {max_factors}")
+        nodes = (p.power(p.q, i * (n - 1)) * x / shift for i in count())
+        factors = (safe_z(p.q * node) / safe_z(node) for node in nodes)
+        return anchor * stable_product(factors, tol, RECONSTRUCT_CAP,
+                                       what="product reconstruction")[0]
 
     return y
 
@@ -546,11 +543,12 @@ def residual(problem: LinearProblem, y, sample_points: Sequence = (),
     term whose weight is zero is not evaluated.  Coefficient level (y a
     Series): LHS - RHS assembled as a Series, max |coefficient| reported up
     to order N-1.  Point level (any callable y): the divided-difference form
-    at each sample point; a plain callable has no series order, so
-    ``order`` gives the one alpha and beta are expanded to.  Bernoulli
-    problems (nonlinear) report points only, with y a callable, in the
-    telescoped n = 2 form; u-bernoulli problems are checked on their
-    transformed linear z-equation, so pass z as y.
+    at each sample point, with alpha R taken at the point too; a plain
+    callable has no series order, so ``order`` gives the one alpha, beta and
+    the factor are expanded to.  Bernoulli problems (nonlinear) report
+    points only, with y a callable, in the telescoped n = 2 form;
+    u-bernoulli problems are checked on their transformed linear
+    z-equation, so pass z as y.
     """
     p = problem.params
     if problem.family == "bernoulli":
@@ -566,14 +564,24 @@ def residual(problem: LinearProblem, y, sample_points: Sequence = (),
     if problem.family == "series-linear":
         a, b, u = p.wrap(problem.spec.a), p.wrap(problem.spec.b), p.wrap(problem.spec.u)
         alpha = p.wrap(problem.alpha)
+        alpha_at = lambda _x: alpha
     else:
         # alpha R = alpha (D E)[A] / E[A(delay x)], moved to the right-hand side
         factor, numerator = _factor(problem, order)
         factor_scale, u = _delay_scales(problem)
-        alpha = -(_as_series(problem.alpha, p, order) * numerator / scale(factor, factor_scale))
-        a, b = p.zero(), p.one()
+        alpha, a, b = _as_series(problem.alpha, p, order), p.zero(), p.one()
+        if is_series:
+            # A series y keeps the quotient series: its point residuals are
+            # y's own truncation tail either way (the ratio at x gives the
+            # same magnitudes), and so stored series documents still verify.
+            alpha = -(alpha * numerator / scale(factor, factor_scale))
+            alpha_at = alpha.eval
+        else:
+            # Point values are exact, so the ratio is too: the polynomials at
+            # x, one division (a quotient series fails past its radius).
+            def alpha_at(x):
+                return -(alpha.eval(x) * numerator.eval(x) / factor.eval(factor_scale * x))
     beta = _as_series(problem.beta, p, order)
-    alpha_at = alpha.eval if isinstance(alpha, Series) else (lambda _x: alpha)
 
     def linear(at_x, at_ux, zero):
         # a y(x) + b y(u x) at one level; a zero weight skips its (costly) term

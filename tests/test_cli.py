@@ -206,6 +206,17 @@ class TestCommands:
                             "--points=1/2", "--order=4")
         assert code == 0 and doc["values"] == [["1/2", "2562694352/1410015625"]]
 
+    def test_rational_numeric_mode_point_residuals(self, capsys):
+        # the README numeric solve: alpha R is taken at each point, not as a
+        # quotient series (which wrote 4.2e-10 and 6.2e-5 here)
+        code, doc = run_cli(capsys, "solve", "--family=integration-factor", "--s=3",
+                            "--t=-2", "--alpha=-1", "--beta=x", "--y0=1", "--eta=1/10",
+                            "--points=1/2,7/10")
+        assert code == 0
+        points = doc["residual"]["points"]
+        assert [x for x, _ in points] == ["1/2", "7/10"]
+        assert all(F(r) <= F(1, 10 ** 150) for _, r in points)
+
     @pytest.mark.parametrize("backend", [[], ["--backend=float"]])
     def test_numeric_mode_csv(self, capsys, backend):
         argv = ["solve", "--family=integration-factor", "--s=3", "--t=-2", "--alpha=-1",

@@ -223,6 +223,23 @@ class TestQPochhammer:
         with pytest.raises(DivergentProduct):
             q_pochhammer_inf(0.5, 1.1)
 
+    def test_many_growing_factors(self):
+        # about 130 factors 1 - a q^k with |a q^k| > 1 come before the product
+        # settles; a growth guard like the sums' would refuse it
+        ctx = golden_pair(3, -2, backend="float", precision=30).ctx
+        a, q = ctx.mpf(10 ** 6), ctx.mpf(9) / 10
+        brute = ctx.mpf(1)
+        for k in range(3000):
+            brute *= 1 - a * q ** k
+        val = q_pochhammer_inf(a, q)
+        assert abs(val - brute) <= 1e-13 * abs(brute)
+        assert ctx.nstr(val, 20) == "5.1124508948630301196e+382"
+
+    def test_zero_factor_is_exact(self):
+        # 1 - 8 (1/2)^3 = 0
+        val = q_pochhammer_inf(F(8), F(1, 2))
+        assert val == 0 and type(val) is F
+
 
 class TestBackendPlumbing:
     def test_wrap_rational(self):

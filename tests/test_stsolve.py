@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stpanto import stsolve
 from stpanto.errors import (
+    ConvergenceFailure,
     HypothesisViolated,
     InvalidBernoulliOrder,
     NonQPeriodicInitial,
@@ -613,6 +614,22 @@ class TestBernoulli:
     def test_reconstruct_needs_anchor(self):
         with pytest.raises(StInputError):
             bernoulli_reconstruct(lambda x: F(1), 3, P32)
+
+    def test_reconstruct_gives_up_within_its_cap(self):
+        # q = -2: the nodes 4^i x grow and the factors tend to -2, never to 1
+        p = golden_pair(-1, 2)
+        assert p.q == -2
+        calls = []
+
+        def z(x):
+            calls.append(x)
+            return 1 + x
+
+        y = bernoulli_reconstruct(z, 3, p, y_anchor=1)
+        with pytest.raises(ConvergenceFailure):
+            y(F(1, 3))
+        # two z values per factor; the factor after the cap is drawn, not used
+        assert len(calls) <= 2 * (stsolve.RECONSTRUCT_CAP + 1)
 
     def test_reconstruct_satisfies_step_relation(self):
         # y(x) = y(q^{n-1} x) z(q x/phi^{n-2}) / z(x/phi^{n-2}) for n = 3
