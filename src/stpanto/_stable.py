@@ -40,19 +40,18 @@ def _cap_failure(what, cap):
 
 
 def stable_sum(terms, tol=DEFAULT_TOL, cap=TERM_CAP, what="series"):
-    """Sum ``terms`` (an iterable) under the decay rule.
+    """Sum the infinite stream ``terms`` under the decay rule.
 
     Returns (value, terms_consumed).  Raises ConvergenceFailure when the
-    cap is hit or the terms grow without settling.
+    terms grow without settling, or when ``cap`` terms (or a stream that
+    ends sooner) do not settle; no term past the cap is drawn.
     """
     total = None
     small = 0
     growing = 0
     prev_mag = None
-    for n, term in enumerate(terms):
+    for n, term in enumerate(islice(terms, cap)):
         total = term if total is None else total + term
-        if n >= cap:
-            raise _cap_failure(what, cap)
         mag = abs(term)
         if mag <= _threshold(tol, abs(total)):
             small += 1
@@ -69,23 +68,22 @@ def stable_sum(terms, tol=DEFAULT_TOL, cap=TERM_CAP, what="series"):
         prev_mag = mag
     if total is None:
         raise ConvergenceFailure(f"{what}: empty term stream")
-    return total, cap
+    raise _cap_failure(what, cap)
 
 
 def stable_product(factors, tol=DEFAULT_TOL, cap=TERM_CAP, what="product"):
-    """Multiply ``factors`` (an iterable) until three consecutive ones lie
-    within tol of 1, or one is exactly zero (the product is then exactly 0).
-    Returns (value, factors_consumed) and fails at the cap like ``stable_sum``.
+    """Multiply the infinite stream ``factors`` until three consecutive ones
+    lie within tol of 1, or one is exactly zero (the product is then exactly
+    0).  Returns (value, factors_consumed) and fails at the cap like
+    ``stable_sum``.
     """
     total, near_one = 1, 0
-    for n, factor in enumerate(factors):
-        if n >= cap:
-            raise _cap_failure(what, cap)
+    for n, factor in enumerate(islice(factors, cap)):
         total *= factor
         near_one = near_one + 1 if abs(factor - 1) <= tol else 0
         if factor == 0 or near_one >= STABLE_RUN:
             return total, n + 1
-    return total, cap
+    raise _cap_failure(what, cap)
 
 
 def st_numbers(s, t, start: int = 0):

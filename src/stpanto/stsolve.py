@@ -543,7 +543,8 @@ def residual(problem: LinearProblem, y, sample_points: Sequence = (),
     term whose weight is zero is not evaluated.  Coefficient level (y a
     Series): LHS - RHS assembled as a Series, max |coefficient| reported up
     to order N-1.  Point level (any callable y): the divided-difference form
-    at each sample point, with alpha R taken at the point too; a plain
+    at each sample point, with alpha R the ratio of the order-N
+    polynomials alpha (D E)[A] and E[A](delay x) at the point; a plain
     callable has no series order, so ``order`` gives the one alpha, beta and
     the factor are expanded to.  Bernoulli problems (nonlinear) report
     points only, with y a callable, in the telescoped n = 2 form;
@@ -569,18 +570,15 @@ def residual(problem: LinearProblem, y, sample_points: Sequence = (),
         # alpha R = alpha (D E)[A] / E[A(delay x)], moved to the right-hand side
         factor, numerator = _factor(problem, order)
         factor_scale, u = _delay_scales(problem)
-        alpha, a, b = _as_series(problem.alpha, p, order), p.zero(), p.one()
+        given, a, b = _as_series(problem.alpha, p, order), p.zero(), p.one()
+
+        def alpha_at(x):
+            # From the order-N polynomials y is built from, at x, and one
+            # division: no quotient series, so no radius to fall outside of.
+            return -(given.eval(x) * numerator.eval(x) / factor.eval(factor_scale * x))
         if is_series:
-            # A series y keeps the quotient series: its point residuals are
-            # y's own truncation tail either way (the ratio at x gives the
-            # same magnitudes), and so stored series documents still verify.
-            alpha = -(alpha * numerator / scale(factor, factor_scale))
-            alpha_at = alpha.eval
-        else:
-            # Point values are exact, so the ratio is too: the polynomials at
-            # x, one division (a quotient series fails past its radius).
-            def alpha_at(x):
-                return -(alpha.eval(x) * numerator.eval(x) / factor.eval(factor_scale * x))
+            # the coefficient residual takes alpha R as a quotient series
+            alpha = -(given * numerator / scale(factor, factor_scale))
     beta = _as_series(problem.beta, p, order)
 
     def linear(at_x, at_ux, zero):

@@ -628,8 +628,8 @@ class TestBernoulli:
         y = bernoulli_reconstruct(z, 3, p, y_anchor=1)
         with pytest.raises(ConvergenceFailure):
             y(F(1, 3))
-        # two z values per factor; the factor after the cap is drawn, not used
-        assert len(calls) <= 2 * (stsolve.RECONSTRUCT_CAP + 1)
+        # two z values per factor, and no factor past the cap
+        assert len(calls) <= 2 * stsolve.RECONSTRUCT_CAP
 
     def test_reconstruct_satisfies_step_relation(self):
         # y(x) = y(q^{n-1} x) z(q x/phi^{n-2}) / z(x/phi^{n-2}) for n = 3
