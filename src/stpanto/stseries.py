@@ -30,6 +30,14 @@ denominator for a whole operand would not do.  An operand with at most
 three nonzero terms, and every float product, take the term loop over the
 nonzero terms instead; the float loop adds in the order of the left
 operand's index, so its rounding is that of the full O(N^2) loop.
+
+Rational quotients of order 20 and more (``_NEWTON_ORDER``) are built from
+products alone, so they run on the same integer kernel: Newton iteration
+takes 1/g to order N/2 by doubling (Brent and Kung, J. ACM 1978), and one
+last step on the quotient itself gives f/g to order N (Karp and Markstein,
+ACM TOMS 1997).  The result is the same exact Fraction as the recurrence
+q_k = (f_k - sum_{j<k} q_j g_{k-j}) / g_0, which smaller rational quotients
+and every float quotient keep, so float rounding does not change.
 """
 
 from __future__ import annotations
@@ -159,6 +167,8 @@ class Series:
         if other.coeffs[0] == 0:
             raise NonInvertibleSeries("division needs an invertible constant term")
         n = min(self.order, other.order)
+        if self.params.rational and n >= _NEWTON_ORDER:
+            return _newton_quotient(self, other, n)
         inv0 = 1 / other.coeffs[0]
         out = []
         for k in range(n + 1):
@@ -306,20 +316,53 @@ def _kronecker_product(a, b, n: int) -> list[Fraction]:
     return [Fraction(acc[k], A[at_a[k]][1] * B[at_b[k]][1]) for k in range(n + 1)]
 
 
+# -- the quotient kernel ------------------------------------------------------
+
+# From this order on, a rational quotient is built from products; below it
+# the recurrence is faster (E(2, 1/2; x, 1/3) / exp(x, -1/2) on the pairs
+# (3,-2), (4,-3), (2,3): the recurrence wins at 16, Newton iteration at 20).
+_NEWTON_ORDER = 20
+
+
+def _newton_quotient(f: Series, g: Series, n: int) -> Series:
+    """f/g up to x^n from Series products alone: Newton steps
+    inv <- inv (2 - g inv) take 1/g from x^k to x^(2k+1) until x^h,
+    h = n // 2; then q0 = f inv up to x^h, and the remainder f - g q0,
+    which vanishes below x^(h+1), gives the rest of the quotient as one
+    product of order n - h - 1."""
+    h = n // 2
+    inv = Series(g.params, [1 / g.coeffs[0]])
+    while inv.order < h:
+        inv = inv.padded(min(2 * inv.order + 1, h))
+        inv = inv * (2 - g * inv)
+    q0 = f.truncated(h) * inv
+    r = f - g * q0.padded(n)
+    tail = inv.truncated(n - h - 1) * Series(f.params, r.coeffs[h + 1:])
+    return Series(f.params, q0.coeffs + tail.coeffs)
+
+
 # -- calculus -----------------------------------------------------------
 
 
 def st_derive(f: Series) -> Series:
     """(D f)_n = {n+1} c_{n+1}; the constant series maps to the zero series."""
-    if f.order == 0:
-        return Series.zero(f.params)
-    nums = st_number_range(f.params, f.order)
-    return Series(f.params, [nums[n + 1] * f.coeffs[n + 1] for n in range(f.order)])
+    return _derive(f, st_number_range(f.params, f.order))
 
 
 def st_antiderive(f: Series) -> Series:
     """The antiderivative F with F(0) = 0: F_n = c_{n-1} / {n}."""
-    nums = st_number_range(f.params, f.order + 1)
+    return _antiderive(f, st_number_range(f.params, f.order + 1))
+
+
+def _derive(f: Series, nums: list) -> Series:
+    """st_derive over nums = [{0}, {1}, ...] up to at least {f.order}."""
+    if f.order == 0:
+        return Series.zero(f.params)
+    return Series(f.params, [nums[n + 1] * f.coeffs[n + 1] for n in range(f.order)])
+
+
+def _antiderive(f: Series, nums: list) -> Series:
+    """st_antiderive over nums = [{0}, {1}, ...] up to at least {f.order + 1}."""
     out = [f.params.zero()]
     out.extend(f.coeffs[n] / nums[n + 1] for n in range(f.order + 1))
     return Series(f.params, out)
@@ -355,20 +398,20 @@ def symbolic_powers(f: Series, kmax: int) -> list[Series]:
     f^[k] is pinned down by f^[k](0) = 0 and D f^[k] = {k} f^[k-1] D f, so
     each step is one multiplication and one coefficient integration.  A
     power that vanishes under truncation makes every later one vanish, so
-    those are the same zero series, with no product.  The memo list is
-    local to this call.
+    those are the same zero series, with no product.  The memo list and
+    the {n} table are local to this call.
     """
     if kmax >= 1 and f.coeffs[0] != 0:
         raise NonzeroConstantTerm("symbolic powers need f(0) = 0")
     powers = [Series.one(f.params, f.order)]
     if kmax == 0:
         return powers
-    df = st_derive(f).padded(max(f.order - 1, 0))
-    nums = st_number_range(f.params, kmax)
+    nums = st_number_range(f.params, max(kmax, f.order + 1))
+    df = _derive(f, nums)
     for k in range(1, kmax + 1):
         prev = powers[-1]
         if any(c != 0 for c in prev.coeffs):
-            prev = st_antiderive((prev * df) * nums[k]).truncated(f.order)
+            prev = _antiderive((prev * df) * nums[k], nums).truncated(f.order)
         powers.append(prev)
     return powers
 

@@ -13,7 +13,7 @@ from stpanto.errors import (
     ParamsMismatch,
     ZeroPoint,
 )
-from stpanto.stfun import PantographSpec, pantograph
+from stpanto.stfun import PantographSpec, deformed_exp, pantograph
 from stpanto.stnum import golden_pair, st_factorial, st_number
 from stpanto.stseries import (
     QPeriodic,
@@ -165,6 +165,84 @@ class TestExactProduct:
         p = golden_pair(1, 1, backend="float", precision=precision)
         f, g = Series(p, a[:21]), Series(p, b[:21])
         assert repr((f * g).coeffs) == repr(left_loop(f, g))
+
+
+def quotient_loop(f, g):
+    """The quotient recurrence q_k = (f_k - sum_{j<k} q_j g_(k-j)) (1/g_0),
+    each sum taken in the order of j."""
+    n = min(f.order, g.order)
+    inv0 = 1 / g.coeffs[0]
+    out = []
+    for k in range(n + 1):
+        acc = f.coeffs[k]
+        for j in range(k):
+            acc -= out[j] * g.coeffs[k - j]
+        out.append(acc * inv0)
+    return out
+
+
+EXACT_PAIRS = [P32, golden_pair(4, -3), golden_pair(2, 3)]
+# Orders on both sides of the order where the rational quotient leaves the
+# recurrence for Newton iteration.
+quotient_order = st.sampled_from([12, 16, 19, 20, 21, 24, 33, 47, 64])
+quotient_coeff = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+
+
+class TestExactQuotient:
+    """The rational quotient (the recurrence below a size threshold, Newton
+    iteration on Series products above it) against the recurrence."""
+
+    @given(st.sampled_from(EXACT_PAIRS), quotient_order, quotient_order, st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_recurrence(self, p, nf, ng, data):
+        a = data.draw(st.lists(quotient_coeff, min_size=nf + 1, max_size=nf + 1))
+        b = data.draw(st.lists(quotient_coeff, min_size=ng + 1, max_size=ng + 1))
+        b[0] = b[0] or F(1)
+        f, g = Series(p, a), Series(p, b)
+        got = (f / g).coeffs
+        assert got == quotient_loop(f, g)
+        assert all(type(c) is F for c in got)
+
+    @pytest.mark.parametrize("p", EXACT_PAIRS)
+    def test_pantograph_by_deformed_exp(self, p):
+        # E(2, 1/2; x, 1/3) / exp(x, -1/2), whose coefficient denominators
+        # grow like phi^(n^2/2), at orders 24 and 32 and mixed orders.
+        for nf, ng in ((24, 24), (32, 32), (40, 25)):
+            f = pantograph(p, PantographSpec(F(2), F(1, 2), F(1, 3)), nf)
+            g = deformed_exp(p, F(-1, 2), ng)
+            assert (f / g).coeffs == quotient_loop(f, g)
+
+    def test_sparse_divisor_and_non_unit_constant(self):
+        f = Series(P32, [F(k + 1, 3) for k in range(41)])
+        q = (f / Series(P32, [1, F(-1, 2)] + [0] * 39)).coeffs
+        assert q == [sum(F(j + 1, 3) * F(1, 2 ** (k - j)) for j in range(k + 1))
+                     for k in range(41)]
+        g = Series(P32, [F(-7, 3)] + [F(1, k) for k in range(1, 31)])
+        assert (f / g).coeffs == quotient_loop(f, g)
+
+    def test_order_128_times_divisor_is_numerator(self):
+        # u = 1 keeps the order-128 denominators near {n}!, so the check
+        # takes a fraction of a second.
+        f = pantograph(P32, PantographSpec(F(2), F(1, 2), F(1)), 128)
+        g = deformed_exp(P32, F(-1), 128)
+        q = f / g
+        assert q.order == 128
+        assert q * g == f
+
+    def test_non_invertible_divisor(self):
+        f = Series(P32, [1] * 41)
+        with pytest.raises(NonInvertibleSeries):
+            f / Series(P32, [0] + [1] * 40)
+
+    @pytest.mark.parametrize("precision", [30, 50])
+    @given(a=st.lists(product_coeff, min_size=25, max_size=41),
+           b=st.lists(product_coeff, min_size=25, max_size=41))
+    @settings(max_examples=8, deadline=None)
+    def test_float_quotient_is_recurrence(self, precision, a, b):
+        p = golden_pair(1, 1, backend="float", precision=precision)
+        b[0] = b[0] or F(1)
+        f, g = Series(p, a), Series(p, b)
+        assert repr((f / g).coeffs) == repr(quotient_loop(f, g))
 
 
 class TestDerivative:
