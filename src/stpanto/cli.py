@@ -67,8 +67,11 @@ def _emit(doc: dict, args) -> None:
     else:
         text = json.dumps(doc, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise StInputError(f"cannot write {args.out}: {err.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -106,12 +109,6 @@ def _cmd_numbers(args) -> dict:
     return result_document("numbers", echo, p, values=[p.to_str(v) for v in values])
 
 
-def _point_values(series: Series, points) -> list:
-    """Rows (x, y(x)) of ``series`` at the points as given."""
-    p = series.params
-    return [[p.to_str(x), p.to_str(series.eval(x))] for x in map(p.wrap, points)]
-
-
 def _parse_points(text: str | None) -> list[str]:
     if not text:
         return []
@@ -130,20 +127,23 @@ def _cmd_eval(args) -> dict:
         series = Series(p, partial_theta_series(p.wrap(args.y), args.order))
     else:
         raise StInputError(f"unknown function {args.fn!r}")
-    points = _parse_points(args.at)
     echo = {"s": args.s, "t": args.t, "fn": args.fn, "expr": args.expr,
-            "order": args.order, "at": points}
-    return result_document("eval", echo, p, solution=_solution_block(series),
-                           grid=[[x, y, ""] for x, y in _point_values(series, points)] or None)
+            "order": args.order, "at": _parse_points(args.at)}
+    return _series_document("eval", echo, series, args.at)
 
 
 def _cmd_derive(args) -> dict:
     p = _build_params(args)
     series = st_derive(parse_expression(args.expr, p, args.order))
-    points = _parse_points(args.at)
     echo = {"s": args.s, "t": args.t, "expr": args.expr, "order": args.order}
-    return result_document("derive", echo, p, solution=_solution_block(series),
-                           grid=[[x, y, ""] for x, y in _point_values(series, points)] or None)
+    return _series_document("derive", echo, series, args.at)
+
+
+def _series_document(command: str, echo: dict, series: Series, at: str | None) -> dict:
+    """The series and, when ``--at`` names points, its (x, y(x)) grid."""
+    rows = _point_values(series, _parse_points(at))
+    return result_document(command, echo, series.params, solution=_solution_block(series),
+                           grid=[[x, y, ""] for x, y in rows] or None)
 
 
 def _cmd_integrate(args) -> dict:
@@ -198,6 +198,12 @@ def _rows(p: Params, pairs) -> list:
     return [[p.to_str(x), p.to_str(v)] for x, v in pairs]
 
 
+def _point_values(series: Series, points: list[str]) -> list:
+    """Rows (x, y(x)) of ``series`` at the points as given."""
+    p = series.params
+    return _rows(p, ((x, series.eval(x)) for x in map(p.wrap, points)))
+
+
 def _check_blocks(rep: SolutionReport, points: list[str], coeffs: list[str] | None) -> dict:
     """The blocks that ``verify`` recomputes.  For a series solution, the
     residual of the coefficients and sample points as written: each value is
@@ -247,6 +253,8 @@ def _cmd_verify(args) -> dict:
         raise StInputError(f"cannot read {args.doc}: {err.strerror}") from None
     except ValueError as err:
         raise StInputError(f"{args.doc} is not a JSON document: {err}") from None
+    except RecursionError:
+        raise StInputError(f"{args.doc} nests too deeply to be read") from None
     series_doc = isinstance(doc, dict) and isinstance(doc.get("solution"), dict)
     # the x column: of the residual rows for a series, of the values in numeric mode
     points = (_stored_points(doc.get("residual", {}), "points") if series_doc
@@ -314,7 +322,7 @@ def _add_common(sub):
     sub.add_argument("--s", required=True)
     sub.add_argument("--t", required=True)
     sub.add_argument("--backend", choices=["rational", "float"], default=None)
-    sub.add_argument("--precision", type=_int_at_least(1), default=None)
+    sub.add_argument("--precision", type=int, default=None)  # checked by golden_pair
     sub.add_argument("--order", type=_int_at_least(0), default=DEFAULT_ORDER)
     sub.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_output(sub)

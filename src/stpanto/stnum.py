@@ -12,7 +12,9 @@ Two scalar backends are fixed per Params instance:
 * ``rational`` -- exact fractions.Fraction arithmetic.  Requires s, t
   rational with sqrt(s^2 + 4t) rational, so phi and q are rational too.
 * ``float`` -- arbitrary-precision mpmath floats at a configurable number
-  of significant digits (default 30; env var ST_PANTO_PRECISION overrides).
+  of significant digits (``precision``, default 30).  Besides the exact
+  checks, a float pair is refused when s^2 + 4t is too small for the digits
+  kept to tell phi from phi' (see ``golden_pair``).
 
 Every other object in the package carries or references a Params.  The
 degenerate cases q = 1 and s^2 + 4t = 0 are hard errors: every divided
@@ -26,7 +28,6 @@ t = -q, where {n} reduces to the q-number [n]_q.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -52,16 +53,6 @@ DEFAULT_PRECISION = 30
 FLOAT_EQ_TOL = 1e-12
 
 
-def _default_precision() -> int:
-    text = os.environ.get("ST_PANTO_PRECISION", str(DEFAULT_PRECISION))
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise StInputError(f"ST_PANTO_PRECISION must be an integer of at least 1, got {text!r}")
-
-
 def _as_fraction(x) -> Fraction:
     """Read a literal exactly; every rational-backend literal passes here."""
     if isinstance(x, Fraction):
@@ -79,7 +70,13 @@ def _as_fraction(x) -> Fraction:
 
 
 def _as_mpf(ctx, x):
-    """Read a finite literal at the context's precision (the float-backend path)."""
+    """Read a finite literal at the context's precision (the float-backend
+    path): a scalar of the context is returned as it is, and a Fraction is
+    rounded as numerator over denominator."""
+    if type(x) is ctx.mpf:
+        return x
+    if isinstance(x, Fraction):
+        return ctx.mpf(x.numerator) / ctx.mpf(x.denominator)
     try:
         value = ctx.mpf(x)
         if ctx.isfinite(value):
@@ -147,10 +144,6 @@ class Params:
         a scalar of this backend is returned as it is."""
         if self.rational:
             return _as_fraction(x)
-        if type(x) is self.ctx.mpf:
-            return x
-        if isinstance(x, Fraction):
-            return self.ctx.mpf(x.numerator) / self.ctx.mpf(x.denominator)
         return _as_mpf(self.ctx, x)
 
     def zero(self) -> Scalar:
@@ -191,58 +184,55 @@ class Params:
 
 
 def golden_pair(s, t, backend: str | None = None, precision: int | None = None) -> Params:
-    """Build Params for the pair (s, t).
+    """Build Params for the pair (s, t); the one gate every input passes.
 
     backend None picks rational arithmetic when s, t and sqrt(s^2 + 4t)
     are all rational, floating otherwise.  An explicit ``rational`` with an
-    irrational discriminant raises BackendMismatch.
+    irrational discriminant raises BackendMismatch.  ``precision`` (digits
+    of the float backend, default DEFAULT_PRECISION) must be an int >= 1.
+    Exact s and t are checked on their exact values.  On the float backend
+    s^2 + 4t must also stay above 10^min(-1, 3 - precision) max(1, s^2), so
+    that phi and phi' differ in the digits kept.
     """
     if precision is None:
-        precision = _default_precision()
-
-    exact = None
+        precision = DEFAULT_PRECISION
+    elif isinstance(precision, bool) or not isinstance(precision, int) or precision < 1:
+        raise StInputError(f"precision must be an integer of at least 1, got {precision!r}")
     try:
-        se, te = _as_fraction(s), _as_fraction(t)
-        exact = (se, te)
+        s, t = _as_fraction(s), _as_fraction(t)
+        exact = True
     except BackendMismatch:
         if backend == "rational":
             raise
-
-    if exact is not None:
-        se, te = exact
-        if se == 0 or te == 0:
-            raise ZeroParameter("both s and t must be nonzero")
-        disc = se * se + 4 * te
+        ctx = _context(precision)
+        s, t, exact = _as_mpf(ctx, s), _as_mpf(ctx, t), False
+    if s == 0 or t == 0:
+        raise ZeroParameter("both s and t must be nonzero")
+    if exact:
+        disc = s * s + 4 * t
         if disc == 0:
             raise DegenerateDiscriminant(
-                f"s^2 + 4t = 0 at (s, t) = ({se}, {te}); phi = phi' is unsupported")
+                f"s^2 + 4t = 0 at (s, t) = ({s}, {t}); phi = phi' is unsupported")
         if backend in (None, "rational"):
             try:
                 root = _rational_sqrt(disc)
-                phi = (se + root) / 2
-                phi_prime = se - phi
-                return Params(se, te, phi, phi_prime, phi_prime / phi,
-                              "rational", 0, None)
             except BackendMismatch:
                 if backend == "rational":
-                    raise BackendMismatch(
-                        f"sqrt(s^2+4t) = sqrt({disc}) is irrational; use the float backend")
+                    raise BackendMismatch(f"sqrt(s^2+4t) = sqrt({disc}) is irrational; "
+                                          "use the float backend") from None
+            else:
+                phi = (s + root) / 2
+                return Params(s, t, phi, s - phi, (s - phi) / phi, "rational", 0, None)
 
     ctx = _context(precision)
-    if exact is not None:
-        sw = ctx.mpf(exact[0].numerator) / ctx.mpf(exact[0].denominator)
-        tw = ctx.mpf(exact[1].numerator) / ctx.mpf(exact[1].denominator)
-    else:
-        sw, tw = _as_mpf(ctx, s), _as_mpf(ctx, t)
-    if sw == 0 or tw == 0:
-        raise ZeroParameter("both s and t must be nonzero")
-    disc = sw * sw + 4 * tw
-    if abs(disc) <= ctx.mpf(10) ** (3 - precision) * max(1, abs(sw) ** 2):
+    s, t = _as_mpf(ctx, s), _as_mpf(ctx, t)
+    disc = s * s + 4 * t
+    if abs(disc) <= ctx.mpf(10) ** min(-1, 3 - precision) * max(1, abs(s) ** 2):
         raise DegenerateDiscriminant(
-            f"s^2 + 4t vanishes at (s, t) = ({sw}, {tw}); phi = phi' is unsupported")
-    phi = (sw + ctx.sqrt(disc)) / 2
-    phi_prime = sw - phi
-    return Params(sw, tw, phi, phi_prime, phi_prime / phi, "float", precision, ctx)
+            f"s^2 + 4t vanishes at (s, t) = ({s}, {t}); phi = phi' is unsupported")
+    phi = (s + ctx.sqrt(disc)) / 2
+    phi_prime = s - phi
+    return Params(s, t, phi, phi_prime, phi_prime / phi, "float", precision, ctx)
 
 
 # -- (s,t)-numbers ------------------------------------------------------

@@ -536,6 +536,16 @@ BAD_ARGV = {
     "numbers-s-nan": lambda tmp: ["numbers", "--s=nan", "--t=1", "--upto=3"],
     "numbers-t-inf": lambda tmp: ["numbers", "--s=1", "--t=inf", "--upto=3"],
     "precision-zero": lambda tmp: ["numbers", "--s=1", "--t=1", "--upto=3", "--precision=0"],
+    "precision-negative": lambda tmp: ["numbers", "--s=1", "--t=1", "--upto=3",
+                                       "--precision=-5"],
+    # the output file cannot be opened, and a document nested past the
+    # interpreter's recursion limit cannot be read
+    "out-is-a-directory": lambda tmp: ["numbers", "--s=1", "--t=1", "--upto=3",
+                                       f"--out={tmp}"],
+    "out-in-a-missing-directory": lambda tmp: ["numbers", "--s=1", "--t=1", "--upto=3",
+                                               f"--out={tmp / 'missing' / 'out.json'}"],
+    "verify-deep-nesting": lambda tmp: ["verify", "--doc", _write(
+        tmp / "deep.json", "[" * 100_000 + "]" * 100_000)],
     "upto-negative": lambda tmp: ["numbers", "--s=1", "--t=1", "--upto=-1"],
     "order-negative": lambda tmp: ["solve", "--family=series-linear", "--s=3", "--t=-2",
                                    "--order=-1"],
@@ -573,17 +583,15 @@ def test_bad_input_is_one_error_line(capsys, tmp_path, case):
     assert "vanishes" not in lines[0]
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_bad_precision_variable_is_one_error_line(capsys, monkeypatch, value):
-    monkeypatch.setenv("ST_PANTO_PRECISION", value)
-    code = main(["numbers", "--s=1", "--t=1", "--upto=3"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "ST_PANTO_PRECISION" in lines[0]
-    assert "vanishes" not in lines[0]
+@pytest.mark.parametrize("s, t, precision", [("1", "1", 2), ("2", "-1/2", 3), ("1", "3", 1)])
+def test_low_precision_numbers(capsys, monkeypatch, s, t, precision):
+    # well-conditioned pairs stay usable at a few digits, and the
+    # environment does not change the precision written
+    monkeypatch.setenv("ST_PANTO_PRECISION", "50")
+    code, doc = run_cli(capsys, "numbers", f"--s={s}", f"--t={t}", "--upto=4",
+                        f"--precision={precision}")
+    assert code == 0 and doc["params"]["precision"] == precision
+    assert [F(v) for v in doc["values"][:3]] == [0, 1, F(s)]
 
 
 @pytest.mark.parametrize("backend", ["rational", "float"])
@@ -731,7 +739,7 @@ _EXPR = (["0", "1", "x", "1 + x", "2x - 3/4*x^2", "x^3", "-1"], ["1/0", "(", "na
 _POINTS = (["1/2", "1/3,1/5", "-1/2", "2/5,7/10"], ["0", "nan", "", "x", "1/0"])
 _VALUES = {
     "--backend": (["rational", "float"], ["complex"]),
-    "--precision": (["5", "30", "50"], ["0", "x"]),
+    "--precision": (["1", "2", "5", "30", "50"], ["0", "x"]),
     "--format": (["json", "csv"], ["xml"]),
     "--fn": (["polynomial", "exp", "pantograph", "theta"], ["zeta"]),
     "--family": (["series-linear", "integration-factor", "special-rhs", "operator",

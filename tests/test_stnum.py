@@ -80,9 +80,36 @@ class TestGoldenPair:
         # phi^2 = phi + 1 to 40 digits
         assert abs(p.phi ** 2 - p.phi - 1) < 1e-38
 
-    def test_precision_env_default(self, monkeypatch):
+    def test_precision_variable_is_ignored(self, monkeypatch):
+        # the precision is set by the argument alone, never by the environment
         monkeypatch.setenv("ST_PANTO_PRECISION", "12")
-        assert golden_pair(1, 1).precision == 12
+        assert golden_pair(1, 1).precision == 30
+
+    @pytest.mark.parametrize("precision", [0, -5, True, 2.5, "30"])
+    def test_bad_precision_is_an_input_error(self, precision):
+        with pytest.raises(StInputError, match="precision"):
+            golden_pair(1, 1, precision=precision)
+
+    @pytest.mark.parametrize("precision", [1, 2, 3])
+    def test_low_precision_keeps_well_conditioned_pairs(self, precision):
+        # s^2 + 4t is 5, 2 and 13: far from zero at any number of digits
+        for s, t in [(1, 1), (2, F(-1, 2)), (1, 3)]:
+            p = golden_pair(s, t, precision=precision)
+            assert p.backend == "float" and p.precision == precision
+
+    def test_float_guard_refuses_a_nearly_degenerate_pair(self):
+        # (1, -1/4 + 10^-40) is exact and nondegenerate, but at 30 digits
+        # phi and phi' agree in every digit kept
+        t = F(-1, 4) + F(1, 10 ** 40)
+        with pytest.raises(DegenerateDiscriminant, match="vanishes"):
+            golden_pair(1, t, backend="float")
+        with pytest.raises(DegenerateDiscriminant, match="vanishes"):
+            golden_pair(1, F(-1, 4) + F(1, 100), backend="float", precision=1)
+        assert golden_pair(1, t, backend="float", precision=60).precision == 60
+
+    def test_fraction_and_a_nonfinite_literal_is_an_input_error(self):
+        with pytest.raises(StInputError, match="finite"):
+            golden_pair(F(7, 3), "nan")
 
 
 class TestStNumbers:
