@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import cache
 
@@ -304,7 +305,16 @@ def _cmd_identities(args) -> dict:
 # -- argument plumbing ----------------------------------------------------------
 
 
+# Every negative number literal is a value (-5, -1/2, -.5, -1e-3), not only
+# argparse's -5 and -0.5; an expression such as -x keeps --flag=value.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+/\d+|\d*\.?\d+(e[-+]?\d+)?)$", re.IGNORECASE)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):
         raise StInputError(message)
 

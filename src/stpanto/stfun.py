@@ -40,7 +40,7 @@ from ._stable import (
     weights,
 )
 from .errors import ConvergenceFailure
-from .stnum import Params
+from .stnum import Params, st_number_range
 from .stseries import Series, factorial_series
 
 
@@ -81,9 +81,20 @@ def _pantograph_point(params: Params, a, b, u, factors, x, tol, what):
     return value
 
 
+def _factor_series(params: Params, factors, N: int) -> Series:
+    """sum_n f_0 ... f_{n-1} x^n / {n}! to x^N: exact by c_{n+1} = c_n f_n / {n+1},
+    each gcd with one small operand; floats keep the weights over {n}!."""
+    if not params.rational:
+        return factorial_series(params, weights(factors, N, params.one()))
+    nums, coeffs = st_number_range(params, N), [params.one()]
+    for num, f in zip(nums[1:], factors):
+        coeffs.append(coeffs[-1] * f / num)
+    return Series(params, coeffs)
+
+
 def pantograph(params: Params, spec: PantographSpec, N: int) -> Series:
     """Series of E(a, b; z, u): coefficients (a (+) b)^n_{1,u} / {n}!."""
-    return factorial_series(params, weights(_delay_factors(params, spec), N, params.one()))
+    return _factor_series(params, _delay_factors(params, spec), N)
 
 
 def pantograph_at(params: Params, spec: PantographSpec, x, tol: float = DEFAULT_TOL):
@@ -95,7 +106,7 @@ def pantograph_at(params: Params, spec: PantographSpec, x, tol: float = DEFAULT_
 def deformed_exp(params: Params, u, N: int) -> Series:
     """Series of exp(z, u) = E(0, 1; z, u): coefficients u^C(n,2) / {n}!;
     u = 0 gives 1 + z."""
-    return factorial_series(params, weights(powers(params.wrap(u)), N, params.one()))
+    return _factor_series(params, powers(params.wrap(u)), N)
 
 
 def deformed_exp_at(params: Params, u, z, tol: float = DEFAULT_TOL):
@@ -111,8 +122,7 @@ def product_exp(params: Params, alpha, beta, N: int) -> Series:
     Equals the product Exp(alpha x) Exp'(beta x) of the two golden-pair
     exponentials Exp = exp(., phi), Exp' = exp(., phi').
     """
-    factors = golden_factors(params, params.wrap(alpha), params.wrap(beta))
-    return factorial_series(params, weights(factors, N, params.one()))
+    return _factor_series(params, golden_factors(params, params.wrap(alpha), params.wrap(beta)), N)
 
 
 # -- convergence domains -----------------------------------------------------

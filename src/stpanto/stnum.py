@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import islice
 from typing import Union
 
@@ -254,11 +254,12 @@ def st_number(params: Params, n: int) -> Scalar:
     return st_number_raw(params.s, params.t, n)
 
 
-def st_number_range(params: Params, upto: int) -> list:
-    """[{0}, {1}, ..., {upto}]."""
+@lru_cache(maxsize=256)
+def st_number_range(params: Params, upto: int) -> tuple:
+    """({0}, {1}, ..., {upto}), kept in a bounded cache per Params and upto."""
     if upto < 0:
         raise IndexOutOfRange(f"upto = {upto} must be nonnegative")
-    return list(islice(st_numbers(params.s, params.t), upto + 1))
+    return tuple(islice(st_numbers(params.s, params.t), upto + 1))
 
 
 def st_factorial(params: Params, n: int) -> Scalar:

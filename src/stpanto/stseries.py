@@ -18,24 +18,25 @@ Symbolic powers f^[k] are defined by f^[0] = 1, f^[k](0) = 0 and
 D f^[k] = {k} f^[k-1] D f; they are what makes composition (and hence
 integration factors) compatible with D.
 
-Products are computed in two ways.  On the rational backend, two dense
-operands are multiplied on integers: each is split into contiguous blocks
-scaled to integers over their own common denominator (a block ends where
-that denominator's bit length has doubled), every pair of blocks that
-reaches an index <= N is one big-integer product by Kronecker substitution
-(Harvey, J. Symbolic Comput. 2009), and each output coefficient is
-accumulated over one denominator and reduced once.  The pantograph
-coefficients' denominators grow like phi^(n^2/2), which is why one
-denominator for a whole operand would not do.  An operand with at most
-three nonzero terms, and every float product, take the term loop over the
-nonzero terms instead; the float loop adds in the order of the left
-operand's index, so its rounding is that of the full O(N^2) loop.
+A float Series is a list of mpf coefficients, a rational one a list of
+integer blocks (start, D, numerators), coefficient start + i being
+numerators[i] / D unreduced.  Each D is a multiple of the ones before it,
+and a block ends where D's bit length has doubled: the denominators grow
+like phi^(n^2/2), too fast for one D per series (FLINT's fmpq_poly).  Sums,
+scalar products, ``scale``, ``st_derive``, ``st_antiderive`` and equality
+run on these integers with one common-D test per pair of blocks; a zero
+is a block of zero numerators, and ``coeffs`` reduces on its first read.
+Products, antiderivatives and compositions divide each block by the gcd
+of its D and numerators, so D's grow no more than the values.  A rational
+product is one Kronecker substitution (Harvey, J. Symbolic Comput. 2009)
+per pair of blocks; a float product is the term loop in the order of the
+left operand's index, so its rounding is that of the full O(N^2) loop.
 
 Rational quotients of order 20 and more (``_NEWTON_ORDER``) are built from
 products alone, so they run on the same integer kernel: Newton iteration
 takes 1/g to order N/2 by doubling (Brent and Kung, J. ACM 1978), and one
 last step on the quotient itself gives f/g to order N (Karp and Markstein,
-ACM TOMS 1997).  The result is the same exact Fraction as the recurrence
+ACM TOMS 1997).  The result is the same exact value as the recurrence
 q_k = (f_k - sum_{j<k} q_j g_{k-j}) / g_0, which smaller rational quotients
 and every float quotient keep, so float rounding does not change.
 """
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Sequence
 
 from ._stable import delay_factors, powers, weights
@@ -63,12 +65,47 @@ DEFAULT_ORDER = 32
 class Series:
     """Coefficients c_0..c_N over a fixed Params; immutable by convention."""
 
-    __slots__ = ("params", "coeffs")
+    __slots__ = ("params", "_coeffs", "_blocks")
 
     def __init__(self, params: Params, coeffs: Sequence):
         self.params = params
         wrapped = [params.wrap(c) for c in coeffs]
-        self.coeffs = wrapped if wrapped else [params.zero()]
+        self._coeffs = wrapped if wrapped else [params.zero()]
+        self._blocks = None
+
+    @classmethod
+    def _made(cls, params: Params, coeffs: list | None = None,
+              blocks: list | None = None) -> "Series":
+        """A Series of backend scalars or of integer blocks, taken as they are."""
+        out = cls.__new__(cls)
+        out.params, out._coeffs, out._blocks = params, coeffs, blocks
+        return out
+
+    @property
+    def coeffs(self) -> list:
+        """c_0..c_N; on the rational backend reduced here, on the first read."""
+        if self._coeffs is None:
+            self._coeffs = [Fraction(x, d) for _, d, xs in self._blocks for x in xs]
+        return self._coeffs
+
+    @property
+    def blocks(self) -> list[tuple[int, int, list[int]]]:
+        """The rational coefficients as integer blocks (start, D, numerators)."""
+        if self._blocks is None:
+            self._blocks = _coalesced((i, c.denominator, [c.numerator])
+                                      for i, c in enumerate(self._coeffs))
+        return self._blocks
+
+    def _head(self):
+        """c_0, the other coefficients left unreduced."""
+        if self._coeffs is None:
+            return Fraction(self._blocks[0][2][0], self._blocks[0][1])
+        return self._coeffs[0]
+
+    def _nonzero(self) -> bool:
+        if self._coeffs is None:
+            return any(x for _, _, xs in self._blocks for x in xs)
+        return any(c != 0 for c in self._coeffs)
 
     # -- constructors ------------------------------------------------------
 
@@ -101,15 +138,25 @@ class Series:
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        if self._coeffs is None:
+            return self._blocks[-1][0] + len(self._blocks[-1][2]) - 1
+        return len(self._coeffs) - 1
 
     def truncated(self, order: int) -> "Series":
-        return Series(self.params, self.coeffs[:order + 1])
+        if order < 0:
+            return Series.zero(self.params)
+        coeffs, blocks = self._coeffs, self._blocks
+        return Series._made(self.params, coeffs and coeffs[:order + 1],
+                            blocks and _window(blocks, 0, order + 1))
 
     def padded(self, order: int) -> "Series":
-        if order <= self.order:
+        extra = order - self.order
+        if extra <= 0:
             return self
-        return Series(self.params, list(self.coeffs) + [self.params.zero()] * (order - self.order))
+        if self._coeffs is not None:
+            return Series._made(self.params, self._coeffs + [self.params.zero()] * extra)
+        *head, (start, d, xs) = self._blocks
+        return Series._made(self.params, blocks=head + [(start, d, xs + [0] * extra)])
 
     def _check(self, other: "Series"):
         if self.params != other.params:
@@ -124,17 +171,24 @@ class Series:
 
     def __add__(self, other):
         if not isinstance(other, Series):
+            if self.params.rational:
+                return self + Series.constant(self.params, other, self.order)
             c = list(self.coeffs)
             c[0] = c[0] + self.params.wrap(other)
             return Series(self.params, c)
         self._check(other)
         n = min(self.order, other.order)
+        if self.params.rational:
+            return Series._made(self.params, blocks=_block_sum(self.blocks, other.blocks, n))
         return Series(self.params,
                       [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
 
     __radd__ = __add__
 
     def __neg__(self):
+        if self.params.rational:
+            return Series._made(self.params, blocks=[(s, d, [-x for x in xs])
+                                                     for s, d, xs in self.blocks])
         return Series(self.params, [-c for c in self.coeffs])
 
     def __sub__(self, other):
@@ -146,16 +200,15 @@ class Series:
     def __mul__(self, other):
         if not isinstance(other, Series):
             w = self.params.wrap(other)
+            if self.params.rational:
+                return Series._made(self.params, blocks=_scaled(self.blocks, w))
             return Series(self.params, [c * w for c in self.coeffs])
         self._check(other)
         n = min(self.order, other.order)
-        a, b = self.coeffs[:n + 1], other.coeffs[:n + 1]
         if self.params.rational:
-            terms_a, terms_b = _nonzeros(a), _nonzeros(b)
-            if min(terms_a, terms_b) > _TERM_LOOP_TERMS:
-                return Series(self.params, _kronecker_product(a, b, n))
-            if terms_a > terms_b:  # exact, so the sparser operand may lead
-                a, b = b, a
+            return Series._made(self.params, blocks=_kronecker_product(
+                _window(self.blocks, 0, n + 1), _window(other.blocks, 0, n + 1), n))
+        a, b = self.coeffs[:n + 1], other.coeffs[:n + 1]
         return Series(self.params, _term_product(a, b, n, self.params.zero()))
 
     __rmul__ = __mul__
@@ -164,7 +217,7 @@ class Series:
         if not isinstance(other, Series):
             return self * (1 / self.params.wrap(other))
         self._check(other)
-        if other.coeffs[0] == 0:
+        if other._head() == 0:
             raise NonInvertibleSeries("division needs an invertible constant term")
         n = min(self.order, other.order)
         if self.params.rational and n >= _NEWTON_ORDER:
@@ -198,6 +251,8 @@ class Series:
         self._check(other)
         n = max(self.order, other.order)
         a, b = self.padded(n), other.padded(n)
+        if self.params.rational and tol is None:
+            return (a - b).max_abs_coeff() == 0  # no coefficient reduced
         return all(self.params.eq(x, y, tol) for x, y in zip(a.coeffs, b.coeffs))
 
     def __eq__(self, other):
@@ -208,22 +263,99 @@ class Series:
     __hash__ = None
 
     def max_abs_coeff(self):
+        if self._coeffs is None:  # the largest numerator of each block, reduced
+            return max(Fraction(max(map(abs, xs)), d) for _, d, xs in self._blocks)
         return max(abs(c) for c in self.coeffs)
 
 
-# -- the product kernels ----------------------------------------------------
+# -- the integer blocks ---------------------------------------------------------
 
-# A rational operand with at most this many nonzero terms (a constant, x,
-# a quadratic) is multiplied term by term: the integer path would reduce
-# every output coefficient over a full-size denominator for a few products.
-_TERM_LOOP_TERMS = 3
 # The smallest denominator a block grows from, in bits, so the first
 # coefficients (denominators of a few bits) do not each open a block.
 _BLOCK_BITS = 128
 
 
-def _nonzeros(coeffs) -> int:
-    return sum(1 for c in coeffs if c != 0)
+def _lcm(a: int, b: int) -> int:
+    """lcm(a, b) for a, b > 0; equal or dividing arguments cost no gcd."""
+    return a if a % b == 0 else b if b % a == 0 else a // math.gcd(a, b) * b
+
+
+def _coalesced(pieces) -> list[tuple[int, int, list[int]]]:
+    """Blocks (start, D, numerators) of contiguous pieces (start, d, xs) that
+    hold the values xs / d.  D is the lcm of every d up to the block's end,
+    so each block's D is a multiple of the ones before it, and a piece's
+    leading zeros take no d.  A block ends where D's bit length would pass
+    twice what it was where the block began."""
+    blocks, run, den, limit = [], [], 1, 2 * _BLOCK_BITS
+    for s, d, xs in pieces:
+        zeros = next((i for i, x in enumerate(xs) if x), len(xs))
+        for piece in ((s, 1, xs[:zeros]), (s + zeros, d, xs[zeros:])) if zeros else [(s, d, xs)]:
+            if not piece[2]:
+                continue
+            if den % piece[1]:
+                grown = _lcm(den, piece[1])
+                if grown.bit_length() > limit and run:
+                    blocks.append(_lifted(run, den))
+                    run, limit = [], 2 * max(den.bit_length(), _BLOCK_BITS)
+                den = grown
+            run.append(piece)
+    blocks.append(_lifted(run, den))
+    return blocks
+
+
+def _lifted(run, den: int) -> tuple[int, int, list[int]]:
+    nums = []
+    for _, d, xs in run:
+        nums += xs if d == den else [x * m for m in (den // d,) for x in xs]
+    return run[0][0], den, nums
+
+
+def _window(blocks, lo: int, hi: int) -> list:
+    """The blocks of the coefficients lo..hi-1, re-indexed from 0."""
+    return [(max(s - lo, 0), d, xs[max(lo - s, 0):hi - s]) for s, d, xs in blocks
+            if s < hi and s + len(xs) > lo]
+
+
+def _block_sum(a, b, n: int) -> list:
+    """a + b up to x^n, each pair of overlapping blocks over the lcm of their D's."""
+    out, k, i, j = [], 0, 0, 0
+    while k <= n:
+        (sa, da, xs), (sb, db, ys) = a[i], b[j]
+        e = min(sa + len(xs), sb + len(ys), n + 1)
+        d = _lcm(da, db)
+        ma, mb = d // da, d // db
+        out.append((k, d, [x * ma + y * mb for x, y in zip(xs[k - sa:e - sa],
+                                                            ys[k - sb:e - sb])]))
+        i, j, k = i + (e == sa + len(xs)), j + (e == sb + len(ys)), e
+    return _coalesced(out)
+
+
+def _scaled(blocks, w: Fraction) -> list:
+    """w times the blocks; the gcd of D and w's numerator leaves D."""
+    p, q = w.numerator, w.denominator if w else 1
+    return [(s, d // g * q, [x * (p // g) for x in xs])
+            for s, d, xs in blocks for g in (math.gcd(d, p),)]
+
+
+def _times(blocks, fs: Sequence) -> list:
+    """c_n f_n, one Fraction f_n per index; D gains the lcm of its f's denominators."""
+    out = []
+    for s, d, xs in blocks:
+        part, den = fs[s:s + len(xs)], 1
+        for f in part:
+            den = _lcm(den, f.denominator)
+        out.append((s, d * den, [x * f.numerator * (den // f.denominator)
+                                 for x, f in zip(xs, part)]))
+    return _coalesced(out)
+
+
+def _reduced(blocks) -> list:
+    """Each block over D / gcd(D, numerators), the largest-indexed first."""
+    return _coalesced([(s, d, xs) if g == 1 else (s, d // g, [x // g for x in xs])
+                       for s, d, xs in blocks for g in (math.gcd(d, *reversed(xs)),)])
+
+
+# -- the product kernels ----------------------------------------------------
 
 
 def _term_product(a, b, n: int, zero) -> list:
@@ -241,27 +373,6 @@ def _term_product(a, b, n: int, zero) -> list:
                 break
             out[i + j] += x * y
     return out
-
-
-def _integer_blocks(coeffs) -> list[tuple[int, int, list[int]]]:
-    """Contiguous blocks (start, D, numerators) of a Fraction list, each
-    scaled to integers c * D.  D is the lcm of every denominator up to the
-    block's end, so each block's D is a multiple of the ones before it.  A
-    block ends where D's bit length would pass twice what it was where the
-    block began."""
-    bounds, den, start, limit = [], 1, 0, 2 * _BLOCK_BITS
-    for i, c in enumerate(coeffs):
-        d = c.denominator
-        if den % d:
-            grown = den // math.gcd(den, d) * d
-            if grown.bit_length() > limit and i > start:
-                bounds.append((start, den))
-                start, limit = i, 2 * max(den.bit_length(), _BLOCK_BITS)
-            den = grown
-    bounds.append((start, den))
-    ends = [s for s, _ in bounds[1:]] + [len(coeffs)]
-    return [(s, D, [c.numerator * (D // c.denominator) for c in coeffs[s:e]])
-            for (s, D), e in zip(bounds, ends)]
 
 
 def _kronecker_low(xs: list[int], ys: list[int], m: int) -> list[int]:
@@ -291,14 +402,14 @@ def _kronecker_low(xs: list[int], ys: list[int], m: int) -> list[int]:
             for k in range(0, width * m, width)]
 
 
-def _kronecker_product(a, b, n: int) -> list[Fraction]:
-    """The exact product of two Fraction coefficient lists up to x^n.
+def _kronecker_product(A, B, n: int) -> list:
+    """The blocks of the product of two block lists up to x^n.
 
-    Every pair of integer blocks that reaches an index <= n is one
-    Kronecker product.  Output k is accumulated over D_p D_q of the blocks
-    that hold index k in each operand, which every contributing pair's
-    denominators divide, and reduced once."""
-    A, B = _integer_blocks(a), _integer_blocks(b)
+    Every pair of blocks that reaches an index <= n is one Kronecker
+    product.  Output k is accumulated over D_p D_q of the blocks that hold
+    index k in each operand, which every contributing pair's denominators
+    divide, since each D divides the next; each run of indices with the
+    same (p, q) is one output block, then reduced (``_reduced``)."""
     at_a = [p for p, (_, _, xs) in enumerate(A) for _ in xs]
     at_b = [q for q, (_, _, ys) in enumerate(B) for _ in ys]
     acc = [0] * (n + 1)
@@ -313,7 +424,12 @@ def _kronecker_product(a, b, n: int) -> list[Fraction]:
                     if key not in lift:
                         lift[key] = A[key[0]][1] // da * (B[key[1]][1] // db)
                     acc[k] += v * lift[key]
-    return [Fraction(acc[k], A[at_a[k]][1] * B[at_b[k]][1]) for k in range(n + 1)]
+    out, start = [], 0
+    for k in range(1, n + 2):
+        if k > n or (at_a[k], at_b[k]) != (at_a[start], at_b[start]):
+            out.append((start, A[at_a[start]][1] * B[at_b[start]][1], acc[start:k]))
+            start = k
+    return _reduced(out)
 
 
 # -- the quotient kernel ------------------------------------------------------
@@ -331,14 +447,15 @@ def _newton_quotient(f: Series, g: Series, n: int) -> Series:
     which vanishes below x^(h+1), gives the rest of the quotient as one
     product of order n - h - 1."""
     h = n // 2
-    inv = Series(g.params, [1 / g.coeffs[0]])
+    inv = Series(g.params, [1 / g._head()])
     while inv.order < h:
         inv = inv.padded(min(2 * inv.order + 1, h))
         inv = inv * (2 - g * inv)
     q0 = f.truncated(h) * inv
     r = f - g * q0.padded(n)
-    tail = inv.truncated(n - h - 1) * Series(f.params, r.coeffs[h + 1:])
-    return Series(f.params, q0.coeffs + tail.coeffs)
+    tail = inv.truncated(n - h - 1) * Series._made(f.params, blocks=_window(r.blocks, h + 1, n + 1))
+    return Series._made(f.params, blocks=_coalesced(q0.blocks + [(s + h + 1, d, xs)
+                                                                  for s, d, xs in tail.blocks]))
 
 
 # -- calculus -----------------------------------------------------------
@@ -354,15 +471,21 @@ def st_antiderive(f: Series) -> Series:
     return _antiderive(f, st_number_range(f.params, f.order + 1))
 
 
-def _derive(f: Series, nums: list) -> Series:
+def _derive(f: Series, nums: Sequence) -> Series:
     """st_derive over nums = [{0}, {1}, ...] up to at least {f.order}."""
     if f.order == 0:
         return Series.zero(f.params)
+    if f.params.rational:
+        return Series._made(f.params, blocks=_times(_window(f.blocks, 1, f.order + 1), nums[1:]))
     return Series(f.params, [nums[n + 1] * f.coeffs[n + 1] for n in range(f.order)])
 
 
-def _antiderive(f: Series, nums: list) -> Series:
+def _antiderive(f: Series, nums: Sequence) -> Series:
     """st_antiderive over nums = [{0}, {1}, ...] up to at least {f.order + 1}."""
+    if f.params.rational:  # reduced: dividing by {n} often cancels (symbolic powers)
+        blocks = _reduced(_times(f.blocks, [1 / nums[n + 1] for n in range(f.order + 1)]))
+        return Series._made(f.params, blocks=[(0, 1, [0])] + [(s + 1, d, xs)
+                                                              for s, d, xs in blocks])
     out = [f.params.zero()]
     out.extend(f.coeffs[n] / nums[n + 1] for n in range(f.order + 1))
     return Series(f.params, out)
@@ -370,7 +493,10 @@ def _antiderive(f: Series, nums: list) -> Series:
 
 def scale(f: Series, u) -> Series:
     """(T_u f)(x) = f(u x): multiplies c_n by u^n."""
-    return Series(f.params, [c * p for c, p in zip(f.coeffs, powers(f.params.wrap(u)))])
+    u = f.params.wrap(u)
+    if f.params.rational:
+        return Series._made(f.params, blocks=_times(f.blocks, list(islice(powers(u), f.order + 1))))
+    return Series(f.params, [c * p for c, p in zip(f.coeffs, powers(u))])
 
 
 def st_derive_at(f: Callable, x, params: Params):
@@ -401,7 +527,7 @@ def symbolic_powers(f: Series, kmax: int) -> list[Series]:
     those are the same zero series, with no product.  The memo list and
     the {n} table are local to this call.
     """
-    if kmax >= 1 and f.coeffs[0] != 0:
+    if kmax >= 1 and f._head() != 0:
         raise NonzeroConstantTerm("symbolic powers need f(0) = 0")
     powers = [Series.one(f.params, f.order)]
     if kmax == 0:
@@ -410,7 +536,7 @@ def symbolic_powers(f: Series, kmax: int) -> list[Series]:
     df = _derive(f, nums)
     for k in range(1, kmax + 1):
         prev = powers[-1]
-        if any(c != 0 for c in prev.coeffs):
+        if prev._nonzero():
             prev = _antiderive((prev * df) * nums[k], nums).truncated(f.order)
         powers.append(prev)
     return powers
@@ -434,7 +560,7 @@ def factorial_series(params: Params, w: Sequence) -> Series:
 def _powers_for(g_coeffs: Sequence, f: Series) -> list[Series]:
     """The symbolic-power table a composition of g with f needs: f^[n] for
     n up to min(len(g) - 1, f's order)."""
-    if f.coeffs[0] != 0:
+    if f._head() != 0:
         raise NonzeroConstantTerm("composition needs f(0) = 0")
     return symbolic_powers(f, max(min(len(g_coeffs) - 1, f.order), 0))
 
@@ -452,6 +578,8 @@ def _composition(g_coeffs: Sequence, factors, sym: list[Series]) -> Series:
     for n in range(n_top + 1):
         if c[n] != 0:
             acc = acc + sym[n] * c[n]
+    if p.rational:  # the {n}! of the c_n cancel in the sum
+        return Series._made(p, blocks=_reduced(acc.blocks))
     return acc
 
 
@@ -485,7 +613,7 @@ def sq_int(f, lower: Series, upper: Series, u=None) -> Series:
     """
     lower._check(upper)
     params = lower.params
-    if lower.coeffs[0] != 0 or upper.coeffs[0] != 0:
+    if lower._head() != 0 or upper._head() != 0:
         raise NonzeroConstantTerm("sq_int bounds must vanish at 0")
     order = min(lower.order, upper.order)
     if isinstance(f, Series):

@@ -270,12 +270,13 @@ def solve_special_rhs(params: Params, spec: PantographSpec, beta_amplitude, a0,
 
 
 def operator_identity_residual(params: Params, spec: PantographSpec, beta, gamma,
-                               N: int = DEFAULT_ORDER) -> Series:
-    """(D - a*beta - gamma T_u) E(a,b; beta x, u) - (b*beta - gamma) E(a,b; u beta x, u)."""
+                               N: int = DEFAULT_ORDER, e: Series | None = None) -> Series:
+    """(D - a*beta - gamma T_u) E(a,b; beta x, u) - (b*beta - gamma) E(a,b; u beta x, u).
+    ``e`` is E(a,b; x, u) at order N if the caller has built it."""
     p = params
     a, b, u = p.wrap(spec.a), p.wrap(spec.b), p.wrap(spec.u)
     beta, gamma = p.wrap(beta), p.wrap(gamma)
-    e = scale(pantograph(p, spec, N), beta)
+    e = scale(pantograph(p, spec, N) if e is None else e, beta)
     lhs = st_derive(e) - (e * (a * beta) + scale(e, u) * gamma).truncated(N - 1)
     rhs = scale(e, u) * (b * beta - gamma)
     return lhs - rhs.truncated(N - 1)
@@ -308,11 +309,11 @@ def solve_operator(params: Params, spec: PantographSpec, alpha_coef, beta_coef,
         raise HypothesisViolated(
             "the operator method needs beta = alpha/u when delta != 0; "
             "use the series-linear solver for the general case")
-    ident = operator_identity_residual(p, spec, alpha / u, gamma, N)
-    shifted = PantographSpec(a * beta, gamma, u)
     e = pantograph(p, spec, N)
+    ident = operator_identity_residual(p, spec, alpha / u, gamma, N, e)
+    shifted = PantographSpec(a * beta, gamma, u)
     y = pantograph(p, shifted, N) * p.wrap(c) + scale(e, alpha / u) * (u * delta / denom)
-    problem = LinearProblem.series_linear(p, shifted, 1, scale(e, alpha) * delta, y.coeffs[0])
+    problem = LinearProblem.series_linear(p, shifted, 1, scale(e, alpha) * delta, y._head())
     closed = {"tag": "c*E(a*beta,gamma;x,u) + u*delta/(b*alpha-u*gamma)*E(a,b;alpha*x/u,u)",
               "parameters": {"c": p.to_str(p.wrap(c)),
                              "factor": p.to_str(u * delta / denom)}}

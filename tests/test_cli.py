@@ -177,6 +177,34 @@ def run_cli(capsys, *argv):
     return code, (json.loads(out) if out.strip().startswith("{") else out)
 
 
+class TestNegativeLiterals:
+    """A negative number given as its own word is a value, in every form the
+    literals take; an expression such as -x keeps the --flag=value form."""
+
+    @pytest.mark.parametrize("t, value", [("-2", F(-2)), ("-1/2", F(-1, 2)),
+                                          ("-0.5", F(-1, 2)), ("-.5", F(-1, 2)),
+                                          ("-1e-3", F(-1, 1000)), ("-2.5E-1", F(-1, 4))])
+    def test_numbers(self, capsys, t, value):
+        code, doc = run_cli(capsys, "numbers", "--s", "3", "--t", t, "--upto", "3")
+        assert code == 0
+        assert doc["input"]["t"] == t
+        assert F(doc["values"][3]) == 9 + value  # {3} = s^2 + t
+
+    def test_solve_with_a_negative_weight(self, capsys):
+        code, doc = run_cli(capsys, "solve", "--family", "series-linear", "--s", "3",
+                            "--t", "-2", "--a", "1", "--b", "-1/2", "--u", "1/2",
+                            "--alpha", "1", "--y0", "1", "--order", "8")
+        assert code == 0
+        assert doc["input"]["b"] == "-1/2" and doc["residual"]["coeff_max"] == "0"
+
+    def test_expression_needs_the_equals_form(self, capsys):
+        argv = ["solve", "--family", "series-linear", "--s", "3", "--t", "-2", "--order", "4"]
+        assert main(argv + ["--beta", "-x"]) == 1
+        assert "expected one argument" in capsys.readouterr().err
+        code, doc = run_cli(capsys, *argv, "--beta=-x")
+        assert code == 0 and doc["input"]["beta"] == "-x"
+
+
 class TestCommands:
     def test_numbers(self, capsys):
         code, doc = run_cli(capsys, "numbers", "--s", "1", "--t", "1", "--upto", "6")

@@ -135,7 +135,7 @@ class TestStNumbers:
 
     def test_range(self):
         p = golden_pair(3, -2)
-        assert st_number_range(p, 5) == [0, 1, 3, 7, 15, 31]
+        assert st_number_range(p, 5) == (0, 1, 3, 7, 15, 31)
 
     @given(st.integers(min_value=0, max_value=30))
     def test_binet_agrees_with_recurrence(self, n):

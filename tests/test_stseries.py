@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -243,6 +244,106 @@ class TestExactQuotient:
         b[0] = b[0] or F(1)
         f, g = Series(p, a), Series(p, b)
         assert repr((f / g).coeffs) == repr(quotient_loop(f, g))
+
+
+# -- the rational block form against plain Fraction lists -------------------
+
+# (5/2, -1) has phi = 2, phi' = 1/2 and {n} = (2^n - 2^-n) / (3/2), not integers.
+BLOCK_PAIRS = EXACT_PAIRS + [golden_pair(F(5, 2), -1)]
+block_operand = st.one_of(st.integers(0, 40).flatmap(lambda n: st.lists(
+    product_coeff, min_size=n + 1, max_size=n + 1)), sparse_operand)
+block_scalar = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+BLOCK_OPS = ["add", "sub", "neg", "times", "over", "scale", "derive", "antiderive",
+             "truncated", "padded", "product", "quotient", "cancel", "zero"]
+
+
+def st_numbers_ref(p, n):
+    nums = [F(0), F(1)]
+    while len(nums) <= n:
+        nums.append(p.s * nums[-1] + p.t * nums[-2])
+    return nums
+
+
+def block_step(p, op, cur, other, w, k):
+    """One operation on a Series and on its plain Fraction list."""
+    f, a = cur
+    g, b = other
+    nums = st_numbers_ref(p, len(a) + 1)
+    if op == "add":
+        return f + g, [x + y for x, y in zip(a, b)]
+    if op == "sub":
+        return f - g, [x - y for x, y in zip(a, b)]
+    if op == "neg":
+        return -f, [-x for x in a]
+    if op == "times":
+        return f * w, [x * w for x in a]
+    if op == "over":
+        w = w or F(7, 3)
+        return f / w, [x / w for x in a]
+    if op == "scale":
+        return scale(f, w), [x * w ** n for n, x in enumerate(a)]
+    if op == "derive":
+        return st_derive(f), [nums[n + 1] * a[n + 1] for n in range(len(a) - 1)] or [F(0)]
+    if op == "antiderive":
+        return st_antiderive(f), [F(0)] + [x / nums[n + 1] for n, x in enumerate(a)]
+    if op == "truncated":
+        return f.truncated(k), a[:k + 1]
+    if op == "padded":
+        return f.padded(k), a + [F(0)] * (k + 1 - len(a))
+    if op == "product":
+        return f * g, schoolbook(a, b)
+    if op == "quotient":  # by g with its constant term made 1 if it is 0
+        if b[0] == 0:
+            g, b = g + 1, [F(1)] + b[1:]
+        return f / g, quotient_loop(Series(p, a), Series(p, b))
+    if op == "cancel":  # (f + g) - g is f up to the smaller order
+        return (f + g) - g, a[:len(b)]
+    return f - f, [F(0)] * len(a)  # "zero": exact cancellation
+
+
+class TestBlockForm:
+    """Every rational Series operation on the block form against a plain
+    Fraction reference: the coefficients read back are normalised Fractions
+    equal to the reference, and exact cancellation gives exact zeros."""
+
+    @given(st.sampled_from(BLOCK_PAIRS), block_operand, block_operand,
+           st.lists(st.tuples(st.sampled_from(BLOCK_OPS), st.booleans(), block_scalar,
+                              st.integers(0, 40), st.booleans()), min_size=5, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_fraction_reference(self, p, a, b, steps):
+        pool = [(Series(p, a), a), (Series(p, b), b)]
+        cur = pool[0]
+        for op, pick, w, k, peek in steps:
+            cur = block_step(p, op, cur, pool[pick], w, k)
+            got, want = cur
+            if op == "zero":
+                assert got == Series.zero(p, got.order) and got.max_abs_coeff() == 0
+            if peek:  # read the coefficients mid-chain, then go on from the blocks
+                assert got.coeffs == want
+            blocks = got.blocks  # contiguous from 0, each D a multiple of the one before
+            assert [s for s, _, _ in blocks] == list(accumulate(
+                (len(xs) for _, _, xs in blocks[:-1]), initial=0))
+            assert all(d > 0 and later % d == 0
+                       for (_, d, _), (_, later, _) in zip(blocks, blocks[1:] + blocks[-1:]))
+        got, want = cur
+        assert got.order == len(want) - 1
+        top = max(abs(c) for c in want)
+        assert got.max_abs_coeff() == top and (-got).max_abs_coeff() == top
+        assert got == Series(p, want)
+        assert got.coeffs == want
+        assert all(type(c) is F and c.denominator > 0
+                   and math.gcd(c.numerator, c.denominator) == 1 for c in got.coeffs)
+
+    @pytest.mark.parametrize("p", BLOCK_PAIRS)
+    def test_newton_quotient_blocks(self, p):
+        # the quotient joins the blocks of two products; its D's must still
+        # divide each other, or a product with it goes wrong
+        f = pantograph(p, PantographSpec(F(2), F(1, 2), F(1, 3)), 40)
+        g = deformed_exp(p, F(-1, 2), 40)
+        q = f / g
+        dens = [d for _, d, _ in q.blocks]
+        assert all(later % d == 0 for d, later in zip(dens, dens[1:]))
+        assert q * g == f
 
 
 class TestDerivative:
