@@ -20,7 +20,7 @@ from itertools import chain, repeat
 from operator import mul
 from typing import Callable, Union
 
-from ._stable import DEFAULT_TOL, delay_factors, point_terms, powers, stable_sum, weights
+from ._stable import DEFAULT_TOL, delay_factors, point_terms, powers, stable_sum
 from .errors import (
     DegenerateRatio,
     HypothesisViolated,
@@ -123,8 +123,8 @@ def pantograph_antiderivative_series(params: Params, spec: PantographSpec, N: in
         raise HypothesisViolated("the k-sum form needs a != 0 and u != 0")
     if a * u + b == 0:
         raise HypothesisViolated("the constant u/(a u + b) is undefined at a u + b = 0")
-    w = weights(delay_factors(a, b, u), N - 1, params.one())
-    return factorial_series(params, [u / (a * u + b)] + w)
+    return factorial_series(params, chain([1], delay_factors(a, b, u)), N,
+                            chain([u / (a * u + b)], repeat(1)))
 
 
 def _antiderivative_point(params: Params, a, b, u, x, constant, tol, what):

@@ -46,7 +46,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Sequence
+from operator import truediv
+from typing import Callable, Iterable, Sequence
 
 from ._stable import delay_factors, powers, weights
 from .errors import (
@@ -111,8 +112,7 @@ class Series:
 
     @classmethod
     def constant(cls, params: Params, value, order: int = 0) -> "Series":
-        c = [params.wrap(value)] + [params.zero()] * order
-        return cls(params, c)
+        return cls._made(params, [params.wrap(value)] + [params.zero()] * order)
 
     @classmethod
     def zero(cls, params: Params, order: int = 0) -> "Series":
@@ -132,7 +132,7 @@ class Series:
         order = k if order is None else max(order, k)
         c = [params.zero()] * (order + 1)
         c[k] = params.wrap(coeff)
-        return cls(params, c)
+        return cls._made(params, c)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -171,17 +171,13 @@ class Series:
 
     def __add__(self, other):
         if not isinstance(other, Series):
-            if self.params.rational:
-                return self + Series.constant(self.params, other, self.order)
-            c = list(self.coeffs)
-            c[0] = c[0] + self.params.wrap(other)
-            return Series(self.params, c)
+            return self + Series.constant(self.params, other, self.order)
         self._check(other)
         n = min(self.order, other.order)
         if self.params.rational:
             return Series._made(self.params, blocks=_block_sum(self.blocks, other.blocks, n))
-        return Series(self.params,
-                      [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
+        return Series._made(self.params,
+                            [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
 
     __radd__ = __add__
 
@@ -189,7 +185,7 @@ class Series:
         if self.params.rational:
             return Series._made(self.params, blocks=[(s, d, [-x for x in xs])
                                                      for s, d, xs in self.blocks])
-        return Series(self.params, [-c for c in self.coeffs])
+        return Series._made(self.params, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Series) else -self.params.wrap(other))
@@ -202,14 +198,14 @@ class Series:
             w = self.params.wrap(other)
             if self.params.rational:
                 return Series._made(self.params, blocks=_scaled(self.blocks, w))
-            return Series(self.params, [c * w for c in self.coeffs])
+            return Series._made(self.params, [c * w for c in self.coeffs])
         self._check(other)
         n = min(self.order, other.order)
         if self.params.rational:
             return Series._made(self.params, blocks=_kronecker_product(
                 _window(self.blocks, 0, n + 1), _window(other.blocks, 0, n + 1), n))
         a, b = self.coeffs[:n + 1], other.coeffs[:n + 1]
-        return Series(self.params, _term_product(a, b, n, self.params.zero()))
+        return Series._made(self.params, _term_product(a, b, n, self.params.zero()))
 
     __rmul__ = __mul__
 
@@ -229,7 +225,7 @@ class Series:
             for j in range(k):
                 acc -= out[j] * other.coeffs[k - j]
             out.append(acc * inv0)
-        return Series(self.params, out)
+        return Series._made(self.params, out)
 
     def __rtruediv__(self, other):
         return Series.constant(self.params, other, self.order) / self
@@ -247,13 +243,13 @@ class Series:
     def __call__(self, x):
         return self.eval(x)
 
-    def equals(self, other: "Series", tol: float | None = None) -> bool:
+    def equals(self, other: "Series") -> bool:
         self._check(other)
         n = max(self.order, other.order)
         a, b = self.padded(n), other.padded(n)
-        if self.params.rational and tol is None:
+        if self.params.rational:
             return (a - b).max_abs_coeff() == 0  # no coefficient reduced
-        return all(self.params.eq(x, y, tol) for x, y in zip(a.coeffs, b.coeffs))
+        return all(self.params.eq(x, y) for x, y in zip(a.coeffs, b.coeffs))
 
     def __eq__(self, other):
         if not isinstance(other, Series):
@@ -447,7 +443,7 @@ def _newton_quotient(f: Series, g: Series, n: int) -> Series:
     which vanishes below x^(h+1), gives the rest of the quotient as one
     product of order n - h - 1."""
     h = n // 2
-    inv = Series(g.params, [1 / g._head()])
+    inv = Series._made(g.params, [1 / g._head()])
     while inv.order < h:
         inv = inv.padded(min(2 * inv.order + 1, h))
         inv = inv * (2 - g * inv)
@@ -463,32 +459,23 @@ def _newton_quotient(f: Series, g: Series, n: int) -> Series:
 
 def st_derive(f: Series) -> Series:
     """(D f)_n = {n+1} c_{n+1}; the constant series maps to the zero series."""
-    return _derive(f, st_number_range(f.params, f.order))
+    if f.order == 0:
+        return Series.zero(f.params)
+    nums = st_number_range(f.params, f.order)
+    if f.params.rational:
+        return Series._made(f.params, blocks=_times(_window(f.blocks, 1, f.order + 1), nums[1:]))
+    return Series._made(f.params, [nums[n + 1] * f.coeffs[n + 1] for n in range(f.order)])
 
 
 def st_antiderive(f: Series) -> Series:
     """The antiderivative F with F(0) = 0: F_n = c_{n-1} / {n}."""
-    return _antiderive(f, st_number_range(f.params, f.order + 1))
-
-
-def _derive(f: Series, nums: Sequence) -> Series:
-    """st_derive over nums = [{0}, {1}, ...] up to at least {f.order}."""
-    if f.order == 0:
-        return Series.zero(f.params)
-    if f.params.rational:
-        return Series._made(f.params, blocks=_times(_window(f.blocks, 1, f.order + 1), nums[1:]))
-    return Series(f.params, [nums[n + 1] * f.coeffs[n + 1] for n in range(f.order)])
-
-
-def _antiderive(f: Series, nums: Sequence) -> Series:
-    """st_antiderive over nums = [{0}, {1}, ...] up to at least {f.order + 1}."""
+    nums = st_number_range(f.params, f.order + 1)
     if f.params.rational:  # reduced: dividing by {n} often cancels (symbolic powers)
         blocks = _reduced(_times(f.blocks, [1 / nums[n + 1] for n in range(f.order + 1)]))
         return Series._made(f.params, blocks=[(0, 1, [0])] + [(s + 1, d, xs)
                                                               for s, d, xs in blocks])
-    out = [f.params.zero()]
-    out.extend(f.coeffs[n] / nums[n + 1] for n in range(f.order + 1))
-    return Series(f.params, out)
+    return Series._made(f.params, [f.params.zero()] + [f.coeffs[n] / nums[n + 1]
+                                                        for n in range(f.order + 1)])
 
 
 def scale(f: Series, u) -> Series:
@@ -496,7 +483,7 @@ def scale(f: Series, u) -> Series:
     u = f.params.wrap(u)
     if f.params.rational:
         return Series._made(f.params, blocks=_times(f.blocks, list(islice(powers(u), f.order + 1))))
-    return Series(f.params, [c * p for c, p in zip(f.coeffs, powers(u))])
+    return Series._made(f.params, [c * p for c, p in zip(f.coeffs, powers(u))])
 
 
 def st_derive_at(f: Callable, x, params: Params):
@@ -524,20 +511,19 @@ def symbolic_powers(f: Series, kmax: int) -> list[Series]:
     f^[k] is pinned down by f^[k](0) = 0 and D f^[k] = {k} f^[k-1] D f, so
     each step is one multiplication and one coefficient integration.  A
     power that vanishes under truncation makes every later one vanish, so
-    those are the same zero series, with no product.  The memo list and
-    the {n} table are local to this call.
+    those are the same zero series, with no product.
     """
     if kmax >= 1 and f._head() != 0:
         raise NonzeroConstantTerm("symbolic powers need f(0) = 0")
     powers = [Series.one(f.params, f.order)]
     if kmax == 0:
         return powers
-    nums = st_number_range(f.params, max(kmax, f.order + 1))
-    df = _derive(f, nums)
+    nums = st_number_range(f.params, kmax)
+    df = st_derive(f)
     for k in range(1, kmax + 1):
         prev = powers[-1]
         if prev._nonzero():
-            prev = _antiderive((prev * df) * nums[k], nums).truncated(f.order)
+            prev = st_antiderive((prev * df) * nums[k]).truncated(f.order)
         powers.append(prev)
     return powers
 
@@ -546,15 +532,21 @@ def symbolic_power(f: Series, k: int) -> Series:
     return symbolic_powers(f, k)[k]
 
 
-def factorial_series(params: Params, w: Sequence) -> Series:
-    """The series sum w_n x^n / {n}! of a weight sequence w_0..w_N."""
-    nums = st_number_range(params, max(len(w) - 1, 0))
-    coeffs, fact = [], params.one()
-    for n, wn in enumerate(w):
-        if n > 0:
-            fact *= nums[n]
-        coeffs.append(wn / fact)
-    return Series(params, coeffs)
+def factorial_series(params: Params, factors, N: int, g: Iterable | None = None) -> Series:
+    """sum_n w_n g_n x^n / {n}! to x^N: w_n = f_0 ... f_{n-1} are the prefix
+    products of the factor stream, and g_n = 1 when g is None.  Exact
+    coefficients are c_0 = 1, c_{n+1} = c_n f_n / {n+1} (each step has one
+    small operand), times g_n; float ones are (w_n g_n) / {n}!, rounded in
+    that order."""
+    nums = st_number_range(params, max(N, 0))
+    if params.rational:
+        factors = map(truediv, factors, nums[1:])
+    c = weights(factors, N, params.one())
+    if g is not None:
+        c = [cn * params.wrap(gn) for cn, gn in zip(c, g)]
+    if not params.rational:
+        c = list(map(truediv, c, weights(nums[1:], N, params.one())))
+    return Series._made(params, c or [params.zero()])
 
 
 def _powers_for(g_coeffs: Sequence, f: Series) -> list[Series]:
@@ -572,8 +564,7 @@ def _composition(g_coeffs: Sequence, factors, sym: list[Series]) -> Series:
     factor stream composed with the same f."""
     p = sym[0].params
     n_top = min(len(g_coeffs), len(sym)) - 1
-    w = weights(factors, n_top, p.one())
-    c = factorial_series(p, [wn * p.wrap(gn) for wn, gn in zip(w, g_coeffs)]).coeffs
+    c = factorial_series(p, factors, n_top, g_coeffs).coeffs
     acc = Series.zero(p, sym[0].order)
     for n in range(n_top + 1):
         if c[n] != 0:
@@ -622,8 +613,7 @@ def sq_int(f, lower: Series, upper: Series, u=None) -> Series:
     else:
         if u is None:
             raise NonzeroConstantTerm("coefficient-sequence integrand needs the deformation u")
-        w = weights(powers(params.wrap(u)), len(f) - 1, params.one())
-        a = factorial_series(params, [wm * params.wrap(fm) for wm, fm in zip(w, f)]).coeffs
+        a = factorial_series(params, powers(params.wrap(u)), len(f) - 1, f).coeffs
     m_top = min(len(a) - 1, order - 1)
     low_pows = symbolic_powers(lower, m_top + 1)
     up_pows = symbolic_powers(upper, m_top + 1)

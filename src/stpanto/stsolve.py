@@ -62,8 +62,6 @@ RECONSTRUCT_CAP = 500
 def _as_series(value, params: Params, order: int) -> Series:
     if isinstance(value, Series):
         return value.padded(order).truncated(order)
-    if isinstance(value, (list, tuple)):
-        return Series(params, value).padded(order).truncated(order)
     return Series.constant(params, value, order)
 
 
@@ -212,7 +210,7 @@ def solve_series_linear(problem: LinearProblem, N: int = DEFAULT_ORDER) -> Solut
     coeffs = [p.wrap(problem.initial)]
     for n, f in zip(range(N), delay_factors(a, b, u)):
         coeffs.append(f / nums[n + 1] * alpha * coeffs[n] + beta.coeffs[n] / nums[n + 1])
-    y = Series(p, coeffs)
+    y = Series._made(p, coeffs)
     closed = {"tag": "a0*E(a,b;alpha*x,u) + particular",
               "parameters": {"a0": p.to_str(coeffs[0]), "alpha": p.to_str(alpha),
                              "a": p.to_str(a), "b": p.to_str(b), "u": p.to_str(u)}}
@@ -243,7 +241,7 @@ def series_linear_closed_form(problem: LinearProblem, N: int = DEFAULT_ORDER) ->
         inner = inner * alpha + fact * beta.coeffs[n - 1] / oplus[n]
         fact *= nums[n]
         coeffs.append(inner * oplus[n] / fact)
-    return homog + Series(p, coeffs)
+    return homog + Series._made(p, coeffs)
 
 
 def solve_special_rhs(params: Params, spec: PantographSpec, beta_amplitude, a0,
