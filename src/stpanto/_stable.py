@@ -9,11 +9,12 @@ whose term magnitudes instead keep growing past 1 for many consecutive
 steps is declared divergent early (convergent sums here have at most a
 short growth prefix before the factorials win); a product has no such
 guard, since (10^6; 9/10)_inf grows for over a hundred factors before it
-settles.  Either fails when still running at its cap.
+settles.  Either fails when still running at its cap: TERM_CAP terms for
+a sum, the caller's cap (TERM_CAP by default) for a product.
 
 The construction: a factor stream f_k, its prefix products
-w_n = f_0 ... f_{n-1} and the point terms w_n x^n / {n}!; the series form
-sum w_n x^n / {n}! is ``stseries.factorial_series``.
+w_n = f_0 ... f_{n-1} and the point terms w_n x^n / {n}!; the one builder
+of the series form sum w_n g_n x^n / {n}! is ``stseries.factorial_series``.
 """
 
 from fractions import Fraction
@@ -39,18 +40,18 @@ def _cap_failure(what, cap):
     return ConvergenceFailure(f"{what}: no convergence within {cap} terms")
 
 
-def stable_sum(terms, tol=DEFAULT_TOL, cap=TERM_CAP, what="series"):
+def stable_sum(terms, tol=DEFAULT_TOL, what="series"):
     """Sum the infinite stream ``terms`` under the decay rule.
 
     Returns (value, terms_consumed).  Raises ConvergenceFailure when the
-    terms grow without settling, or when ``cap`` terms (or a stream that
+    terms grow without settling, or when TERM_CAP terms (or a stream that
     ends sooner) do not settle; no term past the cap is drawn.
     """
     total = None
     small = 0
     growing = 0
     prev_mag = None
-    for n, term in enumerate(islice(terms, cap)):
+    for n, term in enumerate(islice(terms, TERM_CAP)):
         total = term if total is None else total + term
         mag = abs(term)
         if mag <= _threshold(tol, abs(total)):
@@ -68,7 +69,7 @@ def stable_sum(terms, tol=DEFAULT_TOL, cap=TERM_CAP, what="series"):
         prev_mag = mag
     if total is None:
         raise ConvergenceFailure(f"{what}: empty term stream")
-    raise _cap_failure(what, cap)
+    raise _cap_failure(what, TERM_CAP)
 
 
 def stable_product(factors, tol=DEFAULT_TOL, cap=TERM_CAP, what="product"):

@@ -229,7 +229,7 @@ def _cmd_solve(args) -> dict:
             for key in ("family", "s", "t", "a", "b", "u", "alpha", "beta", "y0",
                         "eta", "delay_side", "order", "backend", "precision",
                         "alpha_coef", "beta_coef", "gamma", "delta", "c", "n",
-                        "beta_amplitude", "tol")}
+                        "beta_amplitude")}
     points = _parse_points(args.points)
     blocks = {}
     if rep.solution is not None:
@@ -272,8 +272,9 @@ def _cmd_verify(args) -> dict:
     # The stored input is read back by the solve parser itself, so it takes
     # the same defaults and the same validation as a fresh solve; the solve
     # is re-run at the stored points and every checked block is compared.
+    # Solve takes no tol; documents written by earlier versions carry one.
     argv = [f"--{key.replace('_', '-')}={value}"
-            for key, value in doc["input"].items() if value is not None]
+            for key, value in doc["input"].items() if value is not None and key != "tol"]
     ns = build_parser().parse_args(["solve", *argv, f"--points={','.join(points)}"])
     p = _build_params(ns)
     blocks = _check_blocks(_solve_problem(ns, p), points, coeffs)
@@ -334,7 +335,6 @@ def _add_common(sub):
     sub.add_argument("--backend", choices=["rational", "float"], default=None)
     sub.add_argument("--precision", type=int, default=None)  # checked by golden_pair
     sub.add_argument("--order", type=_int_at_least(0), default=DEFAULT_ORDER)
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_output(sub)
 
 
@@ -378,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_int = subs.add_parser("integrate", help="Jackson-type integral of an "
                                               "expression over [a, b]_q")
     _add_common(p_int)
+    p_int.add_argument("--tol", type=float, default=DEFAULT_TOL)  # echoed, not read
     p_int.add_argument("--expr", required=True)
     p_int.add_argument("--from", dest="frm", required=True)
     p_int.add_argument("--to", required=True)

@@ -10,10 +10,10 @@ function Theta0(x, y) = sum y^C(n,2) x^n.
 
 Every function here is one specialization of the prefix-product kernel
 in ``_stable``: the (+)-products are always computed from their defining
-factor products (a + b u^k resp. alpha phi^k + beta phi'^k), the series
-divide them by {n}! (``factorial_series``) and the point evaluators sum the
-matching point terms.  exp(z, u) is E(0, 1; z, u), whose factors
-0 + 1 u^k are the powers u^k, and Theta0(x, y) sums the
+factor products (a + b u^k resp. alpha phi^k + beta phi'^k), each series
+is ``stseries.factorial_series`` of its factor stream and the point
+evaluators sum the matching point terms.  exp(z, u) is E(0, 1; z, u),
+whose factors 0 + 1 u^k are the powers u^k, and Theta0(x, y) sums the
 (0 (+) 1)^n_{1,y} x^n without the {n}!.  The closed q-Pochhammer
 rewrite a^n (-b/a; u)_n is kept as a cross-check only.
 

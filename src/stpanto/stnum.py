@@ -165,14 +165,11 @@ class Params:
             raise BackendMismatch(f"non-integer exponent {e} in rational backend")
         return self.ctx.power(self.wrap(x), self.wrap(e))
 
-    def eq(self, a, b, tol: float | None = None) -> bool:
-        """Backend equality: exact for rationals, relative tol for floats."""
-        if self.rational and tol is None:
+    def eq(self, a, b) -> bool:
+        """Backend equality: exact for rationals, relative FLOAT_EQ_TOL for floats."""
+        if self.rational:
             return a == b
-        if tol is None:
-            tol = FLOAT_EQ_TOL
-        scale = max(1, abs(a), abs(b))
-        return abs(a - b) <= tol * scale
+        return abs(a - b) <= FLOAT_EQ_TOL * max(1, abs(a), abs(b))
 
     def to_str(self, x) -> str:
         """Exact 'p/q', or decimal at the declared precision (integers positional)."""

@@ -39,6 +39,10 @@ last step on the quotient itself gives f/g to order N (Karp and Markstein,
 ACM TOMS 1997).  The result is the same exact value as the recurrence
 q_k = (f_k - sum_{j<k} q_j g_{k-j}) / g_0, which smaller rational quotients
 and every float quotient keep, so float rounding does not change.
+
+Every series sum_n f_0 ... f_{n-1} g_n x^n / {n}! of a factor stream f
+(the special functions, the weights of a composition, the deformed
+integrand of ``sq_int``) is built by ``factorial_series``.
 """
 
 from __future__ import annotations
@@ -64,7 +68,9 @@ DEFAULT_ORDER = 32
 
 
 class Series:
-    """Coefficients c_0..c_N over a fixed Params; immutable by convention."""
+    """Coefficients c_0..c_N over a fixed Params; immutable by convention.
+    ``Series(params, coeffs)`` reads outside values through ``params.wrap``;
+    every kernel below builds its result with ``Series._made``."""
 
     __slots__ = ("params", "_coeffs", "_blocks")
 

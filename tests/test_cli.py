@@ -409,6 +409,17 @@ class TestVerifyRoundTrip:
         assert verification["matches_document"] is True
         assert verification["residual"] == stored["residual"]
 
+    def test_verify_skips_a_stored_tol(self, capsys, tmp_path):
+        # solve documents written while solve still echoed a tolerance
+        doc_path = self.solve_to_file(tmp_path)
+        stored = json.loads(doc_path.read_text())
+        assert "tol" not in stored["input"]
+        stored["input"]["tol"] = 1e-15
+        doc_path.write_text(json.dumps(stored))
+        code, verification = run_cli(capsys, "verify", "--doc", str(doc_path))
+        assert code == 0
+        assert verification["matches_document"] is True
+
     def test_verify_detects_corruption(self, capsys, tmp_path):
         doc_path = self.solve_to_file(tmp_path)
         stored = json.loads(doc_path.read_text())
@@ -575,6 +586,9 @@ BAD_ARGV = {
     "verify-deep-nesting": lambda tmp: ["verify", "--doc", _write(
         tmp / "deep.json", "[" * 100_000 + "]" * 100_000)],
     "upto-negative": lambda tmp: ["numbers", "--s=1", "--t=1", "--upto=-1"],
+    # only integrate takes a tolerance
+    "solve-tol": lambda tmp: ["solve", "--family=series-linear", "--s=3", "--t=-2",
+                              "--tol=1e-3"],
     "order-negative": lambda tmp: ["solve", "--family=series-linear", "--s=3", "--t=-2",
                                    "--order=-1"],
     # number literals past the interpreter's 4,300-digit integer-string limit

@@ -5,10 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stpanto._stable import delay_factors, golden_factors, point_terms, stable_sum, weights
+from stpanto._stable import (
+    TERM_CAP,
+    delay_factors,
+    golden_factors,
+    point_terms,
+    stable_sum,
+    weights,
+)
 from stpanto.errors import ConvergenceFailure
 from stpanto.stnum import golden_pair, q_pochhammer, q_pochhammer_inf
-from stpanto.stseries import Series, scale, st_antiderive, st_derive
+from stpanto.stquad import pantograph_antiderivative_series
+from stpanto.stsolve import integrating_factor
+from stpanto.stseries import (
+    Series,
+    compose_ab,
+    compose_deformed,
+    scale,
+    sq_int,
+    st_antiderive,
+    st_derive,
+    symbolic_powers,
+)
 from stpanto.stfun import (
     PantographSpec,
     deformed_exp,
@@ -26,6 +44,24 @@ from stpanto.stfun import (
 P32 = golden_pair(3, -2)
 
 small_fraction = st.fractions(min_value=-2, max_value=2, max_denominator=8)
+
+
+class TestStableSum:
+    def test_gives_up_at_the_cap(self):
+        drawn = []
+
+        def terms():  # terms of size 1 neither settle nor grow
+            while True:
+                drawn.append(1)
+                yield F(1)
+
+        with pytest.raises(ConvergenceFailure, match=f"within {TERM_CAP} terms"):
+            stable_sum(terms())
+        assert len(drawn) == TERM_CAP
+
+    def test_empty_stream(self):
+        with pytest.raises(ConvergenceFailure, match="empty term stream"):
+            stable_sum(iter([]))
 
 
 class TestOplus:
@@ -409,3 +445,111 @@ class TestKernelMatchesInlineLoops:
                              1e-20)
             assert got == want  # same value from the same number of terms
             assert pantograph_at(params, PantographSpec(a, b, u), x, tol=1e-20) == want[0]
+
+
+# -- the callers of factorial_series against the loops they replaced ------------
+
+
+def _ref_weights(params, a, b, u, N):
+    """(a (+) b)^n_{1,u} for n <= N by the inline loop."""
+    out, w, uk = [], params.one(), params.one()
+    for _ in range(N + 1):
+        out.append(w)
+        w *= a + b * uk
+        uk *= u
+    return out
+
+
+def _ref_over_factorials(params, w, g):
+    """(w_n g_n) / {n}!: the weights times g first, then over {n}!."""
+    nums = _ref_nums(params, len(w))
+    out, fact = [], params.one()
+    for n, (wn, gn) in enumerate(zip(w, g)):
+        if n > 0:
+            fact *= nums[n]
+        out.append(wn * params.wrap(gn) / fact)
+    return out
+
+
+def _ref_composition(c, sym):
+    acc = Series.zero(sym[0].params, sym[0].order)
+    for n, cn in enumerate(c[:len(sym)]):
+        if cn != 0:
+            acc = acc + sym[n] * cn
+    return acc
+
+
+def _reprs(series):
+    return [repr(c) for c in series.coeffs]
+
+
+ROUTED_G = ["1", "1/3", "-2/7", "5/11", "3", "-1/13", "7/3", "2/9", "-5/17", "1/7",
+            "11/3", "-3/19", "4/23"]
+
+
+@pytest.mark.parametrize("params", KERNEL_PARAMS, ids=["rational", "float30", "float50"])
+class TestRoutedCallersMatchInlineLoops:
+    """Every caller of factorial_series keeps the coefficients of the loop it
+    replaced, which multiplies the weights by g before dividing by {n}!:
+    float rounding included (compared by repr), exact on rational pairs."""
+
+    def inner(self, params, order=12):
+        return Series(params, [0, 1, "1/2", "-1/3", "1/5"]).padded(order)
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS[:4])
+    def test_compose_ab(self, params, spec):
+        a, b, u = (params.wrap(v) for v in spec)
+        f = self.inner(params)
+        sym = symbolic_powers(f, f.order)
+        want = _ref_composition(_ref_over_factorials(
+            params, _ref_weights(params, a, b, u, f.order), ROUTED_G), sym)
+        assert _reprs(compose_ab(ROUTED_G, PantographSpec(a, b, u), f)) == _reprs(want)
+
+    @pytest.mark.parametrize("u", ["1/3", "-2/3", "2"])
+    def test_compose_deformed(self, params, u):
+        u = params.wrap(u)
+        f = self.inner(params)
+        sym = symbolic_powers(f, f.order)
+        w = _ref_weights(params, params.zero(), params.one(), u, f.order)
+        want = _ref_composition(_ref_over_factorials(params, w, ROUTED_G), sym)
+        assert _reprs(compose_deformed(ROUTED_G, u, f)) == _reprs(want)
+
+    def test_sq_int_sequence(self, params):
+        u, order = params.wrap("2/5"), 12
+        lower = Series(params, [0, "1/3", 1]).padded(order)
+        upper = self.inner(params, order)
+        g = ROUTED_G[:9]
+        w = _ref_weights(params, params.zero(), params.one(), u, len(g) - 1)
+        a = _ref_over_factorials(params, w, g)
+        low, up = symbolic_powers(lower, len(g)), symbolic_powers(upper, len(g))
+        nums = _ref_nums(params, len(g))
+        want = Series.zero(params, order)
+        for m in range(len(g)):
+            want = want + (up[m + 1] - low[m + 1]) * (a[m] / nums[m + 1])
+        assert _reprs(sq_int(g, lower, upper, u)) == _reprs(want)
+
+    @pytest.mark.parametrize("spec", [("1", "1/2", "1/3"), ("2", "-3", "-1/2"), ("1/3", "1", "2")])
+    def test_pantograph_antiderivative_series(self, params, spec):
+        a, b, u = (params.wrap(v) for v in spec)
+        N = 12
+        want = _ref_over_factorials(params, [u / (a * u + b)]
+                                    + _ref_weights(params, a, b, u, N - 1), [1] * (N + 1))
+        got = pantograph_antiderivative_series(params, PantographSpec(a, b, u), N)
+        assert _reprs(got) == [repr(c) for c in want]
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS[:3])
+    def test_integrating_factor_of_a_polynomial(self, params, spec):
+        a, b, u = (params.wrap(v) for v in spec)
+        N = 12
+        alpha = Series(params, ["-1", "1/2", "2/3"])
+        sym = symbolic_powers(st_antiderive(alpha.padded(N - 1)).truncated(N), N)
+        w = _ref_weights(params, a, b, u, N)
+        factor = _ref_composition(_ref_over_factorials(params, w, [1] * (N + 1)), sym)
+        u_pows, uk = [], params.one()
+        for _ in range(N + 1):
+            u_pows.append(uk)
+            uk *= u
+        delayed = _ref_composition(_ref_over_factorials(params, w, u_pows), sym)
+        got_factor, got_numerator = integrating_factor(params, PantographSpec(a, b, u), alpha, N)
+        assert _reprs(got_factor) == _reprs(factor)
+        assert _reprs(got_numerator) == _reprs(factor * a + delayed * b)

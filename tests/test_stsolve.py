@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stpanto import stsolve
 from stpanto.errors import (
+    BackendMismatch,
     ConvergenceFailure,
     HypothesisViolated,
     InvalidBernoulliOrder,
@@ -601,6 +602,22 @@ class TestBernoulli:
         assert z_prob.spec.u == P32.phi_prime * u
         assert P32.wrap(z_prob.alpha) == st_number(P32, n - 1) * alpha
         assert z_prob.beta.coeffs[1] == -st_number(P32, n - 1)
+
+    def u_bernoulli_residual(self, p, n, order=12):
+        beta = Series(p, [1, -1, F(1, 2)]).padded(order)
+        prob = LinearProblem.u_bernoulli(p, F(1, 2), F(2, 3), beta, n)
+        z = solve_series_linear(bernoulli_transform(prob), order).solution
+        return residual(prob, z).coeff_max
+
+    def test_u_bernoulli_residual_is_that_of_its_z_equation(self):
+        assert self.u_bernoulli_residual(P32, 3) == 0
+
+    def test_non_integer_order(self):
+        # {n - 1} = {3/2} from powers of phi and phi', on the float backend only
+        p = golden_pair(3, -2, backend="float")
+        assert self.u_bernoulli_residual(p, F(5, 2)) < 1e-20
+        with pytest.raises(BackendMismatch):
+            self.u_bernoulli_residual(P32, F(5, 2))
 
     def test_reconstruct_n2_inverts(self):
         z = Series(P32, [F(2), F(1), F(1, 2)])
