@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .errors import BackendMismatch, DegreeOverflow, ExpressionSyntaxError
 from .stnum import Params, _as_fraction
-from .stseries import DEFAULT_ORDER, Series, _term_product
+from .stseries import DEFAULT_ORDER, Series
 
 # Parentheses nest at most this deep, so that the recursive descent below
 # stays far inside the interpreter's recursion limit.
@@ -95,7 +95,11 @@ class _Parser:
                 # so the product's degree is the sum of the operands' degrees.
                 self._check_degree(_degree(acc) + _degree(rhs))
                 top = self.max_degree
-            acc = _term_product(acc, rhs, top, _ZERO)
+            out = [_ZERO] * (top + 1)
+            for i, x in enumerate(acc):
+                for j, y in enumerate(rhs[:top + 1 - i] if x else ()):
+                    out[i + j] += x * y
+            acc = out
         return acc
 
     def _check_degree(self, degree: int):

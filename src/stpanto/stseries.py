@@ -29,8 +29,12 @@ is a block of zero numerators, and ``coeffs`` reduces on its first read.
 Products, antiderivatives and compositions divide each block by the gcd
 of its D and numerators, so D's grow no more than the values.  A rational
 product is one Kronecker substitution (Harvey, J. Symbolic Comput. 2009)
-per pair of blocks; a float product is the term loop in the order of the
-left operand's index, so its rounding is that of the full O(N^2) loop.
+per pair of blocks, and ``eval`` one integer Horner sum per block over a
+single division, reducing no coefficient.  The float product (the term
+loop in the order of the left operand's index), quotient recurrence and
+Horner loop run on raw libmp values with the calls, order and rounding
+of mpf's operators, so each float result is bit for bit that of the
+full O(N^2) loop on mpf objects.
 
 Rational quotients of order 20 and more (``_NEWTON_ORDER``) are built from
 products alone, so they run on the same integer kernel: Newton iteration
@@ -52,6 +56,8 @@ from fractions import Fraction
 from itertools import islice
 from operator import truediv
 from typing import Callable, Iterable, Sequence
+
+from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_sub
 
 from ._stable import delay_factors, powers, weights
 from .errors import (
@@ -210,8 +216,8 @@ class Series:
         if self.params.rational:
             return Series._made(self.params, blocks=_kronecker_product(
                 _window(self.blocks, 0, n + 1), _window(other.blocks, 0, n + 1), n))
-        a, b = self.coeffs[:n + 1], other.coeffs[:n + 1]
-        return Series._made(self.params, _term_product(a, b, n, self.params.zero()))
+        return Series._made(self.params, _float_product(self.coeffs, other.coeffs, n,
+                                                        self.params.ctx))
 
     __rmul__ = __mul__
 
@@ -222,7 +228,10 @@ class Series:
         if other._head() == 0:
             raise NonInvertibleSeries("division needs an invertible constant term")
         n = min(self.order, other.order)
-        if self.params.rational and n >= _NEWTON_ORDER:
+        if not self.params.rational:
+            return Series._made(self.params, _float_quotient(self.coeffs, other.coeffs, n,
+                                                             self.params.ctx))
+        if n >= _NEWTON_ORDER:
             return _newton_quotient(self, other, n)
         inv0 = 1 / other.coeffs[0]
         out = []
@@ -239,12 +248,17 @@ class Series:
     # -- values and comparison -------------------------------------------
 
     def eval(self, x):
-        """Horner evaluation of the truncated polynomial."""
+        """The truncated polynomial at x: a Horner loop on raw libmp values
+        (the rounding of ``acc * x + c`` on mpf objects), or one integer
+        Horner sum per rational block, no coefficient reduced."""
         x = self.params.wrap(x)
-        acc = self.params.zero()
+        if self.params.rational:
+            return _block_value(self.blocks, x)
+        prec, rnd = self.params.ctx._prec_rounding
+        acc, x = fzero, x._mpf_
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = mpf_add(mpf_mul(acc, x, prec, rnd), c._mpf_, prec, rnd)
+        return self.params.ctx.make_mpf(acc)
 
     def __call__(self, x):
         return self.eval(x)
@@ -351,6 +365,21 @@ def _times(blocks, fs: Sequence) -> list:
     return _coalesced(out)
 
 
+def _block_value(blocks, x: Fraction) -> Fraction:
+    """sum_n c_n x^n at x = p/q on integers: block (start, D, xs) adds
+    h p^start / (D q^(start+L-1)), h = sum_i xs_i p^i q^(L-1-i) by Horner.
+    Each D divides the last, so the sum is one numerator over D_last q^N."""
+    p, q = x.numerator, x.denominator
+    top, den = blocks[-1][0] + len(blocks[-1][2]) - 1, blocks[-1][1]
+    num = 0
+    for s, d, xs in blocks:
+        h, qk = 0, 1
+        for c in reversed(xs):
+            h, qk = h * p + c * qk, qk * q
+        num += h * p ** s * (den // d) * q ** (top + 1 - s - len(xs))
+    return Fraction(num, den * q ** top)
+
+
 def _reduced(blocks) -> list:
     """Each block over D / gcd(D, numerators), the largest-indexed first."""
     return _coalesced([(s, d, xs) if g == 1 else (s, d // g, [x // g for x in xs])
@@ -360,21 +389,38 @@ def _reduced(blocks) -> list:
 # -- the product kernels ----------------------------------------------------
 
 
-def _term_product(a, b, n: int, zero) -> list:
-    """sum a_i b_j x^(i+j) up to x^n over the nonzero terms of both operands.
+def _float_product(a, b, n: int, ctx) -> list:
+    """sum a_i b_j x^(i+j) up to x^n over the nonzero terms of both mpf
+    operands, on their raw libmp values at the context's precision.
     Each output coefficient adds its terms in the order of the left index i,
     and a skipped term is an exact zero, so float rounding is that of the
-    full O(n^2) loop."""
-    right = [(j, y) for j, y in enumerate(b) if y != 0]
-    out = [zero] * (n + 1)
-    for i, x in enumerate(a):
-        if x == 0:
+    full O(n^2) loop on mpf objects."""
+    prec, rnd = ctx._prec_rounding
+    right = [(j, y._mpf_) for j, y in enumerate(b[:n + 1]) if y]
+    out = [fzero] * (n + 1)
+    for i, x in enumerate(a[:n + 1]):
+        if not x:
             continue
+        x = x._mpf_
         for j, y in right:
             if i + j > n:
                 break
-            out[i + j] += x * y
-    return out
+            out[i + j] = mpf_add(out[i + j], mpf_mul(x, y, prec, rnd), prec, rnd)
+    return list(map(ctx.make_mpf, out))
+
+
+def _float_quotient(f, g, n: int, ctx) -> list:
+    """q_k = (f_k - sum_{j<k} q_j g_{k-j}) (1/g_0) on raw libmp values: each
+    sum in the order of j, each operation rounded as mpf's operators round."""
+    prec, rnd = ctx._prec_rounding
+    inv0, g = (1 / g[0])._mpf_, [c._mpf_ for c in g[:n + 1]]
+    out = []
+    for k in range(n + 1):
+        acc = f[k]._mpf_
+        for j in range(k):
+            acc = mpf_sub(acc, mpf_mul(out[j], g[k - j], prec, rnd), prec, rnd)
+        out.append(mpf_mul(acc, inv0, prec, rnd))
+    return list(map(ctx.make_mpf, out))
 
 
 def _kronecker_low(xs: list[int], ys: list[int], m: int) -> list[int]:

@@ -126,6 +126,12 @@ sparse_operand = st.tuples(
 ).map(lambda d: [next((c for i, c in d[1] if i == k), F(0)) for k in range(d[0] + 1)])
 zero_operand = st.integers(0, 40).map(lambda n: [F(0)] * (n + 1))
 product_operand = st.one_of(dense_operand, dense_operand, sparse_operand, zero_operand)
+# Float-backend operands: exact zeros and dyadic values of either sign from
+# 2^-200 to 2^200, beside the rational ones above.
+float_coeff = st.one_of(st.just(F(0)), st.builds(
+    lambda m, e: m * F(2) ** e, st.integers(-2 ** 60, 2 ** 60), st.integers(-200, 140)))
+float_operand = st.lists(float_coeff, min_size=1, max_size=21)
+mixed_operand = st.one_of(product_operand, float_operand)
 
 
 class TestExactProduct:
@@ -159,8 +165,8 @@ class TestExactProduct:
         assert got == schoolbook(f.coeffs, g.coeffs)
         assert all(type(c) is F for c in got)
 
-    @pytest.mark.parametrize("precision", [30, 50])
-    @given(a=product_operand, b=product_operand)
+    @pytest.mark.parametrize("precision", [1, 30, 50])
+    @given(a=mixed_operand, b=mixed_operand)
     @settings(max_examples=30, deadline=None)
     def test_float_product_is_left_loop(self, precision, a, b):
         p = golden_pair(1, 1, backend="float", precision=precision)
@@ -235,15 +241,60 @@ class TestExactQuotient:
         with pytest.raises(NonInvertibleSeries):
             f / Series(P32, [0] + [1] * 40)
 
-    @pytest.mark.parametrize("precision", [30, 50])
-    @given(a=st.lists(product_coeff, min_size=25, max_size=41),
-           b=st.lists(product_coeff, min_size=25, max_size=41))
+    @pytest.mark.parametrize("precision", [1, 30, 50])
+    @given(a=st.lists(st.one_of(product_coeff, float_coeff), min_size=25, max_size=41),
+           b=st.lists(st.one_of(product_coeff, float_coeff), min_size=25, max_size=41))
     @settings(max_examples=8, deadline=None)
     def test_float_quotient_is_recurrence(self, precision, a, b):
         p = golden_pair(1, 1, backend="float", precision=precision)
         b[0] = b[0] or F(1)
         f, g = Series(p, a), Series(p, b)
         assert repr((f / g).coeffs) == repr(quotient_loop(f, g))
+
+
+def horner_loop(f, x):
+    """The Horner value acc * x + c over the coefficients, highest first,
+    on the backend's scalar objects."""
+    acc = f.params.zero()
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+class TestEval:
+    """Series.eval: the float Horner loop on raw values against the loop on
+    mpf objects, bit for bit; the rational one, on unreduced blocks, against
+    the Fraction Horner sum over the coefficients."""
+
+    @pytest.mark.parametrize("precision", [1, 30, 50])
+    @given(a=mixed_operand, x=st.one_of(float_coeff, product_coeff))
+    @settings(max_examples=30, deadline=None)
+    def test_float_eval_is_horner_loop(self, precision, a, x):
+        p = golden_pair(1, 1, backend="float", precision=precision)
+        f, x = Series(p, a), p.wrap(x)
+        got = f.eval(x)
+        assert type(got) is p.ctx.mpf
+        assert repr(got) == repr(horner_loop(f, x))
+
+    # x = 0, negative x, and x over 2^60, beside small fractions of either sign
+    point = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=50),
+                      st.builds(F, st.integers(-2 ** 62, 2 ** 62), st.just(2 ** 60)))
+
+    @given(a=product_operand, b=product_operand, x=point)
+    @settings(max_examples=60, deadline=None)
+    def test_rational_eval_on_blocks(self, a, b, x):
+        for f in (Series(P32, a), Series(P32, a) * Series(P32, b)):
+            got = f.eval(x)  # before coeffs is read, from the blocks as they are
+            assert type(got) is F and got == horner_loop(f, x)
+
+    @pytest.mark.parametrize("x", [F(0), F(-1), F(-2, 3), F(5, 7), F(3, 2 ** 60)])
+    def test_rational_eval_of_a_kernel_result(self, x):
+        f = pantograph(P32, PantographSpec(F(2), F(1, 2), F(1, 3)), 64) / deformed_exp(
+            P32, F(-1, 2), 64)
+        assert f._coeffs is None and len(f.blocks) > 1
+        got = f.eval(x)
+        assert f._coeffs is None  # no coefficient was reduced
+        assert got == horner_loop(f, x)
 
 
 # -- the rational block form against plain Fraction lists -------------------
