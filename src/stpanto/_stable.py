@@ -15,13 +15,21 @@ a sum, the caller's cap (TERM_CAP by default) for a product.
 The construction: a factor stream f_k, its prefix products
 w_n = f_0 ... f_{n-1} and the point terms w_n x^n / {n}!; the one builder
 of the series form sum w_n g_n x^n / {n}! is ``stseries.factorial_series``.
+A point sum runs its factors, {n}, terms and stop rule in the ``Arith`` of
+its scalars (``arith_of``): real mpf values of one context on their raw
+libmp values, with the calls, order and rounding of mpf's own operators (so
+every result is bit-identical to the operator loop), others on operators.
 """
 
+from collections import namedtuple
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
-from operator import add, mul
+from operator import add, gt, le, mul, truediv
 
-from .errors import ConvergenceFailure
+from mpmath.libmp import fone, from_float, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_mul
+
+from .errors import ConvergenceFailure, DegenerateStNumber
 
 TERM_CAP = 10_000
 STABLE_RUN = 3
@@ -29,38 +37,65 @@ GROW_RUN = 64
 DEFAULT_TOL = 1e-15
 
 
-def _threshold(tol, magnitude):
+def _threshold(tol, magnitude, prec=None, rnd=None):
     # Keep Fraction arithmetic exact: float * huge Fraction can overflow.
     if isinstance(magnitude, Fraction):
         return Fraction(tol) * (1 + magnitude)
     return tol * (1 + magnitude)
 
 
+def _plain(op):
+    return lambda a, b, prec, rnd: op(a, b)
+
+
+# Operations take (prec, rnd) after their operands, as libmp's do (PLAIN drops
+# them), except ``abs``: unrounded mpf_abs of a value at the context's
+# precision is the rounded one.  ``operand`` lifts a scalar, 0, 1 or tol, and
+# ``made`` returns a scalar.
+Arith = namedtuple("Arith", "add mul div abs le gt threshold prec rnd operand made")
+PLAIN = Arith(_plain(add), _plain(mul), _plain(truediv), abs, le, gt, _threshold, None, None,
+              lambda x: x, lambda x: x)
+
+
+def arith_of(*scalars) -> Arith:
+    """Raw libmp arithmetic when every scalar is a real mpf of one context,
+    PLAIN otherwise."""
+    ctx = getattr(type(scalars[0]), "context", None)
+    if ctx is None or any(type(x) is not ctx.mpf for x in scalars):
+        return PLAIN
+    return Arith(mpf_add, mpf_mul, mpf_div, mpf_abs, mpf_le, mpf_gt,
+                 lambda tol, m, prec, rnd: mpf_mul(mpf_add(m, fone, prec, rnd), tol, prec, rnd),
+                 *ctx._prec_rounding, lambda x: getattr(x, "_mpf_", None) or from_float(x),
+                 ctx.make_mpf)
+
+
 def _cap_failure(what, cap):
     return ConvergenceFailure(f"{what}: no convergence within {cap} terms")
 
 
-def stable_sum(terms, tol=DEFAULT_TOL, what="series"):
-    """Sum the infinite stream ``terms`` under the decay rule.
+def stable_sum(terms, tol=DEFAULT_TOL, what="series", arith=PLAIN):
+    """Sum the stream ``terms``, operands of ``arith``, under the decay rule.
 
     Returns (value, terms_consumed).  Raises ConvergenceFailure when the
     terms grow without settling, or when TERM_CAP terms (or a stream that
     ends sooner) do not settle; no term past the cap is drawn.
     """
+    plus, size, le, gt, threshold = arith.add, arith.abs, arith.le, arith.gt, arith.threshold
+    prec, rnd, tol, one = arith.prec, arith.rnd, arith.operand(tol), arith.operand(1)
     total = None
     small = 0
     growing = 0
     prev_mag = None
     for n, term in enumerate(islice(terms, TERM_CAP)):
-        total = term if total is None else total + term
-        mag = abs(term)
-        if mag <= _threshold(tol, abs(total)):
+        total = term if total is None else plus(total, term, prec, rnd)
+        mag = size(term)
+        if le(mag, threshold(tol, size(total), prec, rnd)):
             small += 1
             if small >= STABLE_RUN:
-                return total, n + 1
+                return arith.made(total), n + 1
         else:
             small = 0
-        if prev_mag is not None and mag > prev_mag and mag > 1:
+        if prev_mag is not None and gt(mag, prev_mag) and gt(mag, one):
             growing += 1
             if growing >= GROW_RUN:
                 raise ConvergenceFailure(f"{what}: terms grow without bound")
@@ -87,36 +122,63 @@ def stable_product(factors, tol=DEFAULT_TOL, cap=TERM_CAP, what="product"):
     raise _cap_failure(what, cap)
 
 
-def st_numbers(s, t, start: int = 0):
-    """{start}, {start+1}, ... lazily, by the bare recurrence
+def st_numbers(s, t, arith=PLAIN):
+    """{0}, {1}, ... lazily, by the bare recurrence
     {0} = 0, {1} = 1, {n+2} = s{n+1} + t{n}."""
-    a, b = s * 0, s * 0 + 1
-    for _ in range(start):
-        a, b = b, s * b + t * a
+    plus, times, prec, rnd = arith.add, arith.mul, arith.prec, arith.rnd
+    a = times(s, arith.operand(0), prec, rnd)
+    b = plus(a, arith.operand(1), prec, rnd)
     while True:
         yield a
-        a, b = b, s * b + t * a
+        a, b = b, plus(times(s, b, prec, rnd), times(t, a, prec, rnd), prec, rnd)
+
+
+def _vanishing(params):
+    """The DegenerateStNumber for the ZeroDivisionError being handled in a
+    kernel that divides by {n} or {n}!: it names the first n with {n} = 0
+    (q is a root of unity, as at (s, t) = (1, -1), (2, -2) and (3, -3))."""
+    nums = enumerate(islice(st_numbers(params.s, params.t), 1, TERM_CAP + 2), 1)
+    n = next((n for n, num in nums if num == 0), None)
+    if n is None:
+        raise  # not a division by {n}
+    return DegenerateStNumber(f"cannot divide by {{{n}}} = 0 at (s, t) = "
+                              f"({params.to_str(params.s)}, {params.to_str(params.t)})")
+
+
+@contextmanager
+def st_divisions(params):
+    """Run a kernel that divides by {n} or {n}! (see ``_vanishing``)."""
+    try:
+        yield
+    except ZeroDivisionError:
+        raise _vanishing(params) from None
 
 
 # -- prefix products of a factor stream ------------------------------------
 
 
-def powers(u):
+def powers(u, arith=PLAIN):
     """u^k for k = 0, 1, ...: the factors of (0 (+) 1)^n_{1,u} = u^C(n,2)."""
-    return accumulate(repeat(u), mul, initial=1)
+    times, prec, rnd, u, p = arith.mul, arith.prec, arith.rnd, arith.operand(u), arith.operand(1)
+    while True:
+        yield p
+        p = times(p, u, prec, rnd)
 
 
-def delay_factors(a, b, u):
-    """a + b u^k for k = 0, 1, ...: the factors of (a (+) b)^n_{1,u}.
-    Built from iterator primitives, so no Python frame runs per factor."""
-    return map(add, repeat(a), map(mul, repeat(b), powers(u)))
+def delay_factors(a, b, u, arith=PLAIN):
+    """a + b u^k for k = 0, 1, ...: the factors of (a (+) b)^n_{1,u}."""
+    r = repeat(arith.prec), repeat(arith.rnd)
+    return map(arith.add, repeat(arith.operand(a)),
+               map(arith.mul, repeat(arith.operand(b)), powers(u, arith), *r), *r)
 
 
-def golden_factors(params, alpha, beta):
+def golden_factors(params, alpha, beta, arith=PLAIN):
     """alpha phi^k + beta phi'^k for k = 0, 1, ...: the factors of
     (alpha (+) beta)^n_{phi,phi'}."""
-    return map(add, map(mul, repeat(alpha), powers(params.phi)),
-               map(mul, repeat(beta), powers(params.phi_prime)))
+    r = repeat(arith.prec), repeat(arith.rnd)
+    alpha, beta = repeat(arith.operand(alpha)), repeat(arith.operand(beta))
+    return map(arith.add, map(arith.mul, alpha, powers(params.phi, arith), *r),
+               map(arith.mul, beta, powers(params.phi_prime, arith), *r), *r)
 
 
 def weights(factors, n: int, one) -> list:
@@ -125,15 +187,21 @@ def weights(factors, n: int, one) -> list:
     return list(islice(accumulate(factors, mul, initial=one), n + 1))
 
 
-def point_terms(factors, x, t, params=None, n=0):
+def point_terms(factors, x, t, params=None, n=0, arith=PLAIN):
     """The terms t_n = t, t_{k+1} = t_k f x / {k+1} (k >= n) of a point sum,
-    f running over ``factors`` and {k} over the numbers of ``params``,
-    drawn from ``st_numbers``; with ``params`` None there is no divisor."""
+    operands of ``arith``: f runs over ``factors`` (of the same arith) and
+    {k} over the numbers of ``params``, drawn from ``st_numbers``; with
+    ``params`` None there is no divisor."""
+    times, prec, rnd, x, t = arith.mul, arith.prec, arith.rnd, arith.operand(x), arith.operand(t)
     if params is None:
         for f in factors:
             yield t
-            t = t * f * x
+            t = times(times(t, f, prec, rnd), x, prec, rnd)
         return
-    for f, num in zip(factors, st_numbers(params.s, params.t, n + 1)):
-        yield t
-        t = t * f * x / num
+    nums = islice(st_numbers(arith.operand(params.s), arith.operand(params.t), arith), n + 1, None)
+    try:  # as st_divisions, which a generator left suspended would pay for on close
+        for f, num in zip(factors, nums):
+            yield t
+            t = arith.div(times(times(t, f, prec, rnd), x, prec, rnd), num, prec, rnd)
+    except ZeroDivisionError:
+        raise _vanishing(params) from None

@@ -19,7 +19,7 @@ from .stnum import (
     st_number,
 )
 from .stseries import Series, q_derive_at, scale, st_antiderive, st_derive, st_derive_at
-from ._stable import golden_factors, point_terms, stable_sum
+from ._stable import arith_of, golden_factors, point_terms, stable_sum
 from .stfun import (
     PantographSpec,
     deformed_exp,
@@ -205,8 +205,9 @@ def q_binomial_theorem() -> IdentityResult:
     for xs in ("0.1", "0.2"):
         x = p.wrap(xs)
         z = (1 - p.q) * x
-        terms = point_terms(golden_factors(p, p.one(), -b / p.phi), x, p.one(), p)
-        total, _ = stable_sum(terms, what="q-binomial sum")
+        ar = arith_of(x, b, p.phi, p.phi_prime, p.s, p.t)
+        terms = point_terms(golden_factors(p, p.one(), -b / p.phi, ar), x, p.one(), p, arith=ar)
+        total, _ = stable_sum(terms, what="q-binomial sum", arith=ar)
         rhs = q_pochhammer_inf(b / p.phi * z, p.q) / q_pochhammer_inf(z, p.q)
         worst = max(worst, float(abs(total - rhs)))
     return _result("q-binomial-theorem", worst, 1e-10)

@@ -12,7 +12,8 @@ Every function here is one specialization of the prefix-product kernel
 in ``_stable``: the (+)-products are always computed from their defining
 factor products (a + b u^k resp. alpha phi^k + beta phi'^k), each series
 is ``stseries.factorial_series`` of its factor stream and the point
-evaluators sum the matching point terms.  exp(z, u) is E(0, 1; z, u),
+evaluators sum the matching point terms, on raw libmp values when the
+scalars are mpf (``_stable.arith_of``).  exp(z, u) is E(0, 1; z, u),
 whose factors 0 + 1 u^k are the powers u^k, and Theta0(x, y) sums the
 (0 (+) 1)^n_{1,y} x^n without the {n}!.  The closed q-Pochhammer
 rewrite a^n (-b/a; u)_n is kept as a cross-check only.
@@ -28,10 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from ._stable import (
     DEFAULT_TOL,
     TERM_CAP,
+    arith_of,
     delay_factors,
     golden_factors,
     point_terms,
@@ -74,11 +77,12 @@ def _delay_factors(params: Params, spec: PantographSpec):
 
 
 def _pantograph_point(params: Params, a, b, u, factors, x, tol, what):
-    """The point sum of E(a, b; x, u), ``factors`` the stream a + b u^k."""
+    """The point sum of E(a, b; x, u), ``factors(arith)`` the stream a + b u^k."""
     x = params.wrap(x)
     pantograph_domain(params, a, b, u, x)
-    value, _ = stable_sum(point_terms(factors, x, params.one(), params), tol, what=what)
-    return value
+    ar = arith_of(x, a, b, u, params.s, params.t)
+    terms = point_terms(factors(ar), x, params.one(), params, arith=ar)
+    return stable_sum(terms, tol, what=what, arith=ar)[0]
 
 
 def pantograph(params: Params, spec: PantographSpec, N: int) -> Series:
@@ -89,7 +93,8 @@ def pantograph(params: Params, spec: PantographSpec, N: int) -> Series:
 def pantograph_at(params: Params, spec: PantographSpec, x, tol: float = DEFAULT_TOL):
     """E(a, b; x, u) at a point."""
     a, b, u = params.wrap(spec.a), params.wrap(spec.b), params.wrap(spec.u)
-    return _pantograph_point(params, a, b, u, delay_factors(a, b, u), x, tol, "E(a, b; x, u)")
+    return _pantograph_point(params, a, b, u, partial(delay_factors, a, b, u), x, tol,
+                             "E(a, b; x, u)")
 
 
 def deformed_exp(params: Params, u, N: int) -> Series:
@@ -101,7 +106,7 @@ def deformed_exp(params: Params, u, N: int) -> Series:
 def deformed_exp_at(params: Params, u, z, tol: float = DEFAULT_TOL):
     """exp(z, u) at a point, by the decay-truncated term sum."""
     u = params.wrap(u)
-    return _pantograph_point(params, params.zero(), params.one(), u, powers(u), z, tol,
+    return _pantograph_point(params, params.zero(), params.one(), u, partial(powers, u), z, tol,
                              "exp(z, u)")
 
 
@@ -172,9 +177,9 @@ def partial_theta(x, y, tol: float = DEFAULT_TOL):
     terms cannot decay and the sum is rejected.
     """
     theta_domain(x, y)
-    value, _ = stable_sum(point_terms(powers(y), x, x * 0 + 1), tol,
-                          what="Theta0(x, y)")
-    return value
+    ar = arith_of(x, y)
+    terms = point_terms(powers(y, ar), x, x * 0 + 1, arith=ar)
+    return stable_sum(terms, tol, what="Theta0(x, y)", arith=ar)[0]
 
 
 def partial_theta_series(y, N: int) -> list:

@@ -36,7 +36,7 @@ from typing import Union
 
 from mpmath.ctx_mp import MPContext
 
-from ._stable import DEFAULT_TOL, delay_factors, st_numbers, stable_product, weights
+from ._stable import DEFAULT_TOL, delay_factors, st_divisions, st_numbers, stable_product, weights
 from .errors import (
     BackendMismatch,
     DegenerateDiscriminant,
@@ -243,7 +243,7 @@ def st_number_raw(s, t, n: int):
     """
     if n < 0:
         raise IndexOutOfRange(f"n = {n} must be nonnegative")
-    return next(st_numbers(s, t, n))
+    return next(islice(st_numbers(s, t), n, None))
 
 
 def st_number(params: Params, n: int) -> Scalar:
@@ -270,7 +270,8 @@ def st_fibonomial(params: Params, n: int, k: int) -> Scalar:
     """{n}! / ({k}! {n-k}!)."""
     if k < 0 or n < 0 or k > n:
         raise IndexOutOfRange(f"need 0 <= k <= n, got n = {n}, k = {k}")
-    return st_factorial(params, n) / (st_factorial(params, k) * st_factorial(params, n - k))
+    with st_divisions(params):
+        return st_factorial(params, n) / (st_factorial(params, k) * st_factorial(params, n - k))
 
 
 def binet(params: Params, n: int) -> Scalar:

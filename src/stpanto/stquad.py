@@ -20,7 +20,7 @@ from itertools import chain, repeat
 from operator import mul
 from typing import Callable, Union
 
-from ._stable import DEFAULT_TOL, delay_factors, point_terms, powers, stable_sum
+from ._stable import DEFAULT_TOL, arith_of, delay_factors, point_terms, powers, stable_sum
 from .errors import (
     DegenerateRatio,
     HypothesisViolated,
@@ -129,8 +129,9 @@ def pantograph_antiderivative_series(params: Params, spec: PantographSpec, N: in
 
 def _antiderivative_point(params: Params, a, b, u, x, constant, tol, what):
     """constant + sum_{n>=1} (a (+) b)^{n-1}_{1,u} x^n / {n}!, one sum."""
-    terms = point_terms(delay_factors(a, b, u), x, x, params, 1)
-    return stable_sum(chain([constant], terms), tol, what=what)[0]
+    ar = arith_of(x, a, b, u, constant, params.s, params.t)
+    terms = point_terms(delay_factors(a, b, u, ar), x, x, params, 1, ar)
+    return stable_sum(chain([ar.operand(constant)], terms), tol, what=what, arith=ar)[0]
 
 
 def pantograph_antiderivative_at(params: Params, spec: PantographSpec, x,

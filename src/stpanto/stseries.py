@@ -59,7 +59,7 @@ from typing import Callable, Iterable, Sequence
 
 from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_sub
 
-from ._stable import delay_factors, powers, weights
+from ._stable import delay_factors, powers, st_divisions, weights
 from .errors import (
     NonInvertibleSeries,
     NonQPeriodicInitial,
@@ -522,12 +522,13 @@ def st_derive(f: Series) -> Series:
 def st_antiderive(f: Series) -> Series:
     """The antiderivative F with F(0) = 0: F_n = c_{n-1} / {n}."""
     nums = st_number_range(f.params, f.order + 1)
-    if f.params.rational:  # reduced: dividing by {n} often cancels (symbolic powers)
-        blocks = _reduced(_times(f.blocks, [1 / nums[n + 1] for n in range(f.order + 1)]))
-        return Series._made(f.params, blocks=[(0, 1, [0])] + [(s + 1, d, xs)
-                                                              for s, d, xs in blocks])
-    return Series._made(f.params, [f.params.zero()] + [f.coeffs[n] / nums[n + 1]
-                                                        for n in range(f.order + 1)])
+    with st_divisions(f.params):
+        if f.params.rational:  # reduced: dividing by {n} often cancels (symbolic powers)
+            blocks = _reduced(_times(f.blocks, [1 / nums[n + 1] for n in range(f.order + 1)]))
+            return Series._made(f.params, blocks=[(0, 1, [0])] + [(s + 1, d, xs)
+                                                                  for s, d, xs in blocks])
+        return Series._made(f.params, [f.params.zero()] + [f.coeffs[n] / nums[n + 1]
+                                                            for n in range(f.order + 1)])
 
 
 def scale(f: Series, u) -> Series:
@@ -593,11 +594,12 @@ def factorial_series(params: Params, factors, N: int, g: Iterable | None = None)
     nums = st_number_range(params, max(N, 0))
     if params.rational:
         factors = map(truediv, factors, nums[1:])
-    c = weights(factors, N, params.one())
-    if g is not None:
-        c = [cn * params.wrap(gn) for cn, gn in zip(c, g)]
-    if not params.rational:
-        c = list(map(truediv, c, weights(nums[1:], N, params.one())))
+    with st_divisions(params):
+        c = weights(factors, N, params.one())
+        if g is not None:
+            c = [cn * params.wrap(gn) for cn, gn in zip(c, g)]
+        if not params.rational:
+            c = list(map(truediv, c, weights(nums[1:], N, params.one())))
     return Series._made(params, c or [params.zero()])
 
 

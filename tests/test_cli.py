@@ -611,6 +611,15 @@ BAD_ARGV = {
                                    "--u=inf", "--order=4"],
     "eval-spec-nan": lambda tmp: ["eval", "--s=3", "--t=-2", "--backend=float",
                                   "--fn=pantograph", "--a=nan", "--order=4"],
+    # {3}, {4} or {6} is 0 at (1, -1), (2, -2), (3, -3): nothing may divide by it
+    "eval-vanishing-3": lambda tmp: ["eval", "--s", "1", "--t", "-1", "--fn", "pantograph",
+                                     "--a", "1", "--b", "1/2", "--u", "1/3", "--order", "4"],
+    "solve-vanishing-3": lambda tmp: ["solve", "--family=series-linear", "--s=1", "--t=-1",
+                                      "--order=8"],
+    "eval-vanishing-4": lambda tmp: ["eval", "--s=2", "--t=-2", "--fn=exp", "--u=1/2",
+                                     "--order=4"],
+    "solve-vanishing-6": lambda tmp: ["solve", "--family=integration-factor", "--s=3",
+                                      "--t=-3", "--order=8"],
 }
 
 
@@ -623,6 +632,18 @@ def test_bad_input_is_one_error_line(capsys, tmp_path, case):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "vanishes" not in lines[0]
+
+
+@pytest.mark.parametrize("s, t, n", [("1", "-1", 3), ("2", "-2", 4), ("3", "-3", 6)])
+def test_vanishing_st_number(capsys, s, t, n):
+    # the error names n; numbers and derive, which never divide, still work
+    code = main(["eval", f"--s={s}", f"--t={t}", "--fn=exp", "--u=1/2", f"--order={n}"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: cannot divide by {{{n}}} = 0 at (s, t) = ({s}, {t})\n"
+    code, doc = run_cli(capsys, "numbers", f"--s={s}", f"--t={t}", f"--upto={n}")
+    assert code == 0 and doc["values"][n] == "0"
+    code, doc = run_cli(capsys, "derive", f"--s={s}", f"--t={t}", f"--expr=x^{n}")
+    assert code == 0 and doc["solution"]["coeffs"] == ["0"] * n
 
 
 @pytest.mark.parametrize("s, t, precision", [("1", "1", 2), ("2", "-1/2", 3), ("1", "3", 1)])

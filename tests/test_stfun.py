@@ -1,26 +1,35 @@
 import math
+import random
 from fractions import Fraction as F
+from itertools import accumulate, chain, islice, repeat
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stpanto import identities, stfun, stquad
 from stpanto._stable import (
+    PLAIN,
     TERM_CAP,
+    arith_of,
     delay_factors,
     golden_factors,
     point_terms,
+    powers,
+    st_numbers,
     stable_sum,
     weights,
 )
-from stpanto.errors import ConvergenceFailure
-from stpanto.stnum import golden_pair, q_pochhammer, q_pochhammer_inf
+from stpanto.errors import ConvergenceFailure, DegenerateStNumber
+from stpanto.stnum import golden_pair, q_pochhammer, q_pochhammer_inf, st_fibonomial, st_number
 from stpanto.stquad import pantograph_antiderivative_series
 from stpanto.stsolve import integrating_factor
 from stpanto.stseries import (
     Series,
     compose_ab,
     compose_deformed,
+    factorial_series,
     scale,
     sq_int,
     st_antiderive,
@@ -62,6 +71,27 @@ class TestStableSum:
     def test_empty_stream(self):
         with pytest.raises(ConvergenceFailure, match="empty term stream"):
             stable_sum(iter([]))
+
+    @pytest.mark.parametrize("precision", [1, 2, 30])
+    def test_raw_stop_rule_matches_mpf_objects(self, precision):
+        # terms near tol (1 + |sum|) at a few digits: the stop decisions sit
+        # at the rounding margin, where they must still agree
+        rng = random.Random(precision)
+        p = golden_pair(1, 1, backend="float", precision=precision)
+        raw = arith_of(p.one())
+        for _ in range(300):
+            terms = [p.wrap(F(rng.randint(-40, 40), rng.randint(8, 64))) for _ in range(40)]
+            tol = rng.choice([0.25, 0.3, 1 / 3, 0.1])
+            try:
+                want = _oracle_sum(iter(terms), tol)
+            except ConvergenceFailure:
+                want = None
+            try:
+                value, n = stable_sum((x._mpf_ for x in terms), tol, arith=raw)
+                got = (value, n)
+            except ConvergenceFailure:
+                got = None
+            assert repr(got) == repr(want)
 
 
 class TestOplus:
@@ -553,3 +583,220 @@ class TestRoutedCallersMatchInlineLoops:
         got_factor, got_numerator = integrating_factor(params, PantographSpec(a, b, u), alpha, N)
         assert _reprs(got_factor) == _reprs(factor)
         assert _reprs(got_numerator) == _reprs(factor * a + delayed * b)
+
+
+# -- the point sums against the scalar-object loop they replaced -------------------
+
+
+def _oracle_sum(terms, tol):
+    """The decay rule on scalar objects (their own operators): (value, terms)."""
+    total, small, growing, prev = None, 0, 0, None
+    for n, term in enumerate(islice(terms, TERM_CAP)):
+        total = term if total is None else total + term
+        mag, size = abs(term), abs(total)
+        if mag <= (F(tol) if isinstance(size, F) else tol) * (1 + size):
+            small += 1
+            if small >= 3:
+                return total, n + 1
+        else:
+            small = 0
+        growing = growing + 1 if prev is not None and mag > prev and mag > 1 else 0
+        if growing >= 64:
+            raise ConvergenceFailure("terms grow without bound")
+        prev = mag
+    raise ConvergenceFailure(f"no convergence within {TERM_CAP} terms")
+
+
+def _oracle_powers(u):
+    return accumulate(repeat(u), mul, initial=1)
+
+
+def _oracle_delay(a, b, u):
+    return map(add, repeat(a), map(mul, repeat(b), _oracle_powers(u)))
+
+
+def _oracle_golden(params, alpha, beta):
+    return map(add, map(mul, repeat(alpha), _oracle_powers(params.phi)),
+               map(mul, repeat(beta), _oracle_powers(params.phi_prime)))
+
+
+def _oracle_nums(s, t):
+    a, b = s * 0, s * 0 + 1
+    while True:
+        yield a
+        a, b = b, s * b + t * a
+
+
+def _oracle_terms(factors, x, t, params=None, n=0):
+    """t, then t f x / {k+1} for k >= n, {k} by the recurrence on objects."""
+    divisors = islice(_oracle_nums(params.s, params.t), n + 1, None) if params else repeat(None)
+    for f, num in zip(factors, divisors):
+        yield t
+        t = t * f * x if num is None else t * f * x / num
+
+
+@pytest.fixture
+def sums(monkeypatch):
+    """Every (value, terms) that a point evaluator's stable_sum returns."""
+    seen = []
+    for module in (stfun, stquad, identities):
+        def record(*args, _sum=module.stable_sum, **kwargs):
+            seen.append(_sum(*args, **kwargs))
+            return seen[-1]
+        monkeypatch.setattr(module, "stable_sum", record)
+    return seen
+
+
+def assert_same_sum(got, sums, want):
+    """One point sum, with the oracle's value (by repr, so every float bit)
+    and term count; a rational value is the identical Fraction."""
+    assert [(repr(v), n) for v, n in sums] == [(repr(want[0]), want[1])]
+    assert repr(got) == repr(want[0])
+    if isinstance(want[0], F):
+        assert type(got) is F and got == want[0]
+
+
+def assert_same_failure(call, oracle, match):
+    with pytest.raises(ConvergenceFailure, match=match):
+        call()
+    with pytest.raises(ConvergenceFailure, match=match):
+        oracle()
+
+
+# (7/3, 1/7) has s, t and {n} that 30 digits round
+POINT_PARAMS = [golden_pair(3, -2)] + [golden_pair(1, 1, backend="float", precision=d)
+                                       for d in (1, 30, 50)] + [golden_pair("7/3", "1/7")]
+POINT_IDS = ["rational", "float1", "float30", "float50", "float30-inexact"]
+POINT_SPECS = [("1", "1/2", "1/3"), ("2", "-2", "1/3"), ("3/2", "-1/3", "0"),
+               ("0", "1", "-1/2"), ("1", "1/5", "3/2")]
+POINT_X = ["0", "1/3", "-2/5", "5/4"]
+
+
+@pytest.mark.parametrize("tol", [1e-15, 1e-50])
+@pytest.mark.parametrize("params", POINT_PARAMS, ids=POINT_IDS)
+class TestPointSumsMatchObjectLoop:
+    """The point sums run on raw libmp values for mpf scalars; each keeps the
+    value and the term count of the loop on scalar objects."""
+
+    @pytest.mark.parametrize("spec", POINT_SPECS)
+    def test_pantograph_at(self, params, tol, spec, sums):
+        a, b, u = (params.wrap(v) for v in spec)
+        for x in map(params.wrap, POINT_X):
+            sums.clear()
+            got = pantograph_at(params, PantographSpec(a, b, u), x, tol)
+            assert_same_sum(got, sums, _oracle_sum(
+                _oracle_terms(_oracle_delay(a, b, u), x, params.one(), params), tol))
+
+    @pytest.mark.parametrize("u", ["1/3", "-2/3", "0", "1", "3/2"])
+    def test_deformed_exp_at(self, params, tol, u, sums):
+        u = params.wrap(u)
+        for x in map(params.wrap, POINT_X):
+            sums.clear()
+            got = deformed_exp_at(params, u, x, tol)
+            assert_same_sum(got, sums, _oracle_sum(
+                _oracle_terms(_oracle_powers(u), x, params.one(), params), tol))
+
+    @pytest.mark.parametrize("y", ["1/2", "-2/3", "0", "1"])
+    def test_partial_theta(self, params, tol, y, sums):
+        y = params.wrap(y)
+        for x in map(params.wrap, ["0", "1/3", "-2/5", "5/4" if abs(y) < 1 else "-9/10"]):
+            sums.clear()
+            got = partial_theta(x, y, tol)
+            assert_same_sum(got, sums, _oracle_sum(_oracle_terms(_oracle_powers(y), x, x * 0 + 1),
+                                                   tol))
+
+    @pytest.mark.parametrize("q", ["1/2", "-2/3", "0"])
+    def test_psi_theta(self, params, tol, q, sums):
+        q = params.wrap(q)
+        got = psi_theta(q, tol)
+        assert_same_sum(got, sums, _oracle_sum(_oracle_terms(_oracle_powers(q), q, q * 0 + 1), tol))
+
+    def test_growth_run(self, params, tol, sums):
+        spec, x = PantographSpec(*map(params.wrap, ("1", "1/2", "1/3"))), params.wrap(10 ** 30)
+        assert_same_failure(
+            lambda: pantograph_at(params, spec, x, tol),
+            lambda: _oracle_sum(_oracle_terms(_oracle_delay(spec.a, spec.b, spec.u), x,
+                                              params.one(), params), tol),
+            "grow without bound")
+
+
+def test_q_binomial_sum_matches_object_loop(sums):
+    # the left side of identities.q_binomial_theorem, one sum per point
+    p = golden_pair(3, -2, backend="float")
+    identities.q_binomial_theorem()
+    b = -p.wrap(F(1, 3)) / p.phi
+    want = [_oracle_sum(_oracle_terms(_oracle_golden(p, p.one(), b), p.wrap(x), p.one(), p),
+                        1e-15) for x in ("0.1", "0.2")]
+    assert [(repr(v), n) for v, n in sums] == [(repr(v), n) for v, n in want]
+
+
+class TestArithOf:
+    def test_raw_only_for_real_mpf_of_one_context(self):
+        p30, p50 = (golden_pair(1, 1, backend="float", precision=d) for d in (30, 50))
+        assert arith_of(p30.one(), p30.phi).prec == p30.ctx.prec
+        assert arith_of(p30.one(), p50.one()) is PLAIN        # two contexts
+        assert arith_of(F(1, 2), F(1, 3)) is PLAIN
+        assert arith_of(0.5, p30.one()) is PLAIN
+        assert arith_of(p30.one(), 2) is PLAIN
+        assert arith_of(golden_pair(1, -1).phi) is PLAIN       # mpc
+
+    @pytest.mark.parametrize("precision", [1, 30])
+    def test_raw_streams_match_objects(self, precision):
+        # {n}, u^k, a + b u^k and alpha phi^k + beta phi'^k, every bit
+        p = golden_pair("7/3", "1/7", backend="float", precision=precision)
+        a, b, u = p.wrap("2/3"), p.wrap("-5/7"), p.wrap("-6/7")
+        raw = arith_of(p.s, a)
+
+        def agree(raw_stream, stream):
+            assert [repr(p.ctx.make_mpf(v)) for v in islice(raw_stream, 60)] == \
+                [repr(p.wrap(v)) for v in islice(stream, 60)]
+        agree(st_numbers(p.s._mpf_, p.t._mpf_, raw), _oracle_nums(p.s, p.t))
+        agree(powers(u, raw), _oracle_powers(u))
+        agree(delay_factors(a, b, u, raw), _oracle_delay(a, b, u))
+        agree(golden_factors(p, a, b, raw), _oracle_golden(p, a, b))
+
+    def test_plain_scalars_match_object_loop(self, sums):
+        # Python floats and mpf values of two contexts take the plain path
+        p30, p50 = (golden_pair(1, 1, backend="float", precision=d) for d in (30, 50))
+        for x, y in [(0.4, -0.5), (p30.wrap("2/5"), p50.wrap("-1/2"))]:
+            sums.clear()
+            got = partial_theta(x, y, 1e-15)
+            assert_same_sum(got, sums, _oracle_sum(
+                _oracle_terms(_oracle_powers(y), x, x * 0 + 1), 1e-15))
+
+
+VANISHING = [(1, -1, 3), (2, -2, 4), (3, -3, 6)]
+
+
+@pytest.mark.parametrize("s, t, n", VANISHING)
+class TestVanishingStNumber:
+    """At s^2 = -t, -2t, -3t, q is a root of unity and {3}, {4} or {6} is 0:
+    every kernel that divides by {n} or {n}! says which n, and nothing else
+    changes."""
+
+    def test_kernels_name_n(self, s, t, n):
+        p = golden_pair(s, t)
+        spec = PantographSpec(1, F(1, 2), F(1, 3))
+        message = rf"cannot divide by \{{{n}\}} = 0 at \(s, t\) = \({s}, {t}\)"
+        for call in (lambda: pantograph_at(p, spec, F(1, 2)),
+                     lambda: deformed_exp_at(p, F(1, 2), F(-1, 3)),
+                     lambda: pantograph(p, spec, n),
+                     lambda: deformed_exp(p, F(1, 2), n),
+                     lambda: st_antiderive(Series(p, [1, 2]).padded(n - 1)),
+                     lambda: st_fibonomial(p, n + 1, n),
+                     lambda: stquad.pantograph_antiderivative_at(
+                         p, PantographSpec(2, F(1, 5), F(1, 2)), F(1, 2))):
+            with pytest.raises(DegenerateStNumber, match=message):
+                call()
+
+    def test_below_n_and_without_division(self, s, t, n):
+        p = golden_pair(s, t)
+        assert len(deformed_exp(p, F(1, 2), n - 1).coeffs) == n
+        assert st_fibonomial(p, n - 1, 1) == st_number(p, n - 1)
+        assert st_derive(Series(p, [1, 2, 3, 4, 5, 6, 7])).coeffs[n - 1] == 0  # {n} c_n
+
+
+def test_other_zero_divisions_pass_through():
+    p = golden_pair(1, 1)  # no {n} is 0
+    with pytest.raises(ZeroDivisionError):
+        factorial_series(p, (p.one() / 0 for _ in range(4)), 3)

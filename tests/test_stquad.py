@@ -1,8 +1,9 @@
 from fractions import Fraction as F
+from itertools import chain
 
 import pytest
 
-from stpanto.errors import DegenerateRatio, HypothesisViolated, QOutOfRange
+from stpanto.errors import ConvergenceFailure, DegenerateRatio, HypothesisViolated, QOutOfRange
 from stpanto.stnum import golden_pair, st_number
 from stpanto.stseries import Series, st_antiderive, st_derive_at
 from stpanto.stfun import PantographSpec, pantograph, pantograph_at
@@ -15,6 +16,16 @@ from stpanto.stquad import (
     pq_integral,
     st_integral,
     theta_antiderivative_at,
+)
+from test_stfun import (  # noqa: F401 (sums is a fixture)
+    POINT_IDS,
+    POINT_PARAMS,
+    _oracle_delay,
+    _oracle_sum,
+    _oracle_terms,
+    assert_same_failure,
+    assert_same_sum,
+    sums,
 )
 
 P32 = golden_pair(3, -2)
@@ -301,3 +312,53 @@ class TestThetaAntiderivative:
         assert theta_antiderivative_at(p, 0) == 0
         with pytest.raises(ConvergenceFailure):
             theta_antiderivative_at(p, F(1, 10))
+
+
+@pytest.mark.parametrize("tol", [1e-15, 1e-50])
+@pytest.mark.parametrize("params", POINT_PARAMS, ids=POINT_IDS)
+class TestAntiderivativeSumsMatchObjectLoop:
+    """Both antiderivatives keep the value (every float bit) and the term
+    count of the point sum on scalar objects."""
+
+    def oracle(self, params, a, b, u, x, constant, tol):
+        terms = _oracle_terms(_oracle_delay(a, b, u), x, x, params, 1)
+        return _oracle_sum(chain([constant], terms), tol)
+
+    @pytest.mark.parametrize("spec", [("1", "1/2", "2/3"), ("2", "-1/4", "1/2"),
+                                      ("3/2", "1/5", "-3/2"), ("-1", "1/3", "1"),
+                                      ("1", "-1", "3/2")])
+    def test_pantograph_antiderivative_at(self, params, tol, spec, sums):
+        a, b, u = (params.wrap(v) for v in spec)
+        for x in map(params.wrap, ["0", "1/3", "-2/5", "5/4"]):
+            sums.clear()
+            got = pantograph_antiderivative_at(params, PantographSpec(a, b, u), x, tol)
+            assert_same_sum(got, sums, self.oracle(params, a, b, u, x, u / (a * u + b), tol))
+
+    def test_theta_antiderivative_at(self, params, tol, sums):
+        q = params.q
+        for x in map(params.wrap, ["0", "1/3", "-2/5", "5/4"]):
+            sums.clear()
+            got = theta_antiderivative_at(params, x, tol)
+            assert_same_sum(got, sums, self.oracle(params, params.one(), -q, q, x,
+                                                   params.zero(), tol))
+
+    def test_growth_run(self, params, tol, sums):
+        a, b, u = (params.wrap(v) for v in ("2", "-1/4", "1/2"))
+        x = params.wrap(10 ** 30)
+        assert_same_failure(
+            lambda: pantograph_antiderivative_at(params, PantographSpec(a, b, u), x, tol),
+            lambda: self.oracle(params, a, b, u, x, u / (a * u + b), tol), "grow without bound")
+        assert_same_failure(
+            lambda: theta_antiderivative_at(params, x, tol),
+            lambda: self.oracle(params, params.one(), -params.q, params.q, x, params.zero(), tol),
+            "grow without bound")
+
+
+@pytest.mark.parametrize("precision", [1, 30, 50])
+def test_radius_zero_is_refused_before_any_sum(precision, sums):
+    p = golden_pair(F(11, 10), F(-6, 25), backend="float", precision=precision)
+    with pytest.raises(ConvergenceFailure, match="radius 0"):
+        pantograph_antiderivative_at(p, PantographSpec(1, F(1, 4), F(3, 4)), p.wrap("1/100"))
+    with pytest.raises(ConvergenceFailure, match="radius 0"):
+        pantograph_at(p, PantographSpec(1, F(1, 2), F(1, 3)), p.wrap("-1/100"))
+    assert sums == []
