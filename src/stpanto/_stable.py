@@ -14,20 +14,21 @@ a sum, the caller's cap (TERM_CAP by default) for a product.
 
 The construction: a factor stream f_k, its prefix products
 w_n = f_0 ... f_{n-1} and the point terms w_n x^n / {n}!; the one builder
-of the series form sum w_n g_n x^n / {n}! is ``stseries.factorial_series``.
-A point sum runs its factors, {n}, terms and stop rule in the ``Arith`` of
-its scalars (``arith_of``): real mpf values of one context on their raw
-libmp values, with the calls, order and rounding of mpf's own operators (so
-every result is bit-identical to the operator loop), others on operators.
+of the series form sum w_n g_n x^n / {n}! is ``stseries.factorial_series``,
+and of every point value ``point_sum``.  A point sum runs its factors, {n},
+terms and stop rule in the ``Arith`` of its scalars (``arith_of``): real mpf
+values of one context on their raw libmp values, with the calls, order and
+rounding of mpf's own operators (so every result is bit-identical to the
+operator loop), others on operators.
 """
 
 from collections import namedtuple
-from contextlib import contextmanager
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
-from operator import add, gt, le, mul, truediv
+from itertools import accumulate, chain, count, islice, repeat
+from operator import add, gt, le, mul, sub, truediv
 
-from mpmath.libmp import fone, from_float, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_mul
+from mpmath.libmp import (fone, from_float, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_mul,
+                          mpf_sub)
 
 from .errors import ConvergenceFailure, DegenerateStNumber
 
@@ -52,9 +53,9 @@ def _plain(op):
 # them), except ``abs``: unrounded mpf_abs of a value at the context's
 # precision is the rounded one.  ``operand`` lifts a scalar, 0, 1 or tol, and
 # ``made`` returns a scalar.
-Arith = namedtuple("Arith", "add mul div abs le gt threshold prec rnd operand made")
-PLAIN = Arith(_plain(add), _plain(mul), _plain(truediv), abs, le, gt, _threshold, None, None,
-              lambda x: x, lambda x: x)
+Arith = namedtuple("Arith", "add sub mul div abs le gt threshold prec rnd operand made")
+PLAIN = Arith(_plain(add), _plain(sub), _plain(mul), _plain(truediv), abs, le, gt, _threshold,
+              None, None, lambda x: x, lambda x: x)
 
 
 def arith_of(*scalars) -> Arith:
@@ -63,7 +64,7 @@ def arith_of(*scalars) -> Arith:
     ctx = getattr(type(scalars[0]), "context", None)
     if ctx is None or any(type(x) is not ctx.mpf for x in scalars):
         return PLAIN
-    return Arith(mpf_add, mpf_mul, mpf_div, mpf_abs, mpf_le, mpf_gt,
+    return Arith(mpf_add, mpf_sub, mpf_mul, mpf_div, mpf_abs, mpf_le, mpf_gt,
                  lambda tol, m, prec, rnd: mpf_mul(mpf_add(m, fone, prec, rnd), tol, prec, rnd),
                  *ctx._prec_rounding, lambda x: getattr(x, "_mpf_", None) or from_float(x),
                  ctx.make_mpf)
@@ -133,25 +134,11 @@ def st_numbers(s, t, arith=PLAIN):
         a, b = b, plus(times(s, b, prec, rnd), times(t, a, prec, rnd), prec, rnd)
 
 
-def _vanishing(params):
-    """The DegenerateStNumber for the ZeroDivisionError being handled in a
-    kernel that divides by {n} or {n}!: it names the first n with {n} = 0
-    (q is a root of unity, as at (s, t) = (1, -1), (2, -2) and (3, -3))."""
-    nums = enumerate(islice(st_numbers(params.s, params.t), 1, TERM_CAP + 2), 1)
-    n = next((n for n, num in nums if num == 0), None)
-    if n is None:
-        raise  # not a division by {n}
+def zero_divisor(params, n: int) -> DegenerateStNumber:
+    """The error of a kernel that would divide by {n} = 0 (q is a root of
+    unity, as at (s, t) = (1, -1), (2, -2) and (3, -3))."""
     return DegenerateStNumber(f"cannot divide by {{{n}}} = 0 at (s, t) = "
                               f"({params.to_str(params.s)}, {params.to_str(params.t)})")
-
-
-@contextmanager
-def st_divisions(params):
-    """Run a kernel that divides by {n} or {n}! (see ``_vanishing``)."""
-    try:
-        yield
-    except ZeroDivisionError:
-        raise _vanishing(params) from None
 
 
 # -- prefix products of a factor stream ------------------------------------
@@ -199,9 +186,22 @@ def point_terms(factors, x, t, params=None, n=0, arith=PLAIN):
             t = times(times(t, f, prec, rnd), x, prec, rnd)
         return
     nums = islice(st_numbers(arith.operand(params.s), arith.operand(params.t), arith), n + 1, None)
-    try:  # as st_divisions, which a generator left suspended would pay for on close
-        for f, num in zip(factors, nums):
+    try:
+        for k, f, num in zip(count(n + 1), factors, nums):
             yield t
             t = arith.div(times(times(t, f, prec, rnd), x, prec, rnd), num, prec, rnd)
-    except ZeroDivisionError:
-        raise _vanishing(params) from None
+    except ZeroDivisionError:  # by num = {k}
+        raise zero_divisor(params, k) from None
+
+
+def point_sum(stream, scalars, x, t, params=None, n=0, head=None, tol=DEFAULT_TOL,
+              what="series"):
+    """[head +] the sum of ``point_terms`` of the factor stream ``stream(arith)``,
+    by one ``stable_sum`` in the ``Arith`` of x, t, head, the stream's scalars
+    and (s, t) of ``params``."""
+    extra = (() if head is None else (head,)) + (() if params is None else (params.s, params.t))
+    ar = arith_of(x, t, *scalars, *extra)
+    terms = point_terms(stream(ar), x, t, params, n, ar)
+    if head is not None:
+        terms = chain([ar.operand(head)], terms)
+    return stable_sum(terms, tol, what=what, arith=ar)[0]

@@ -89,7 +89,9 @@ def _to_csv(doc: dict) -> list[str]:
         return lines
     grid = doc.get("grid")
     if grid is None:
-        raise StInputError("csv output needs a sample grid; pass --points")
+        flag = {"eval": "--at", "derive": "--at", "solve": "--points"}.get(doc["command"])
+        raise StInputError(f"csv output needs a sample grid; pass {flag}" if flag else
+                           f"{doc['command']} has no sample grid and writes no csv")
     lines = ["x,y,residual"]
     for row in grid:
         lines.append(",".join(str(c) for c in row))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .stnum import (
     binet,
@@ -19,7 +20,7 @@ from .stnum import (
     st_number,
 )
 from .stseries import Series, q_derive_at, scale, st_antiderive, st_derive, st_derive_at
-from ._stable import arith_of, golden_factors, point_terms, stable_sum
+from ._stable import golden_factors, point_sum
 from .stfun import (
     PantographSpec,
     deformed_exp,
@@ -205,9 +206,9 @@ def q_binomial_theorem() -> IdentityResult:
     for xs in ("0.1", "0.2"):
         x = p.wrap(xs)
         z = (1 - p.q) * x
-        ar = arith_of(x, b, p.phi, p.phi_prime, p.s, p.t)
-        terms = point_terms(golden_factors(p, p.one(), -b / p.phi, ar), x, p.one(), p, arith=ar)
-        total, _ = stable_sum(terms, what="q-binomial sum", arith=ar)
+        c = -b / p.phi
+        total = point_sum(partial(golden_factors, p, p.one(), c), (c, p.phi, p.phi_prime), x,
+                          p.one(), p, what="q-binomial sum")
         rhs = q_pochhammer_inf(b / p.phi * z, p.q) / q_pochhammer_inf(z, p.q)
         worst = max(worst, float(abs(total - rhs)))
     return _result("q-binomial-theorem", worst, 1e-10)

@@ -11,9 +11,9 @@ function Theta0(x, y) = sum y^C(n,2) x^n.
 Every function here is one specialization of the prefix-product kernel
 in ``_stable``: the (+)-products are always computed from their defining
 factor products (a + b u^k resp. alpha phi^k + beta phi'^k), each series
-is ``stseries.factorial_series`` of its factor stream and the point
-evaluators sum the matching point terms, on raw libmp values when the
-scalars are mpf (``_stable.arith_of``).  exp(z, u) is E(0, 1; z, u),
+is ``stseries.factorial_series`` of its factor stream and each point
+evaluator is one ``_stable.point_sum`` of the same stream, on raw libmp
+values when the scalars are mpf.  exp(z, u) is E(0, 1; z, u),
 whose factors 0 + 1 u^k are the powers u^k, and Theta0(x, y) sums the
 (0 (+) 1)^n_{1,y} x^n without the {n}!.  The closed q-Pochhammer
 rewrite a^n (-b/a; u)_n is kept as a cross-check only.
@@ -31,17 +31,8 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from ._stable import (
-    DEFAULT_TOL,
-    TERM_CAP,
-    arith_of,
-    delay_factors,
-    golden_factors,
-    point_terms,
-    powers,
-    stable_sum,
-    weights,
-)
+from ._stable import (DEFAULT_TOL, TERM_CAP, delay_factors, golden_factors, point_sum, powers,
+                      weights)
 from .errors import ConvergenceFailure
 from .stnum import Params
 from .stseries import Series, factorial_series
@@ -72,29 +63,18 @@ def oplus_golden_pow(params: Params, alpha, beta, n: int):
 # -- pantograph function and its specializations ----------------------------
 
 
-def _delay_factors(params: Params, spec: PantographSpec):
-    return delay_factors(params.wrap(spec.a), params.wrap(spec.b), params.wrap(spec.u))
-
-
-def _pantograph_point(params: Params, a, b, u, factors, x, tol, what):
-    """The point sum of E(a, b; x, u), ``factors(arith)`` the stream a + b u^k."""
-    x = params.wrap(x)
-    pantograph_domain(params, a, b, u, x)
-    ar = arith_of(x, a, b, u, params.s, params.t)
-    terms = point_terms(factors(ar), x, params.one(), params, arith=ar)
-    return stable_sum(terms, tol, what=what, arith=ar)[0]
-
-
 def pantograph(params: Params, spec: PantographSpec, N: int) -> Series:
     """Series of E(a, b; z, u): coefficients (a (+) b)^n_{1,u} / {n}!."""
-    return factorial_series(params, _delay_factors(params, spec), N)
+    factors = delay_factors(params.wrap(spec.a), params.wrap(spec.b), params.wrap(spec.u))
+    return factorial_series(params, factors, N)
 
 
 def pantograph_at(params: Params, spec: PantographSpec, x, tol: float = DEFAULT_TOL):
     """E(a, b; x, u) at a point."""
-    a, b, u = params.wrap(spec.a), params.wrap(spec.b), params.wrap(spec.u)
-    return _pantograph_point(params, a, b, u, partial(delay_factors, a, b, u), x, tol,
-                             "E(a, b; x, u)")
+    a, b, u, x = (params.wrap(v) for v in (spec.a, spec.b, spec.u, x))
+    pantograph_domain(params, a, b, u, x)
+    return point_sum(partial(delay_factors, a, b, u), (a, b, u), x, params.one(), params,
+                     tol=tol, what="E(a, b; x, u)")
 
 
 def deformed_exp(params: Params, u, N: int) -> Series:
@@ -105,9 +85,9 @@ def deformed_exp(params: Params, u, N: int) -> Series:
 
 def deformed_exp_at(params: Params, u, z, tol: float = DEFAULT_TOL):
     """exp(z, u) at a point, by the decay-truncated term sum."""
-    u = params.wrap(u)
-    return _pantograph_point(params, params.zero(), params.one(), u, partial(powers, u), z, tol,
-                             "exp(z, u)")
+    u, z = params.wrap(u), params.wrap(z)
+    pantograph_domain(params, params.zero(), params.one(), u, z)
+    return point_sum(partial(powers, u), (u,), z, params.one(), params, tol=tol, what="exp(z, u)")
 
 
 def product_exp(params: Params, alpha, beta, N: int) -> Series:
@@ -177,9 +157,7 @@ def partial_theta(x, y, tol: float = DEFAULT_TOL):
     terms cannot decay and the sum is rejected.
     """
     theta_domain(x, y)
-    ar = arith_of(x, y)
-    terms = point_terms(powers(y, ar), x, x * 0 + 1, arith=ar)
-    return stable_sum(terms, tol, what="Theta0(x, y)", arith=ar)[0]
+    return point_sum(partial(powers, y), (y,), x, x * 0 + 1, tol=tol, what="Theta0(x, y)")
 
 
 def partial_theta_series(y, N: int) -> list:

@@ -36,7 +36,8 @@ from typing import Union
 
 from mpmath.ctx_mp import MPContext
 
-from ._stable import DEFAULT_TOL, delay_factors, st_divisions, st_numbers, stable_product, weights
+from ._stable import (DEFAULT_TOL, delay_factors, st_numbers, stable_product, weights,
+                      zero_divisor)
 from .errors import (
     BackendMismatch,
     DegenerateDiscriminant,
@@ -259,6 +260,15 @@ def st_number_range(params: Params, upto: int) -> tuple:
     return tuple(islice(st_numbers(params.s, params.t), upto + 1))
 
 
+def st_divisors(params: Params, upto: int) -> tuple:
+    """``st_number_range(params, upto)`` for a kernel that divides by {1}..{upto}:
+    raises DegenerateStNumber naming the first of them that is 0."""
+    nums = st_number_range(params, upto)
+    if not all(islice(nums, 1, None)):
+        raise zero_divisor(params, nums.index(0, 1))
+    return nums
+
+
 def st_factorial(params: Params, n: int) -> Scalar:
     """{n}! = {1}{2}...{n}; empty product for n = 0."""
     if n < 0:
@@ -270,8 +280,8 @@ def st_fibonomial(params: Params, n: int, k: int) -> Scalar:
     """{n}! / ({k}! {n-k}!)."""
     if k < 0 or n < 0 or k > n:
         raise IndexOutOfRange(f"need 0 <= k <= n, got n = {n}, k = {k}")
-    with st_divisions(params):
-        return st_factorial(params, n) / (st_factorial(params, k) * st_factorial(params, n - k))
+    st_divisors(params, max(k, n - k))
+    return st_factorial(params, n) / (st_factorial(params, k) * st_factorial(params, n - k))
 
 
 def binet(params: Params, n: int) -> Scalar:

@@ -16,11 +16,12 @@ alternate and the same decay rule applies.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain, repeat
 from operator import mul
 from typing import Callable, Union
 
-from ._stable import DEFAULT_TOL, arith_of, delay_factors, point_terms, powers, stable_sum
+from ._stable import DEFAULT_TOL, delay_factors, point_sum, powers, stable_sum
 from .errors import (
     DegenerateRatio,
     HypothesisViolated,
@@ -127,13 +128,6 @@ def pantograph_antiderivative_series(params: Params, spec: PantographSpec, N: in
                             chain([u / (a * u + b)], repeat(1)))
 
 
-def _antiderivative_point(params: Params, a, b, u, x, constant, tol, what):
-    """constant + sum_{n>=1} (a (+) b)^{n-1}_{1,u} x^n / {n}!, one sum."""
-    ar = arith_of(x, a, b, u, constant, params.s, params.t)
-    terms = point_terms(delay_factors(a, b, u, ar), x, x, params, 1, ar)
-    return stable_sum(chain([ar.operand(constant)], terms), tol, what=what, arith=ar)[0]
-
-
 def pantograph_antiderivative_at(params: Params, spec: PantographSpec, x,
                                  tol: float = DEFAULT_TOL):
     """The (s,t)-antiderivative of E(a, b; .; u) at x, pinned to the value
@@ -150,8 +144,9 @@ def pantograph_antiderivative_at(params: Params, spec: PantographSpec, x,
         raise HypothesisViolated(f"needs |b/(a u)| < 1, got |b/(a u)| = {abs(r)}")
     x = params.wrap(x)
     pantograph_domain(params, a, b, u, x)
-    return _antiderivative_point(params, a, b, u, x, u / (a * u + b), tol,
-                                 "pantograph antiderivative")
+    # u/(a u + b) + sum_{n>=1} (a (+) b)^{n-1}_{1,u} x^n / {n}!, one sum
+    return point_sum(partial(delay_factors, a, b, u), (a, b, u), x, x, params, 1,
+                     u / (a * u + b), tol, "pantograph antiderivative")
 
 
 def theta_antiderivative_at(params: Params, x, tol: float = DEFAULT_TOL):
@@ -167,5 +162,5 @@ def theta_antiderivative_at(params: Params, x, tol: float = DEFAULT_TOL):
     x, q = params.wrap(x), params.q
     if x != 0:
         theta_domain((1 - q) * x, 1 / params.phi)
-    return _antiderivative_point(params, params.one(), -q, q, x, params.zero(), tol,
-                                 "theta antiderivative")
+    return point_sum(partial(delay_factors, params.one(), -q, q), (-q, q), x, x, params, 1,
+                     params.zero(), tol, "theta antiderivative")

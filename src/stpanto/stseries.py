@@ -31,10 +31,10 @@ of its D and numerators, so D's grow no more than the values.  A rational
 product is one Kronecker substitution (Harvey, J. Symbolic Comput. 2009)
 per pair of blocks, and ``eval`` one integer Horner sum per block over a
 single division, reducing no coefficient.  The float product (the term
-loop in the order of the left operand's index), quotient recurrence and
-Horner loop run on raw libmp values with the calls, order and rounding
-of mpf's operators, so each float result is bit for bit that of the
-full O(N^2) loop on mpf objects.
+loop in the order of the left operand's index) and Horner loop run on raw
+libmp values with the calls, order and rounding of mpf's operators, so
+each float result is bit for bit that of the full O(N^2) loop on mpf
+objects.
 
 Rational quotients of order 20 and more (``_NEWTON_ORDER``) are built from
 products alone, so they run on the same integer kernel: Newton iteration
@@ -42,7 +42,9 @@ takes 1/g to order N/2 by doubling (Brent and Kung, J. ACM 1978), and one
 last step on the quotient itself gives f/g to order N (Karp and Markstein,
 ACM TOMS 1997).  The result is the same exact value as the recurrence
 q_k = (f_k - sum_{j<k} q_j g_{k-j}) / g_0, which smaller rational quotients
-and every float quotient keep, so float rounding does not change.
+and every float quotient run: one loop (``_quotient``) in the ``Arith`` of
+the coefficients, on raw libmp values for mpf ones, so float rounding does
+not change.
 
 Every series sum_n f_0 ... f_{n-1} g_n x^n / {n}! of a factor stream f
 (the special functions, the weights of a composition, the deformed
@@ -57,9 +59,9 @@ from itertools import islice
 from operator import truediv
 from typing import Callable, Iterable, Sequence
 
-from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_sub
+from mpmath.libmp import fzero, mpf_add, mpf_mul
 
-from ._stable import delay_factors, powers, st_divisions, weights
+from ._stable import arith_of, delay_factors, powers, weights
 from .errors import (
     NonInvertibleSeries,
     NonQPeriodicInitial,
@@ -68,7 +70,7 @@ from .errors import (
     QOutOfRange,
     ZeroPoint,
 )
-from .stnum import Params, st_number_range
+from .stnum import Params, st_divisors, st_number_range
 
 DEFAULT_ORDER = 32
 
@@ -228,19 +230,9 @@ class Series:
         if other._head() == 0:
             raise NonInvertibleSeries("division needs an invertible constant term")
         n = min(self.order, other.order)
-        if not self.params.rational:
-            return Series._made(self.params, _float_quotient(self.coeffs, other.coeffs, n,
-                                                             self.params.ctx))
-        if n >= _NEWTON_ORDER:
+        if self.params.rational and n >= _NEWTON_ORDER:
             return _newton_quotient(self, other, n)
-        inv0 = 1 / other.coeffs[0]
-        out = []
-        for k in range(n + 1):
-            acc = self.coeffs[k]
-            for j in range(k):
-                acc -= out[j] * other.coeffs[k - j]
-            out.append(acc * inv0)
-        return Series._made(self.params, out)
+        return Series._made(self.params, _quotient(self.coeffs[:n + 1], other.coeffs[:n + 1]))
 
     def __rtruediv__(self, other):
         return Series.constant(self.params, other, self.order) / self
@@ -409,18 +401,19 @@ def _float_product(a, b, n: int, ctx) -> list:
     return list(map(ctx.make_mpf, out))
 
 
-def _float_quotient(f, g, n: int, ctx) -> list:
-    """q_k = (f_k - sum_{j<k} q_j g_{k-j}) (1/g_0) on raw libmp values: each
-    sum in the order of j, each operation rounded as mpf's operators round."""
-    prec, rnd = ctx._prec_rounding
-    inv0, g = (1 / g[0])._mpf_, [c._mpf_ for c in g[:n + 1]]
+def _quotient(f: list, g: list) -> list:
+    """q_k = (f_k - sum_{j<k} q_j g_{k-j}) (1/g_0) for k < len(f), in the
+    ``Arith`` of the coefficients: each sum in the order of j, on raw libmp
+    values rounded as mpf's operators round for mpf coefficients."""
+    ar = arith_of(*f, *g)
+    minus, times, prec, rnd = ar.sub, ar.mul, ar.prec, ar.rnd
+    inv0, g = ar.operand(1 / g[0]), list(map(ar.operand, g))
     out = []
-    for k in range(n + 1):
-        acc = f[k]._mpf_
+    for k, acc in enumerate(map(ar.operand, f)):
         for j in range(k):
-            acc = mpf_sub(acc, mpf_mul(out[j], g[k - j], prec, rnd), prec, rnd)
-        out.append(mpf_mul(acc, inv0, prec, rnd))
-    return list(map(ctx.make_mpf, out))
+            acc = minus(acc, times(out[j], g[k - j], prec, rnd), prec, rnd)
+        out.append(times(acc, inv0, prec, rnd))
+    return list(map(ar.made, out))
 
 
 def _kronecker_low(xs: list[int], ys: list[int], m: int) -> list[int]:
@@ -521,14 +514,13 @@ def st_derive(f: Series) -> Series:
 
 def st_antiderive(f: Series) -> Series:
     """The antiderivative F with F(0) = 0: F_n = c_{n-1} / {n}."""
-    nums = st_number_range(f.params, f.order + 1)
-    with st_divisions(f.params):
-        if f.params.rational:  # reduced: dividing by {n} often cancels (symbolic powers)
-            blocks = _reduced(_times(f.blocks, [1 / nums[n + 1] for n in range(f.order + 1)]))
-            return Series._made(f.params, blocks=[(0, 1, [0])] + [(s + 1, d, xs)
-                                                                  for s, d, xs in blocks])
-        return Series._made(f.params, [f.params.zero()] + [f.coeffs[n] / nums[n + 1]
-                                                            for n in range(f.order + 1)])
+    nums = st_divisors(f.params, f.order + 1)
+    if f.params.rational:  # reduced: dividing by {n} often cancels (symbolic powers)
+        blocks = _reduced(_times(f.blocks, [1 / nums[n + 1] for n in range(f.order + 1)]))
+        return Series._made(f.params, blocks=[(0, 1, [0])] + [(s + 1, d, xs)
+                                                              for s, d, xs in blocks])
+    return Series._made(f.params, [f.params.zero()] + [f.coeffs[n] / nums[n + 1]
+                                                        for n in range(f.order + 1)])
 
 
 def scale(f: Series, u) -> Series:
@@ -591,15 +583,14 @@ def factorial_series(params: Params, factors, N: int, g: Iterable | None = None)
     coefficients are c_0 = 1, c_{n+1} = c_n f_n / {n+1} (each step has one
     small operand), times g_n; float ones are (w_n g_n) / {n}!, rounded in
     that order."""
-    nums = st_number_range(params, max(N, 0))
+    nums = st_divisors(params, max(N, 0))
     if params.rational:
         factors = map(truediv, factors, nums[1:])
-    with st_divisions(params):
-        c = weights(factors, N, params.one())
-        if g is not None:
-            c = [cn * params.wrap(gn) for cn, gn in zip(c, g)]
-        if not params.rational:
-            c = list(map(truediv, c, weights(nums[1:], N, params.one())))
+    c = weights(factors, N, params.one())
+    if g is not None:
+        c = [cn * params.wrap(gn) for cn, gn in zip(c, g)]
+    if not params.rational:
+        c = list(map(truediv, c, weights(nums[1:], N, params.one())))
     return Series._made(params, c or [params.zero()])
 
 

@@ -27,7 +27,7 @@ from functools import cached_property, partial
 from itertools import count, islice
 from typing import Callable, Sequence
 
-from ._stable import DEFAULT_TOL, delay_factors, powers, st_divisions, stable_product, weights
+from ._stable import DEFAULT_TOL, delay_factors, powers, stable_product, weights
 from .errors import (
     DegenerateStNumber,
     HypothesisViolated,
@@ -37,7 +37,7 @@ from .errors import (
     ZeroDelay,
     ZeroDenominator,
 )
-from .stnum import Params, st_number, st_number_range
+from .stnum import Params, st_divisors, st_number, st_number_range
 from .stseries import (
     DEFAULT_ORDER,
     QPeriodic,
@@ -206,11 +206,10 @@ def solve_series_linear(problem: LinearProblem, N: int = DEFAULT_ORDER) -> Solut
     a, b, u = p.wrap(problem.spec.a), p.wrap(problem.spec.b), p.wrap(problem.spec.u)
     alpha = p.wrap(problem.alpha)
     beta = _as_series(problem.beta, p, N)
-    nums = st_number_range(p, N + 1)
+    nums = st_divisors(p, N)
     coeffs = [p.wrap(problem.initial)]
-    with st_divisions(p):
-        for n, f in zip(range(N), delay_factors(a, b, u)):
-            coeffs.append(f / nums[n + 1] * alpha * coeffs[n] + beta.coeffs[n] / nums[n + 1])
+    for n, f in zip(range(N), delay_factors(a, b, u)):
+        coeffs.append(f / nums[n + 1] * alpha * coeffs[n] + beta.coeffs[n] / nums[n + 1])
     y = Series._made(p, coeffs)
     closed = {"tag": "a0*E(a,b;alpha*x,u) + particular",
               "parameters": {"a0": p.to_str(coeffs[0]), "alpha": p.to_str(alpha),

@@ -307,6 +307,25 @@ class TestCommands:
         assert lines[0] == "x,y,residual"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--expr=x"], "csv output needs a sample grid; pass --at"),
+        (["derive", "--expr=x"], "csv output needs a sample grid; pass --at"),
+        (["solve", "--family=series-linear", "--order=4"],
+         "csv output needs a sample grid; pass --points"),
+        (["integrate", "--expr=x", "--from=0", "--to=1"],
+         "integrate has no sample grid and writes no csv")])
+    def test_csv_without_grid_names_the_flag(self, capsys, argv, message):
+        code = main([*argv, "--s=3", "--t=-2", "--format=csv"])
+        assert (code, *capsys.readouterr()) == (1, "", f"error: {message}\n")
+
+    def test_verify_csv_has_no_grid(self, capsys, tmp_path):
+        doc = tmp_path / "solution.json"
+        assert main(["solve", "--family=series-linear", "--s=3", "--t=-2", "--order=4",
+                     "--points=1/2", f"--out={doc}"]) == 0
+        code = main(["verify", f"--doc={doc}", "--format=csv"])
+        assert (code, *capsys.readouterr()) == (
+            1, "", "error: verify has no sample grid and writes no csv\n")
+
     def test_csv_and_json_describe_same_solution(self, capsys, tmp_path):
         args = ["solve", "--family", "series-linear", "--s", "3", "--t", "-2",
                 "--a", "0", "--b", "1", "--u", "1/2", "--alpha", "2",

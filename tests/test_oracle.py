@@ -3,7 +3,9 @@
 On pairs whose golden pair is rational, every layer is computed twice: once
 exactly and once in 50-digit floats from the same rational inputs.  Each
 float value must agree with the exact one to within 10^(3 - 50) times
-max(1, |exact|), the margin the float backend's own checks allow.
+max(1, |exact|), the margin the float backend's own checks allow.  A point
+sum that diverges must raise the same ConvergenceFailure, class and message,
+on both backends.
 
 Not covered: point sums at their default tol, which stop at 1e-15 whatever
 the precision; and the integration-factor solve with a delay |u| > 1, whose
@@ -13,9 +15,10 @@ draws its own u from [-1, 1].
 
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stpanto.errors import ConvergenceFailure
 from stpanto.stfun import PantographSpec, deformed_exp, pantograph, pantograph_at, product_exp
 from stpanto.stnum import golden_pair
 from stpanto.stquad import QInterval, st_integral
@@ -72,8 +75,17 @@ def _layers(p, order, spec, solve_u, g, f, alpha, beta, y0, x, ends):
         "solve_series_linear": linear.solution,
         "solve_integration_factor": general.solution,
         "st_integral": st_integral(series(beta), QInterval(*ends, p)),
-        "pantograph_at": pantograph_at(p, spec, x, tol=1e-50),
+        "pantograph_at": _outcome(lambda: pantograph_at(p, spec, x, tol=1e-50)),
     }
+
+
+def _outcome(call):
+    """The value of ``call``, or the class and message of the
+    ConvergenceFailure it raises."""
+    try:
+        return call()
+    except ConvergenceFailure as err:
+        return type(err), str(err)
 
 
 @settings(max_examples=25, deadline=None)
@@ -84,6 +96,9 @@ def _layers(p, order, spec, solve_u, g, f, alpha, beta, y0, x, ends):
        alpha=st.lists(_small, min_size=1, max_size=4),
        beta=st.lists(_small, min_size=1, max_size=4),
        y0=_small, x=_point, ends=st.tuples(_point, _point))
+# x = 1 lies on the radius m / (|b| |phi - phi'|) = 1 of E(0, 2; ., 2): both sums diverge
+@example(pair=(3, -2), order=8, spec=PantographSpec(F(0), F(2), F(2)), solve_u=F(0), g=[F(0)],
+         f=[F(0)], alpha=[F(0)], beta=[F(0)], y0=F(0), x=F(1), ends=(F(0), F(0)))
 def test_float_backend_matches_rational(pair, order, spec, solve_u, g, f, alpha, beta, y0,
                                         x, ends):
     args = (spec, solve_u, g, [0, *f], alpha, beta, y0, x, ends)
@@ -92,5 +107,7 @@ def test_float_backend_matches_rational(pair, order, spec, solve_u, g, f, alpha,
     for name, want in exact.items():
         if isinstance(want, Series):
             _close_series(floats[name], want, name)
+        elif isinstance(want, tuple) or isinstance(floats[name], tuple):
+            assert floats[name] == want, name   # the same ConvergenceFailure on both sides
         else:
             _close(floats[name], want, name)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stpanto import identities, stfun, stquad
+from stpanto import _stable, identities, stquad
 from stpanto._stable import (
     PLAIN,
     TERM_CAP,
@@ -24,7 +24,7 @@ from stpanto._stable import (
 from stpanto.errors import ConvergenceFailure, DegenerateStNumber
 from stpanto.stnum import golden_pair, q_pochhammer, q_pochhammer_inf, st_fibonomial, st_number
 from stpanto.stquad import pantograph_antiderivative_series
-from stpanto.stsolve import integrating_factor
+from stpanto.stsolve import LinearProblem, integrating_factor, solve_series_linear
 from stpanto.stseries import (
     Series,
     compose_ab,
@@ -639,11 +639,11 @@ def _oracle_terms(factors, x, t, params=None, n=0):
 def sums(monkeypatch):
     """Every (value, terms) that a point evaluator's stable_sum returns."""
     seen = []
-    for module in (stfun, stquad, identities):
-        def record(*args, _sum=module.stable_sum, **kwargs):
-            seen.append(_sum(*args, **kwargs))
-            return seen[-1]
-        monkeypatch.setattr(module, "stable_sum", record)
+
+    def record(*args, _sum=_stable.stable_sum, **kwargs):
+        seen.append(_sum(*args, **kwargs))
+        return seen[-1]
+    monkeypatch.setattr(_stable, "stable_sum", record)
     return seen
 
 
@@ -794,6 +794,18 @@ class TestVanishingStNumber:
         assert len(deformed_exp(p, F(1, 2), n - 1).coeffs) == n
         assert st_fibonomial(p, n - 1, 1) == st_number(p, n - 1)
         assert st_derive(Series(p, [1, 2, 3, 4, 5, 6, 7])).coeffs[n - 1] == 0  # {n} c_n
+
+    def test_each_kernel_divides_by_its_own_indices(self, s, t, n):
+        # order N divides by {1}..{N}, an order-m antiderivative by {1}..{m+1},
+        # {N}!/({k}! {N-k}!) by {1}..{max(k, N-k)}: {n} only from order n on
+        p = golden_pair(s, t)
+        problem = LinearProblem.series_linear(p, PantographSpec(1, F(1, 2), F(1, 3)), 1,
+                                              Series(p, [1]), 1)
+        assert solve_series_linear(problem, n - 1).solution.order == n - 1
+        with pytest.raises(DegenerateStNumber, match=rf"\{{{n}\}} = 0"):
+            solve_series_linear(problem, n)
+        assert st_antiderive(Series(p, [1, 2]).padded(n - 2)).order == n - 1
+        assert st_fibonomial(p, n + 1, 2) == 0   # {n} in the numerator only
 
 
 def test_other_zero_divisions_pass_through():

@@ -245,15 +245,14 @@ class TestPantographAntiderivative:
 
     def test_one_level_of_summation(self, monkeypatch):
         # each antiderivative value is one sum, not one sum per term
-        from stpanto import _stable, stfun, stquad
+        from stpanto import _stable
         calls = []
 
-        def counting(*args, **kwargs):
+        def counting(*args, _sum=_stable.stable_sum, **kwargs):
             calls.append(kwargs.get("what"))
-            return _stable.stable_sum(*args, **kwargs)
+            return _sum(*args, **kwargs)
 
-        monkeypatch.setattr(stfun, "stable_sum", counting)
-        monkeypatch.setattr(stquad, "stable_sum", counting)
+        monkeypatch.setattr(_stable, "stable_sum", counting)
         pf = golden_pair(3, -2, backend="float")
         pantograph_antiderivative_at(pf, PantographSpec(1, 0.3, 0.8), 0.4)
         assert calls == ["pantograph antiderivative"]
