@@ -19,16 +19,18 @@ and of every point value ``point_sum``.  A point sum runs its factors, {n},
 terms and stop rule in the ``Arith`` of its scalars (``arith_of``): real mpf
 values of one context on their raw libmp values, with the calls, order and
 rounding of mpf's own operators (so every result is bit-identical to the
-operator loop), others on operators.
+operator loop), others on operators.  One raw ``Arith`` serves each context,
+and raw {n} come from a bounded cache of tables (``st_numbers``).
 """
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, chain, count, islice, repeat
 from operator import add, gt, le, mul, sub, truediv
 
-from mpmath.libmp import (fone, from_float, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le, mpf_mul,
-                          mpf_sub)
+from mpmath.libmp import (fone, from_float, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le,
+                          mpf_mul, mpf_sub)
 
 from .errors import ConvergenceFailure, DegenerateStNumber
 
@@ -36,6 +38,8 @@ TERM_CAP = 10_000
 STABLE_RUN = 3
 GROW_RUN = 64
 DEFAULT_TOL = 1e-15
+NUMBER_TABLE = 64  # raw {n} kept per (s, t, prec, rnd), in a bounded cache
+_raw_constant = lru_cache(maxsize=32)(from_float)  # raw 0, 1 and tol, once each
 
 
 def _threshold(tol, magnitude, prec=None, rnd=None):
@@ -60,14 +64,18 @@ PLAIN = Arith(_plain(add), _plain(sub), _plain(mul), _plain(truediv), abs, le, g
 
 def arith_of(*scalars) -> Arith:
     """Raw libmp arithmetic when every scalar is a real mpf of one context,
-    PLAIN otherwise."""
+    PLAIN otherwise; one raw Arith serves a context at its precision and rounding."""
     ctx = getattr(type(scalars[0]), "context", None)
     if ctx is None or any(type(x) is not ctx.mpf for x in scalars):
         return PLAIN
+    return _raw_arith(ctx, *ctx._prec_rounding)
+
+
+@lru_cache(maxsize=32)
+def _raw_arith(ctx, prec, rnd) -> Arith:
     return Arith(mpf_add, mpf_sub, mpf_mul, mpf_div, mpf_abs, mpf_le, mpf_gt,
                  lambda tol, m, prec, rnd: mpf_mul(mpf_add(m, fone, prec, rnd), tol, prec, rnd),
-                 *ctx._prec_rounding, lambda x: getattr(x, "_mpf_", None) or from_float(x),
-                 ctx.make_mpf)
+                 prec, rnd, lambda x: getattr(x, "_mpf_", None) or _raw_constant(x), ctx.make_mpf)
 
 
 def _cap_failure(what, cap):
@@ -83,10 +91,8 @@ def stable_sum(terms, tol=DEFAULT_TOL, what="series", arith=PLAIN):
     """
     plus, size, le, gt, threshold = arith.add, arith.abs, arith.le, arith.gt, arith.threshold
     prec, rnd, tol, one = arith.prec, arith.rnd, arith.operand(tol), arith.operand(1)
-    total = None
-    small = 0
-    growing = 0
-    prev_mag = None
+    total = prev_mag = None
+    small = growing = 0
     for n, term in enumerate(islice(terms, TERM_CAP)):
         total = term if total is None else plus(total, term, prec, rnd)
         mag = size(term)
@@ -96,7 +102,7 @@ def stable_sum(terms, tol=DEFAULT_TOL, what="series", arith=PLAIN):
                 return arith.made(total), n + 1
         else:
             small = 0
-        if prev_mag is not None and gt(mag, prev_mag) and gt(mag, one):
+        if gt(mag, one) and prev_mag is not None and gt(mag, prev_mag):
             growing += 1
             if growing >= GROW_RUN:
                 raise ConvergenceFailure(f"{what}: terms grow without bound")
@@ -125,13 +131,28 @@ def stable_product(factors, tol=DEFAULT_TOL, cap=TERM_CAP, what="product"):
 
 def st_numbers(s, t, arith=PLAIN):
     """{0}, {1}, ... lazily, by the bare recurrence
-    {0} = 0, {1} = 1, {n+2} = s{n+1} + t{n}."""
+    {0} = 0, {1} = 1, {n+2} = s{n+1} + t{n}; raw values (``arith_of``) read
+    the first NUMBER_TABLE from the cache ``_number_table``."""
     plus, times, prec, rnd = arith.add, arith.mul, arith.prec, arith.rnd
-    a = times(s, arith.operand(0), prec, rnd)
-    b = plus(a, arith.operand(1), prec, rnd)
+    if prec is None:
+        a = times(s, arith.operand(0), prec, rnd)
+        b = plus(a, arith.operand(1), prec, rnd)
+    else:
+        *head, a, b = _number_table(s, t, prec, rnd)
+        yield from head
     while True:
         yield a
         a, b = b, plus(times(s, b, prec, rnd), times(t, a, prec, rnd), prec, rnd)
+
+
+@lru_cache(maxsize=64)
+def _number_table(s, t, prec, rnd) -> tuple:
+    """The raw {0}..{NUMBER_TABLE - 1}, keyed by the values the recurrence reads."""
+    nums = [fzero, fone]
+    while len(nums) < NUMBER_TABLE:
+        b, a = nums[-1], nums[-2]
+        nums.append(mpf_add(mpf_mul(s, b, prec, rnd), mpf_mul(t, a, prec, rnd), prec, rnd))
+    return tuple(nums)
 
 
 def zero_divisor(params, n: int) -> DegenerateStNumber:

@@ -236,14 +236,20 @@ def golden_pair(s, t, backend: str | None = None, precision: int | None = None) 
 # -- (s,t)-numbers ------------------------------------------------------
 
 
+def nonnegative(n: int, name: str = "n") -> int:
+    """n, or IndexOutOfRange naming it ``name`` when it is below 0."""
+    if n < 0:
+        raise IndexOutOfRange(f"{name} = {n} must be nonnegative")
+    return n
+
+
 def st_number_raw(s, t, n: int):
     """{n} by the bare recurrence, in whatever arithmetic s and t support.
 
     Needs no golden pair, so it also covers degenerate pairs like the
     classical (2, -1).
     """
-    if n < 0:
-        raise IndexOutOfRange(f"n = {n} must be nonnegative")
+    nonnegative(n)
     return next(islice(st_numbers(s, t), n, None))
 
 
@@ -255,8 +261,7 @@ def st_number(params: Params, n: int) -> Scalar:
 @lru_cache(maxsize=256)
 def st_number_range(params: Params, upto: int) -> tuple:
     """({0}, {1}, ..., {upto}), kept in a bounded cache per Params and upto."""
-    if upto < 0:
-        raise IndexOutOfRange(f"upto = {upto} must be nonnegative")
+    nonnegative(upto, "upto")
     return tuple(islice(st_numbers(params.s, params.t), upto + 1))
 
 
@@ -271,8 +276,7 @@ def st_divisors(params: Params, upto: int) -> tuple:
 
 def st_factorial(params: Params, n: int) -> Scalar:
     """{n}! = {1}{2}...{n}; empty product for n = 0."""
-    if n < 0:
-        raise IndexOutOfRange(f"n = {n} must be nonnegative")
+    nonnegative(n)
     return weights(islice(st_numbers(params.s, params.t), 1, None), n, params.one())[n]
 
 
@@ -286,8 +290,7 @@ def st_fibonomial(params: Params, n: int, k: int) -> Scalar:
 
 def binet(params: Params, n: int) -> Scalar:
     """(phi^n - phi'^n) / (phi - phi'); cross-check for st_number."""
-    if n < 0:
-        raise IndexOutOfRange(f"n = {n} must be nonnegative")
+    nonnegative(n)
     return (params.phi ** n - params.phi_prime ** n) / (params.phi - params.phi_prime)
 
 
@@ -303,8 +306,7 @@ def q_number(q, a):
 
 def q_factorial(q, n: int):
     """[n]_q! = prod_{k=1..n} [k]_q; equals (q;q)_n / (1-q)^n."""
-    if n < 0:
-        raise IndexOutOfRange(f"n = {n} must be nonnegative")
+    nonnegative(n)
     if q == 1:
         raise DegenerateQ("[n]_q! requires q != 1")
     return weights((q_number(q, k) for k in range(1, n + 1)), n, 1 - q * 0)[n]
@@ -312,8 +314,7 @@ def q_factorial(q, n: int):
 
 def q_pochhammer(a, q, n: int):
     """(a;q)_n = prod_{k=0..n-1} (1 - a q^k)."""
-    if n < 0:
-        raise IndexOutOfRange(f"n = {n} must be nonnegative")
+    nonnegative(n)
     return weights(delay_factors(1, -a, q), n, 1 - a * 0)[n]
 
 

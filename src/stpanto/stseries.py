@@ -70,7 +70,7 @@ from .errors import (
     QOutOfRange,
     ZeroPoint,
 )
-from .stnum import Params, st_divisors, st_number_range
+from .stnum import Params, nonnegative, st_divisors, st_number_range
 
 DEFAULT_ORDER = 32
 
@@ -582,8 +582,8 @@ def factorial_series(params: Params, factors, N: int, g: Iterable | None = None)
     products of the factor stream, and g_n = 1 when g is None.  Exact
     coefficients are c_0 = 1, c_{n+1} = c_n f_n / {n+1} (each step has one
     small operand), times g_n; float ones are (w_n g_n) / {n}!, rounded in
-    that order."""
-    nums = st_divisors(params, max(N, 0))
+    that order.  An order below 0 raises IndexOutOfRange."""
+    nums = st_divisors(params, nonnegative(N, "order N"))
     if params.rational:
         factors = map(truediv, factors, nums[1:])
     c = weights(factors, N, params.one())
@@ -609,7 +609,7 @@ def _composition(g_coeffs: Sequence, factors, sym: list[Series]) -> Series:
     factor stream composed with the same f."""
     p = sym[0].params
     n_top = min(len(g_coeffs), len(sym)) - 1
-    c = factorial_series(p, factors, n_top, g_coeffs).coeffs
+    c = factorial_series(p, factors, max(n_top, 0), g_coeffs).coeffs
     acc = Series.zero(p, sym[0].order)
     for n in range(n_top + 1):
         if c[n] != 0:
@@ -658,7 +658,7 @@ def sq_int(f, lower: Series, upper: Series, u=None) -> Series:
     else:
         if u is None:
             raise NonzeroConstantTerm("coefficient-sequence integrand needs the deformation u")
-        a = factorial_series(params, powers(params.wrap(u)), len(f) - 1, f).coeffs
+        a = factorial_series(params, powers(params.wrap(u)), max(len(f) - 1, 0), f).coeffs
     m_top = min(len(a) - 1, order - 1)
     low_pows = symbolic_powers(lower, m_top + 1)
     up_pows = symbolic_powers(upper, m_top + 1)

@@ -37,7 +37,7 @@ from .errors import (
     ZeroDelay,
     ZeroDenominator,
 )
-from .stnum import Params, st_divisors, st_number, st_number_range
+from .stnum import Params, nonnegative, st_divisors, st_number, st_number_range
 from .stseries import (
     DEFAULT_ORDER,
     QPeriodic,
@@ -202,6 +202,7 @@ def solve_series_linear(problem: LinearProblem, N: int = DEFAULT_ORDER) -> Solut
     """Coefficient recurrence for D y = alpha (a y + b y(ux)) + beta, y(0) = a0."""
     if problem.family != "series-linear":
         raise StInputError(f"expected series-linear, got {problem.family}")
+    nonnegative(N, "order N")
     p = problem.params
     a, b, u = p.wrap(problem.spec.a), p.wrap(problem.spec.b), p.wrap(problem.spec.u)
     alpha = p.wrap(problem.alpha)

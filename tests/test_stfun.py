@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from stpanto import _stable, identities, stquad
 from stpanto._stable import (
+    NUMBER_TABLE,
     PLAIN,
     TERM_CAP,
     arith_of,
@@ -21,7 +22,7 @@ from stpanto._stable import (
     stable_sum,
     weights,
 )
-from stpanto.errors import ConvergenceFailure, DegenerateStNumber
+from stpanto.errors import ConvergenceFailure, DegenerateStNumber, IndexOutOfRange
 from stpanto.stnum import golden_pair, q_pochhammer, q_pochhammer_inf, st_fibonomial, st_number
 from stpanto.stquad import pantograph_antiderivative_series
 from stpanto.stsolve import LinearProblem, integrating_factor, solve_series_linear
@@ -812,3 +813,101 @@ def test_other_zero_divisions_pass_through():
     p = golden_pair(1, 1)  # no {n} is 0
     with pytest.raises(ZeroDivisionError):
         factorial_series(p, (p.one() / 0 for _ in range(4)), 3)
+
+
+@pytest.mark.parametrize("N", [-1, -2, -5])
+@pytest.mark.parametrize("params", [P32, golden_pair(1, 1, backend="float")],
+                         ids=["rational", "float"])
+def test_negative_order_is_refused(params, N):
+    # every factorial_series builder and the series-linear solver name the order
+    spec = PantographSpec(1, F(1, 2), F(1, 3))
+    problem = LinearProblem.series_linear(params, spec, 1, Series(params, [1]), 1)
+    for call in (lambda: pantograph(params, spec, N),
+                 lambda: deformed_exp(params, F(1, 2), N),
+                 lambda: product_exp(params, 1, F(1, 2), N),
+                 lambda: pantograph_antiderivative_series(params, spec, N),
+                 lambda: factorial_series(params, powers(params.one()), N),
+                 lambda: solve_series_linear(problem, N)):
+        with pytest.raises(IndexOutOfRange, match=rf"^order N = {N} must be nonnegative$"):
+            call()
+
+
+# -- cached raw state: the {n} tables and one Arith per context ------------------
+
+
+def _clear_raw_caches():
+    for cached in (_stable._number_table, _stable._raw_arith, _stable._raw_constant):
+        cached.cache_clear()
+
+
+def _cached_values(precision, pair):
+    """reprs of point values whose sums read the {n} table and the raw Arith."""
+    p = golden_pair(*pair, backend="float", precision=precision)
+    spec, x = PantographSpec(1, F(1, 2), F(1, 3)), p.wrap("2/5")
+    return [repr(v) for v in (
+        pantograph_at(p, spec, x, 1e-50),
+        deformed_exp_at(p, F(-2, 3), x),
+        stquad.pantograph_antiderivative_at(p, PantographSpec(2, F(1, 5), F(1, 2)), x),
+        stquad.st_integral(lambda z: pantograph_at(p, spec, z), stquad.QInterval(0, x, p)),
+        partial_theta(x, p.wrap("1/2")))]
+
+
+class TestCachedStateIsInvisible:
+    def test_sum_longer_than_the_table(self, sums):
+        # 962 terms: {n} past the table come from the recurrence, every bit kept
+        p = golden_pair(2, 3, backend="float")
+        a, b, u = map(p.wrap, ("-4/3", "1", "3"))
+        x = p.wrap("2/3")
+        got = pantograph_at(p, PantographSpec(a, b, u), x, 1e-50)
+        want = _oracle_sum(_oracle_terms(_oracle_delay(a, b, u), x, p.one(), p), 1e-50)
+        assert_same_sum(got, sums, want)
+        assert want[1] > NUMBER_TABLE
+
+    @pytest.mark.parametrize("precision", [1, 30, 50])
+    def test_numbers_past_the_table(self, precision):
+        p = golden_pair("7/3", "1/7", backend="float", precision=precision)
+        raw = arith_of(p.s)
+        got = islice(st_numbers(p.s._mpf_, p.t._mpf_, raw), 3 * NUMBER_TABLE)
+        assert [repr(p.ctx.make_mpf(v)) for v in got] == \
+            [repr(v) for v in islice(_oracle_nums(p.s, p.t), 3 * NUMBER_TABLE)]
+
+    def test_interleaved_calls_match_fresh_ones(self):
+        keys = [(d, pair) for d in (1, 30, 50) for pair in ((1, 1), (2, 1), (3, -2))]
+        fresh = {}
+        for key in keys:
+            _clear_raw_caches()
+            fresh[key] = _cached_values(*key)
+        for key in keys + keys[::-1]:
+            assert _cached_values(*key) == fresh[key]
+            # and E itself is the loop on objects, which caches nothing
+            p = golden_pair(*key[1], backend="float", precision=key[0])
+            a, b, u = map(p.wrap, (1, F(1, 2), F(1, 3)))
+            x = p.wrap("2/5")
+            assert fresh[key][0] == repr(_oracle_sum(
+                _oracle_terms(_oracle_delay(a, b, u), x, p.one(), p), 1e-50)[0])
+
+    def test_vanishing_number_read_from_the_table(self):
+        p = golden_pair(1, -1)
+        _clear_raw_caches()
+        for _ in range(2):   # the table is built, then read from the cache
+            with pytest.raises(DegenerateStNumber,
+                               match=r"^cannot divide by \{3\} = 0 at \(s, t\) = \(1, -1\)$"):
+                pantograph_at(p, PantographSpec(1, F(1, 2), F(1, 3)), p.wrap("1/2"))
+        info = _stable._number_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_a_context_whose_precision_changes(self, sums):
+        # the raw Arith of mpmath's global context follows its precision
+        from mpmath import mp
+        for dps in (15, 40, 15):
+            with mp.workdps(dps):
+                x, y = mp.mpf(2) / 5, mp.mpf(-1) / 3
+                sums.clear()
+                got = partial_theta(x, y, 1e-30)
+                assert_same_sum(got, sums, _oracle_sum(
+                    _oracle_terms(_oracle_powers(y), x, x * 0 + 1), 1e-30))
+
+    def test_one_arith_per_context(self):
+        p30, p50 = (golden_pair(1, 1, backend="float", precision=d) for d in (30, 50))
+        assert arith_of(p30.one(), p30.phi) is arith_of(p30.s)
+        assert arith_of(p30.one()) is not arith_of(p50.one())

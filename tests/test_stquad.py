@@ -1,9 +1,11 @@
 from fractions import Fraction as F
-from itertools import chain
+from itertools import chain, repeat
+from operator import mul
 
 import pytest
 
-from stpanto.errors import ConvergenceFailure, DegenerateRatio, HypothesisViolated, QOutOfRange
+from stpanto.errors import (BackendMismatch, ConvergenceFailure, DegenerateRatio,
+                            HypothesisViolated, QOutOfRange)
 from stpanto.stnum import golden_pair, st_number
 from stpanto.stseries import Series, st_antiderive, st_derive_at
 from stpanto.stfun import PantographSpec, pantograph, pantograph_at
@@ -21,6 +23,7 @@ from test_stfun import (  # noqa: F401 (sums is a fixture)
     POINT_IDS,
     POINT_PARAMS,
     _oracle_delay,
+    _oracle_powers,
     _oracle_sum,
     _oracle_terms,
     assert_same_failure,
@@ -361,3 +364,93 @@ def test_radius_zero_is_refused_before_any_sum(precision, sums):
     with pytest.raises(ConvergenceFailure, match="radius 0"):
         pantograph_at(p, PantographSpec(1, F(1, 2), F(1, 3)), p.wrap("-1/100"))
     assert sums == []
+
+
+def _oracle_pq(f, a, p, q, tol):
+    """pq_integral's node sum on scalar objects: (its value, (sum, terms))."""
+    if abs(p / q) < 1:
+        p, q = q, p
+    nodes = map(mul, _oracle_powers(q / p), repeat(1 / p))
+    value, n = _oracle_sum((w * f(w * a) for w in nodes), tol)
+    return (p - q) * a * value, (value, n)
+
+
+OTHER = golden_pair(1, 1, backend="float", precision=40)  # a context no POINT_PARAMS uses
+INTEGRANDS = {
+    "own": lambda x: 1 / (1 + x * x),
+    "other-context": lambda x: OTHER.wrap(x) / 3 - 1,
+    "float": lambda x: float(x) / 3 - 0.25,
+    "int": lambda x: 3 ** 40 + 1,
+    "fraction": lambda x: F(2, 3),
+}
+
+
+def _bits(v):
+    """repr, every float bit; an exact Fraction as itself (its repr can pass
+    the 4,300-digit limit)."""
+    return (type(v), v) if isinstance(v, F) else repr(v)
+
+
+def assert_same_node_sums(got, sums, wants):
+    """One stable_sum per endpoint, with the oracle's sum and term count, and
+    the oracle's value (the difference of the two for an interval)."""
+    assert [(_bits(v), n) for v, n in sums] == [(_bits(v), n) for _, (v, n) in wants]
+    assert _bits(got) == _bits(wants[0][0] if len(wants) == 1 else wants[0][0] - wants[1][0])
+
+
+@pytest.mark.parametrize("tol", [1e-15, 1e-50])
+@pytest.mark.parametrize("params", POINT_PARAMS, ids=POINT_IDS)
+class TestNodeSumsMatchObjectLoop:
+    """The Jackson node sums run on raw libmp values for mpf endpoints and
+    nodes; each keeps the value and the term count of the loop on objects."""
+
+    @pytest.mark.parametrize("kind", INTEGRANDS)
+    def test_pq_integral_both_branches(self, params, tol, kind, sums):
+        f, phi, phi_prime = INTEGRANDS[kind], params.phi, params.phi_prime
+        for a in map(params.wrap, ["1/3", "-2/5", "5/4"]):
+            for p, q in [(phi, phi_prime), (phi_prime, phi)]:    # |p/q| > 1, then < 1
+                sums.clear()
+                got = pq_integral(f, a, p, q, tol)
+                assert_same_node_sums(got, sums, [_oracle_pq(f, a, p, q, tol)])
+
+    @pytest.mark.parametrize("kind", INTEGRANDS)
+    def test_st_integral_of_a_callable(self, params, tol, kind, sums):
+        f = INTEGRANDS[kind]
+        if params.rational and kind == "other-context":  # no exact reading of an mpf
+            with pytest.raises(BackendMismatch):
+                st_integral(f, QInterval("1/5", "5/4", params), tol)
+            return
+
+        def g(x):
+            return params.wrap(f(x))
+        for lo, hi in [("-1/3", "1/2"), ("1/5", "5/4")]:
+            sums.clear()
+            got = st_integral(f, QInterval(lo, hi, params), tol)
+            wants = [_oracle_pq(g, params.wrap(x), params.phi, params.phi_prime, tol)
+                     for x in (hi, lo)]
+            assert_same_node_sums(got, sums, wants)
+
+    def test_growth_and_cap_failures(self, params, tol, sums):
+        a, phi, phi_prime = params.one(), params.phi, params.phi_prime
+        for f, message in [(lambda x: 1 / (x * x), "terms grow without bound"),
+                           (lambda x: 1 / x, "no convergence within 10000 terms")]:
+            with pytest.raises(ConvergenceFailure) as got:
+                pq_integral(f, a, phi, phi_prime, tol)
+            assert str(got.value) == f"pq_integral: {message}"
+            assert_same_failure(lambda: pq_integral(f, a, phi, phi_prime, tol),
+                                lambda: _oracle_pq(f, a, phi, phi_prime, tol), message)
+            if tol == 1e-50:
+                break   # the 10,000-term cap once per pair is enough
+
+
+
+@pytest.mark.parametrize("precision", [1, 30, 50])
+def test_complex_values_sum_on_objects(precision, sums):
+    # a term that is no real mpf sends the node sum back to scalar objects
+    p = golden_pair(1, 1, backend="float", precision=precision)
+
+    def f(x):
+        return p.ctx.mpc(x, 1)
+    a = p.wrap("1/3")
+    got = pq_integral(f, a, p.phi, p.phi_prime)
+    assert_same_node_sums(got, sums, [_oracle_pq(f, a, p.phi, p.phi_prime, 1e-15)])
