@@ -1,15 +1,17 @@
-"""Shared kernels: the truncation rule for infinite sums and products, the
+"""Shared kernels: the truncation rules for infinite sums and products, the
 numbers {n}, and the prefix-product construction the special functions are
 built from.
 
-One rule everywhere: a sum stops once three consecutive terms satisfy
-|term| <= tol * (1 + |partial sum|), a product once three consecutive
-factors satisfy |factor - 1| <= tol or at an exact zero factor.  A sum
-whose term magnitudes instead keep growing past 1 for many consecutive
-steps is declared divergent early (convergent sums here have at most a
-short growth prefix before the factorials win); a product has no such
-guard, since (10^6; 9/10)_inf grows for over a hundred factors before it
-settles.  Either fails when still running at its cap: TERM_CAP terms for
+A point sum stops at its proven tail bound (``tail_ratios``): at the first
+t_n with |t_n| rho_n / (1 - rho_n) <= tol * (1 + |partial sum|), rho_n < 1
+bounding every later term ratio.  Other sums stop once three consecutive
+terms satisfy |term| <= tol * (1 + |partial sum|), a product once three
+consecutive factors satisfy |factor - 1| <= tol or at an exact zero factor.
+A sum whose term magnitudes instead keep growing past 1 for many
+consecutive steps is declared divergent early (convergent sums here have at
+most a short growth prefix before the factorials win); a product has no
+such guard, since (10^6; 9/10)_inf grows for over a hundred factors before
+it settles.  Either fails when still running at its cap: TERM_CAP terms for
 a sum, the caller's cap (TERM_CAP by default) for a product.
 
 The construction: a factor stream f_k, its prefix products
@@ -27,10 +29,11 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, count, islice, repeat
+from math import inf as INF, ldexp, nextafter
 from operator import add, gt, le, mul, sub, truediv
 
 from mpmath.libmp import (fone, from_float, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le,
-                          mpf_mul, mpf_sub)
+                          mpf_mul, mpf_sub, round_up)
 
 from .errors import ConvergenceFailure, DegenerateStNumber
 
@@ -78,28 +81,44 @@ def _raw_arith(ctx, prec, rnd) -> Arith:
                  prec, rnd, lambda x: getattr(x, "_mpf_", None) or _raw_constant(x), ctx.make_mpf)
 
 
+class SumStats(namedtuple("SumStats", "terms reason tail", defaults=[None])):
+    """``terms`` drawn; ``reason`` "bound" (``tail`` >= |sum - partial sum|) or "decay"."""
+
+    def __radd__(self, count):  # a running count of terms adds the terms
+        return count + self.terms
+
+
 def _cap_failure(what, cap):
     return ConvergenceFailure(f"{what}: no convergence within {cap} terms")
 
 
-def stable_sum(terms, tol=DEFAULT_TOL, what="series", arith=PLAIN):
-    """Sum the stream ``terms``, operands of ``arith``, under the decay rule.
+def stable_sum(terms, tol=DEFAULT_TOL, what="series", arith=PLAIN, ratios=None):
+    """Sum the stream ``terms``, operands of ``arith``, under the decay rule,
+    or, when ``ratios`` yields a float R_n >= rho_n / (1 - rho_n) with each
+    term (``tail_ratios``), to the first n with |t_n| R_n <= tol (1 + |S_n|).
 
-    Returns (value, terms_consumed).  Raises ConvergenceFailure when the
-    terms grow without settling, or when TERM_CAP terms (or a stream that
-    ends sooner) do not settle; no term past the cap is drawn.
+    Returns (value, SumStats).  Raises ConvergenceFailure when the terms
+    grow without settling, or when TERM_CAP terms (or a stream that ends
+    sooner) do not settle; no term past the cap is drawn.
     """
     plus, size, le, gt, threshold = arith.add, arith.abs, arith.le, arith.gt, arith.threshold
+    low_tol = _float(tol, False)
     prec, rnd, tol, one = arith.prec, arith.rnd, arith.operand(tol), arith.operand(1)
     total = prev_mag = None
     small = growing = 0
     for n, term in enumerate(islice(terms, TERM_CAP)):
         total = term if total is None else plus(total, term, prec, rnd)
         mag = size(term)
-        if le(mag, threshold(tol, size(total), prec, rnd)):
+        if ratios is not None:
+            if (r := next(ratios)) < INF:  # rho_n < 1, so no later term grows
+                tail = nextafter(_float(mag, True) * r, INF)
+                if tail <= nextafter(low_tol * nextafter(1 + _float(size(total), False), 0.0), 0):
+                    return arith.made(total), SumStats(n + 1, "bound", tail)
+                continue
+        elif le(mag, threshold(tol, size(total), prec, rnd)):
             small += 1
             if small >= STABLE_RUN:
-                return arith.made(total), n + 1
+                return arith.made(total), SumStats(n + 1, "decay")
         else:
             small = 0
         if gt(mag, one) and prev_mag is not None and gt(mag, prev_mag):
@@ -117,15 +136,14 @@ def stable_sum(terms, tol=DEFAULT_TOL, what="series", arith=PLAIN):
 def stable_product(factors, tol=DEFAULT_TOL, cap=TERM_CAP, what="product"):
     """Multiply the infinite stream ``factors`` until three consecutive ones
     lie within tol of 1, or one is exactly zero (the product is then exactly
-    0).  Returns (value, factors_consumed) and fails at the cap like
-    ``stable_sum``.
+    0).  Returns (value, SumStats) and fails at the cap like ``stable_sum``.
     """
     total, near_one = 1, 0
     for n, factor in enumerate(islice(factors, cap)):
         total *= factor
         near_one = near_one + 1 if abs(factor - 1) <= tol else 0
         if factor == 0 or near_one >= STABLE_RUN:
-            return total, n + 1
+            return total, SumStats(n + 1, "decay")
     raise _cap_failure(what, cap)
 
 
@@ -215,14 +233,85 @@ def point_terms(factors, x, t, params=None, n=0, arith=PLAIN):
         raise zero_divisor(params, k) from None
 
 
-def point_sum(stream, scalars, x, t, params=None, n=0, head=None, tol=DEFAULT_TOL,
+def tail_ratios(majorant, x, params=None, n=0, arith=PLAIN):
+    """Floats R_j >= rho_j / (1 - rho_j) (inf while rho_j >= 1), rounded outward:
+    rho_j = |x| D / P^(n+1) sum |c| (|r|/P)^j / (1 - (Q/P)^(n+1+j)) bounds all
+    |f_k x / {n+1+k}|, k >= j, if |f_k| <= sum |c| |r|^k over ``majorant``'s (c, r),
+    as |{m}| >= (P^m - Q^m) / D, P = max(|phi|, |phi'|) > Q, D = |phi - phi'|
+    (P = D = 1, Q = 0 with no ``params``).  None unless |r| <= P where c != 0
+    (so rho_j falls) and lim rho_j < 1."""
+    roots = () if params is None else (params.phi, params.phi_prime)
+    if any(type(v) is not type(x) for v in roots):  # complex roots, or of another kind than x
+        return None
+    op = arith.operand
+    bound = _majorant(tuple(map(op, chain(*majorant))), tuple(map(op, roots)), n, arith)
+    if bound is None:
+        return None
+    ws, rs, limit, gm, g = bound
+    k = _float(arith.abs(op(x)), True)
+    return None if nextafter(k * limit, INF) >= 1 else _ratios(
+        [nextafter(k * w, INF) for w in ws], rs, gm, g)
+
+
+@lru_cache(maxsize=64)
+def _majorant(values, roots, n, arith):
+    """(D |c| / P^(n+1) and |r|/P at each c != 0, lim rho_j, (Q/P)^(n+1), Q/P) of
+    ``tail_ratios`` at |x| = 1 from raw c, r, c, r, ... and (phi, phi'), or None."""
+    gt, zero, p = arith.gt, arith.operand(0), arith.operand(1)
+    lo, k, g, gm, limit, ws, rs = 1.0, 1.0, 0.0, 0.0, 0.0, [], []
+    if roots:
+        p, q = map(arith.abs, roots)
+        if gt(q, p):
+            p, q = q, p
+        lo = _float(p, False)
+        gm, g = 1.0, nextafter(_float(q, True) / lo, INF)
+        if not gt(p, q) or g >= 1:
+            return None
+        k = _float(arith.abs(arith.sub(*roots, arith.prec, round_up)), True)  # away from 0
+        for _ in range(n + 1):
+            k, gm = nextafter(k / lo, INF), nextafter(gm * g, INF)
+    for c, r in zip(map(arith.abs, values[::2]), map(arith.abs, values[1::2])):
+        if gt(c, zero):
+            if gt(r, p):
+                return None
+            ws.append(nextafter(k * _float(c, True), INF))
+            rs.append(nextafter(_float(r, True) / lo, INF))
+            limit = limit if gt(p, r) else nextafter(limit + ws[-1], INF)
+    return tuple(ws) or (0.0,), tuple(rs) or (0.0,), limit, gm, g  # shared: never mutated
+
+
+def _ratios(ws, rs, gm, g):
+    while True:  # rho_j / (1 - rho_j) = N / (E - N): N = sum ws rs^j, E = 1 - g^(n+1+j)
+        num = ws[0]
+        for w in ws[1:]:
+            num = nextafter(num + w, INF)
+        den = nextafter(nextafter(1.0 - gm, 0.0) - num, 0.0)
+        yield nextafter(num / den, INF) if den > 0 else INF
+        ws, gm = [nextafter(w * r, INF) for w, r in zip(ws, rs)], nextafter(gm * g, INF)
+
+
+def _float(v, up: bool) -> float:
+    """A float above (``up``) or below v >= 0, raw or a real scalar: an mpf
+    mantissa cut to 53 bits (plus a unit up) or Python's nearest, one step out."""
+    v = getattr(v, "_mpf_", v)
+    try:
+        cut = max(v[3] - 53, 0) if type(v) is tuple else None
+        f = float(v) if cut is None else ldexp((v[1] >> cut) + (up and cut > 0), v[2] + cut)
+    except OverflowError:
+        f = INF
+    return nextafter(f, INF if up else 0.0)
+
+
+def point_sum(stream, majorant, x, t, params=None, n=0, head=None, tol=DEFAULT_TOL,
               what="series"):
     """[head +] the sum of ``point_terms`` of the factor stream ``stream(arith)``,
-    by one ``stable_sum`` in the ``Arith`` of x, t, head, the stream's scalars
-    and (s, t) of ``params``."""
+    by one ``stable_sum`` in the ``Arith`` of x, t, head, the stream's
+    ``majorant`` (``tail_ratios``) and (s, t) of ``params``."""
     extra = (() if head is None else (head,)) + (() if params is None else (params.s, params.t))
-    ar = arith_of(x, t, *scalars, *extra)
+    ar = arith_of(x, t, *chain(*majorant), *extra)
     terms = point_terms(stream(ar), x, t, params, n, ar)
+    ratios = tail_ratios(majorant, x, params, n, ar)
     if head is not None:
         terms = chain([ar.operand(head)], terms)
-    return stable_sum(terms, tol, what=what, arith=ar)[0]
+        ratios = ratios and chain([INF], ratios)
+    return stable_sum(terms, tol, what=what, arith=ar, ratios=ratios)[0]

@@ -314,8 +314,8 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+/\d+|\d*\.?\d+(e[-+]?\d+)?)$", re.IGNORECA
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, *args, **kwargs):  # subparsers are of this class too
+        super().__init__(*args, allow_abbrev=False, **kwargs)  # --a is not --at
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):

@@ -207,8 +207,9 @@ def q_binomial_theorem() -> IdentityResult:
         x = p.wrap(xs)
         z = (1 - p.q) * x
         c = -b / p.phi
-        total = point_sum(partial(golden_factors, p, p.one(), c), (c, p.phi, p.phi_prime), x,
-                          p.one(), p, what="q-binomial sum")
+        majorant = ((p.one(), p.phi), (c, p.phi_prime))
+        total = point_sum(partial(golden_factors, p, p.one(), c), majorant, x, p.one(), p,
+                          what="q-binomial sum")
         rhs = q_pochhammer_inf(b / p.phi * z, p.q) / q_pochhammer_inf(z, p.q)
         worst = max(worst, float(abs(total - rhs)))
     return _result("q-binomial-theorem", worst, 1e-10)

@@ -18,11 +18,14 @@ whose factors 0 + 1 u^k are the powers u^k, and Theta0(x, y) sums the
 (0 (+) 1)^n_{1,y} x^n without the {n}!.  The closed q-Pochhammer
 rewrite a^n (-b/a; u)_n is kept as a cross-check only.
 
-Point evaluation truncates by the shared decay rule (three consecutive
-terms below tol).  Before summing, E and Theta0 check analytically that
-their series converge at the point at all (``pantograph_domain``,
-``theta_domain``): the first terms of a series of radius 0 can decay, and
-the decay rule would stop on them.
+Each point sum stops at its proven tail bound (``_stable.tail_ratios``),
+or by the decay rule (three consecutive terms below tol) where its factors
+have no usable geometric majorant: complex or equal-modulus phi, phi',
+|u| > max(|phi|, |phi'|), or a ratio bound that tends to 1 or more.
+Before summing, E and Theta0 check analytically that their series converge
+at the point at all (``pantograph_domain``, ``theta_domain``): the first
+terms of a series of radius 0 can decay, and the decay rule would stop on
+them.
 """
 
 from __future__ import annotations
@@ -71,9 +74,9 @@ def pantograph(params: Params, spec: PantographSpec, N: int) -> Series:
 
 def pantograph_at(params: Params, spec: PantographSpec, x, tol: float = DEFAULT_TOL):
     """E(a, b; x, u) at a point."""
-    a, b, u, x = (params.wrap(v) for v in (spec.a, spec.b, spec.u, x))
+    a, b, u, x, one = (params.wrap(v) for v in (spec.a, spec.b, spec.u, x, 1))
     pantograph_domain(params, a, b, u, x)
-    return point_sum(partial(delay_factors, a, b, u), (a, b, u), x, params.one(), params,
+    return point_sum(partial(delay_factors, a, b, u), ((a, one), (b, u)), x, one, params,
                      tol=tol, what="E(a, b; x, u)")
 
 
@@ -84,10 +87,10 @@ def deformed_exp(params: Params, u, N: int) -> Series:
 
 
 def deformed_exp_at(params: Params, u, z, tol: float = DEFAULT_TOL):
-    """exp(z, u) at a point, by the decay-truncated term sum."""
-    u, z = params.wrap(u), params.wrap(z)
-    pantograph_domain(params, params.zero(), params.one(), u, z)
-    return point_sum(partial(powers, u), (u,), z, params.one(), params, tol=tol, what="exp(z, u)")
+    """exp(z, u) at a point."""
+    u, z, one = params.wrap(u), params.wrap(z), params.one()
+    pantograph_domain(params, params.zero(), one, u, z)
+    return point_sum(partial(powers, u), ((one, u),), z, one, params, tol=tol, what="exp(z, u)")
 
 
 def product_exp(params: Params, alpha, beta, N: int) -> Series:
@@ -157,7 +160,8 @@ def partial_theta(x, y, tol: float = DEFAULT_TOL):
     terms cannot decay and the sum is rejected.
     """
     theta_domain(x, y)
-    return point_sum(partial(powers, y), (y,), x, x * 0 + 1, tol=tol, what="Theta0(x, y)")
+    one = x * 0 + 1
+    return point_sum(partial(powers, y), ((one, y),), x, one, tol=tol, what="Theta0(x, y)")
 
 
 def partial_theta_series(y, N: int) -> list:

@@ -173,7 +173,7 @@ def pantograph_antiderivative_at(params: Params, spec: PantographSpec, x,
     x = params.wrap(x)
     pantograph_domain(params, a, b, u, x)
     # u/(a u + b) + sum_{n>=1} (a (+) b)^{n-1}_{1,u} x^n / {n}!, one sum
-    return point_sum(partial(delay_factors, a, b, u), (a, b, u), x, x, params, 1,
+    return point_sum(partial(delay_factors, a, b, u), ((a, params.one()), (b, u)), x, x, params, 1,
                      u / (a * u + b), tol, "pantograph antiderivative")
 
 
@@ -187,8 +187,8 @@ def theta_antiderivative_at(params: Params, x, tol: float = DEFAULT_TOL):
     """
     if not abs(params.q) < 1:
         raise QOutOfRange(f"needs |q| < 1, got q = {params.q}")
-    x, q = params.wrap(x), params.q
+    x, q, one = params.wrap(x), params.q, params.one()
     if x != 0:
         theta_domain((1 - q) * x, 1 / params.phi)
-    return point_sum(partial(delay_factors, params.one(), -q, q), (-q, q), x, x, params, 1,
+    return point_sum(partial(delay_factors, one, -q, q), ((one, one), (-q, q)), x, x, params, 1,
                      params.zero(), tol, "theta antiderivative")

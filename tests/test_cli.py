@@ -605,6 +605,10 @@ BAD_ARGV = {
     "verify-deep-nesting": lambda tmp: ["verify", "--doc", _write(
         tmp / "deep.json", "[" * 100_000 + "]" * 100_000)],
     "upto-negative": lambda tmp: ["numbers", "--s=1", "--t=1", "--upto=-1"],
+    # a flag is spelled in full: --a is no abbreviation of --at
+    "derive-abbreviated-flag": lambda tmp: ["derive", "--s", "3", "--t", "-2", "--expr", "x^2",
+                                            "--a", "1/2"],
+    "numbers-abbreviated-flag": lambda tmp: ["numbers", "--s", "1", "--t", "1", "--up", "3"],
     # only integrate takes a tolerance
     "solve-tol": lambda tmp: ["solve", "--family=series-linear", "--s=3", "--t=-2",
                               "--tol=1e-3"],

@@ -20,6 +20,7 @@ from stpanto._stable import (
     powers,
     st_numbers,
     stable_sum,
+    SumStats,
     weights,
 )
 from stpanto.errors import ConvergenceFailure, DegenerateStNumber, IndexOutOfRange
@@ -337,7 +338,8 @@ class TestPantographDomain:
     def test_finite_radius_values_unchanged(self, params, spec, x):
         a, b, u = (params.wrap(v) for v in spec)
         x = params.wrap(x)
-        want, _ = stable_sum(_ref_pantograph_terms(params, a, b, u, x))
+        want, _ = _oracle_sum(_ref_pantograph_terms(params, a, b, u, x), 1e-15,
+                              _oracle_ratios(((a, params.one()), (b, u)), x, params))
         assert pantograph_at(params, PantographSpec(a, b, u), x) == want
         if a == 0 and b == 1:
             assert deformed_exp_at(params, u, x) == want
@@ -475,6 +477,8 @@ class TestKernelMatchesInlineLoops:
             got = stable_sum(point_terms(delay_factors(a, b, u), x, params.one(), params),
                              1e-20)
             assert got == want  # same value from the same number of terms
+            want = _oracle_sum(_ref_pantograph_terms(params, a, b, u, x), 1e-20,
+                               _oracle_ratios(((a, params.one()), (b, u)), x, params))
             assert pantograph_at(params, PantographSpec(a, b, u), x, tol=1e-20) == want[0]
 
 
@@ -589,16 +593,71 @@ class TestRoutedCallersMatchInlineLoops:
 # -- the point sums against the scalar-object loop they replaced -------------------
 
 
-def _oracle_sum(terms, tol):
-    """The decay rule on scalar objects (their own operators): (value, terms)."""
+def _up(v):
+    return math.nextafter(v, math.inf)
+
+
+def _down(v):
+    return math.nextafter(v, 0.0)
+
+
+def _oracle_ratios(majorant, x, params=None, n=0):
+    """``_stable.tail_ratios`` on scalar objects: the floats R_j, or None
+    where that has no bound."""
+    roots = () if params is None else (params.phi, params.phi_prime)
+    ctx = getattr(type(x), "context", None)
+    if any(type(v) is not type(x) for v in roots):
+        return None
+    p, lo, k, g, gm, limit, ws, rs = 1, 1.0, 1.0, 0.0, 0.0, 0.0, [], []
+    if params is not None:
+        p, q = sorted(map(abs, roots), reverse=True)
+        lo = _stable._float(p, False)
+        gm, g = 1.0, _up(_stable._float(q, True) / lo)
+        if not p > q or g >= 1:
+            return None
+        diff = ctx.fsub(*roots, rounding="u") if ctx else roots[0] - roots[1]
+        k = _stable._float(abs(diff), True)
+        for _ in range(n + 1):
+            k, gm = _up(k / lo), _up(gm * g)
+    for c, r in majorant:
+        c, r = abs(c), abs(r)
+        if c > 0:
+            if r > p:
+                return None
+            ws.append(_up(k * _stable._float(c, True)))
+            rs.append(_up(_stable._float(r, True) / lo))
+            limit = limit if p > r else _up(limit + ws[-1])
+    kx, ws, rs = _stable._float(abs(x), True), ws or [0.0], rs or [0.0]
+    if _up(kx * limit) >= 1:
+        return None
+
+    def ratios(ws, gm):
+        while True:
+            num = ws[0]
+            for w in ws[1:]:
+                num = _up(num + w)
+            den = _down(_down(1.0 - gm) - num)
+            yield _up(num / den) if den > 0 else math.inf
+            ws, gm = [_up(w * r) for w, r in zip(ws, rs)], _up(gm * g)
+    return ratios([_up(kx * w) for w in ws], gm)
+
+
+def _oracle_sum(terms, tol, ratios=None):
+    """``stable_sum`` on scalar objects (their own operators; the tail bound
+    in floats rounded outward): (value, SumStats)."""
     total, small, growing, prev = None, 0, 0, None
     for n, term in enumerate(islice(terms, TERM_CAP)):
         total = term if total is None else total + term
         mag, size = abs(term), abs(total)
-        if mag <= (F(tol) if isinstance(size, F) else tol) * (1 + size):
+        if ratios is not None:
+            tail = _up(_stable._float(mag, True) * next(ratios))
+            low_tol = _stable._float(tol, False)
+            if tail <= _down(low_tol * _down(1.0 + _stable._float(size, False))):
+                return total, SumStats(n + 1, "bound", tail)
+        elif mag <= (F(tol) if isinstance(size, F) else tol) * (1 + size):
             small += 1
             if small >= 3:
-                return total, n + 1
+                return total, SumStats(n + 1, "decay")
         else:
             small = 0
         growing = growing + 1 if prev is not None and mag > prev and mag > 1 else 0
@@ -649,9 +708,9 @@ def sums(monkeypatch):
 
 
 def assert_same_sum(got, sums, want):
-    """One point sum, with the oracle's value (by repr, so every float bit)
-    and term count; a rational value is the identical Fraction."""
-    assert [(repr(v), n) for v, n in sums] == [(repr(want[0]), want[1])]
+    """One point sum, with the oracle's value and SumStats (by repr, so every
+    float bit); a rational value is the identical Fraction."""
+    assert [(repr(v), repr(n)) for v, n in sums] == [(repr(want[0]), repr(want[1]))]
     assert repr(got) == repr(want[0])
     if isinstance(want[0], F):
         assert type(got) is F and got == want[0]
@@ -686,7 +745,8 @@ class TestPointSumsMatchObjectLoop:
             sums.clear()
             got = pantograph_at(params, PantographSpec(a, b, u), x, tol)
             assert_same_sum(got, sums, _oracle_sum(
-                _oracle_terms(_oracle_delay(a, b, u), x, params.one(), params), tol))
+                _oracle_terms(_oracle_delay(a, b, u), x, params.one(), params), tol,
+                _oracle_ratios(((a, params.one()), (b, u)), x, params)))
 
     @pytest.mark.parametrize("u", ["1/3", "-2/3", "0", "1", "3/2"])
     def test_deformed_exp_at(self, params, tol, u, sums):
@@ -695,7 +755,8 @@ class TestPointSumsMatchObjectLoop:
             sums.clear()
             got = deformed_exp_at(params, u, x, tol)
             assert_same_sum(got, sums, _oracle_sum(
-                _oracle_terms(_oracle_powers(u), x, params.one(), params), tol))
+                _oracle_terms(_oracle_powers(u), x, params.one(), params), tol,
+                _oracle_ratios(((params.one(), u),), x, params)))
 
     @pytest.mark.parametrize("y", ["1/2", "-2/3", "0", "1"])
     def test_partial_theta(self, params, tol, y, sums):
@@ -704,20 +765,23 @@ class TestPointSumsMatchObjectLoop:
             sums.clear()
             got = partial_theta(x, y, tol)
             assert_same_sum(got, sums, _oracle_sum(_oracle_terms(_oracle_powers(y), x, x * 0 + 1),
-                                                   tol))
+                                                   tol, _oracle_ratios(((x * 0 + 1, y),), x)))
 
     @pytest.mark.parametrize("q", ["1/2", "-2/3", "0"])
     def test_psi_theta(self, params, tol, q, sums):
         q = params.wrap(q)
         got = psi_theta(q, tol)
-        assert_same_sum(got, sums, _oracle_sum(_oracle_terms(_oracle_powers(q), q, q * 0 + 1), tol))
+        assert_same_sum(got, sums, _oracle_sum(_oracle_terms(_oracle_powers(q), q, q * 0 + 1), tol,
+                                               _oracle_ratios(((q * 0 + 1, q),), q)))
 
     def test_growth_run(self, params, tol, sums):
         spec, x = PantographSpec(*map(params.wrap, ("1", "1/2", "1/3"))), params.wrap(10 ** 30)
         assert_same_failure(
             lambda: pantograph_at(params, spec, x, tol),
             lambda: _oracle_sum(_oracle_terms(_oracle_delay(spec.a, spec.b, spec.u), x,
-                                              params.one(), params), tol),
+                                              params.one(), params), tol,
+                                _oracle_ratios(((spec.a, params.one()), (spec.b, spec.u)), x,
+                                               params)),
             "grow without bound")
 
 
@@ -727,8 +791,10 @@ def test_q_binomial_sum_matches_object_loop(sums):
     identities.q_binomial_theorem()
     b = -p.wrap(F(1, 3)) / p.phi
     want = [_oracle_sum(_oracle_terms(_oracle_golden(p, p.one(), b), p.wrap(x), p.one(), p),
-                        1e-15) for x in ("0.1", "0.2")]
-    assert [(repr(v), n) for v, n in sums] == [(repr(v), n) for v, n in want]
+                        1e-15, _oracle_ratios(((p.one(), p.phi), (b, p.phi_prime)), p.wrap(x), p))
+            for x in ("0.1", "0.2")]
+    assert [(repr(v), repr(n)) for v, n in sums] == [(repr(v), repr(n)) for v, n in want]
+    assert [n.reason for _, n in sums] == ["bound", "bound"]
 
 
 class TestArithOf:
@@ -763,7 +829,8 @@ class TestArithOf:
             sums.clear()
             got = partial_theta(x, y, 1e-15)
             assert_same_sum(got, sums, _oracle_sum(
-                _oracle_terms(_oracle_powers(y), x, x * 0 + 1), 1e-15))
+                _oracle_terms(_oracle_powers(y), x, x * 0 + 1), 1e-15,
+                _oracle_ratios(((x * 0 + 1, y),), x)))
 
 
 VANISHING = [(1, -1, 3), (2, -2, 4), (3, -3, 6)]
@@ -836,7 +903,8 @@ def test_negative_order_is_refused(params, N):
 
 
 def _clear_raw_caches():
-    for cached in (_stable._number_table, _stable._raw_arith, _stable._raw_constant):
+    for cached in (_stable._number_table, _stable._raw_arith, _stable._raw_constant,
+                   _stable._majorant):
         cached.cache_clear()
 
 
@@ -859,9 +927,10 @@ class TestCachedStateIsInvisible:
         a, b, u = map(p.wrap, ("-4/3", "1", "3"))
         x = p.wrap("2/3")
         got = pantograph_at(p, PantographSpec(a, b, u), x, 1e-50)
-        want = _oracle_sum(_oracle_terms(_oracle_delay(a, b, u), x, p.one(), p), 1e-50)
+        want = _oracle_sum(_oracle_terms(_oracle_delay(a, b, u), x, p.one(), p), 1e-50,
+                           _oracle_ratios(((a, p.one()), (b, u)), x, p))
         assert_same_sum(got, sums, want)
-        assert want[1] > NUMBER_TABLE
+        assert want[1].terms > NUMBER_TABLE
 
     @pytest.mark.parametrize("precision", [1, 30, 50])
     def test_numbers_past_the_table(self, precision):
@@ -884,7 +953,8 @@ class TestCachedStateIsInvisible:
             a, b, u = map(p.wrap, (1, F(1, 2), F(1, 3)))
             x = p.wrap("2/5")
             assert fresh[key][0] == repr(_oracle_sum(
-                _oracle_terms(_oracle_delay(a, b, u), x, p.one(), p), 1e-50)[0])
+                _oracle_terms(_oracle_delay(a, b, u), x, p.one(), p), 1e-50,
+                _oracle_ratios(((a, p.one()), (b, u)), x, p))[0])
 
     def test_vanishing_number_read_from_the_table(self):
         p = golden_pair(1, -1)
@@ -905,9 +975,114 @@ class TestCachedStateIsInvisible:
                 sums.clear()
                 got = partial_theta(x, y, 1e-30)
                 assert_same_sum(got, sums, _oracle_sum(
-                    _oracle_terms(_oracle_powers(y), x, x * 0 + 1), 1e-30))
+                    _oracle_terms(_oracle_powers(y), x, x * 0 + 1), 1e-30,
+                    _oracle_ratios(((x * 0 + 1, y),), x)))
 
     def test_one_arith_per_context(self):
         p30, p50 = (golden_pair(1, 1, backend="float", precision=d) for d in (30, 50))
         assert arith_of(p30.one(), p30.phi) is arith_of(p30.s)
         assert arith_of(p30.one()) is not arith_of(p50.one())
+
+
+# -- the proven tail bound ----------------------------------------------------
+
+
+P11 = golden_pair(1, 1, backend="float", precision=30)
+
+
+def _covered_sums(params):
+    """(name, call(tol)) for every point evaluator whose sum stops by the bound."""
+    w = params.wrap
+    spec = PantographSpec(w(1), w("1/2"), w("1/3"))
+    big = PantographSpec(w(2), w("-1/4"), w("1/2"))
+    cases = []
+    for x in map(w, ["1/5", "-2/5", "3/4", "2"]):
+        cases += [
+            (f"E at {x}", lambda tol, x=x: pantograph_at(params, spec, x, tol)),
+            (f"E(0, 1; ., phi') at {x}", lambda tol, x=x: pantograph_at(
+                params, PantographSpec(0, 1, params.phi_prime), x, tol)),
+            (f"exp at {x}", lambda tol, x=x: deformed_exp_at(params, w("-2/3"), x, tol)),
+            (f"antiderivative at {x}", lambda tol, x=x: stquad.pantograph_antiderivative_at(
+                params, big, x, tol)),
+            (f"Theta0 at {x}", lambda tol, x=x: partial_theta(x / 4, w("1/2"), tol)),
+        ]
+    cases += [(f"theta antiderivative at {x}", lambda tol, x=x: stquad.theta_antiderivative_at(
+        params, w(x), tol)) for x in ("1/5", "-2/5")]
+    cases += [(f"psi at {q}", lambda tol, q=q: psi_theta(w(q), tol)) for q in ("1/3", "-1/2")]
+    return cases
+
+
+@pytest.mark.parametrize("params", [P32, P11], ids=["rational", "float30"])
+def test_bound_stops_are_within_tol(params, sums):
+    # every covered sum stops by the bound, with a certified tail <= tol (1 + |S|),
+    # and its value lies within that of a 1e-60 reference
+    for name, call in _covered_sums(params):
+        sums.clear()
+        got = call(1e-15)
+        (value, stats), = sums
+        assert stats.reason == "bound", name
+        assert stats.tail <= 1e-15 * (1 + abs(value)), name
+        assert abs(got - call(1e-60)) <= 1e-15 * (1 + abs(got)), name
+
+
+def test_a_dipping_sum_is_summed_to_the_tol(sums):
+    # the first terms 1e-18, 5e-17, 2e-15 are small and growing: the decay rule
+    # stopped on them at 1 + 1.93e-15, 1e7 times the tol off the value 1 + 9.74e-9
+    spec = PantographSpec(1, -(1 - P11.wrap("1e-20")), F(1, 2))
+    x = P11.wrap(100)
+    got, want = pantograph_at(P11, spec, x), pantograph_at(P11, spec, x, 1e-40)
+    assert abs(got - want) <= 1e-15 * (1 + abs(want))
+    assert abs(got - 1 - P11.wrap("9.74271e-9")) < 1e-14
+    assert sums[0][1].reason == "bound"
+
+
+@pytest.mark.parametrize("params, spec, x", [
+    (golden_pair(1, -2, backend="float"), (1, F(1, 2), F(1, 3)), F(1, 5)),  # complex roots
+    (golden_pair(F(3, 2), F(-1, 2)), (1, F(1, 2), -1), 2),    # P = 1: lim rho_j = 3/2
+    (golden_pair(F(11, 10), F(-6, 25)), (1, F(-1, 4), 2), F(1, 2)),  # |u| > P: a polynomial
+], ids=["complex", "P=1", "u-above-P"])
+def test_sums_with_no_bound_keep_the_decay_rule(params, spec, x, sums):
+    # at P = 1 and u = -1 the factors alternate 3/2 and 1/2, so E converges at
+    # x = 2 while the majorant's ratios tend to (1 + 1/2) x / 2 = 3/2
+    got = pantograph_at(params, PantographSpec(*spec), x)
+    (value, stats), = sums
+    assert (stats.reason, stats.tail) == ("decay", None) and got == value
+
+
+@pytest.mark.parametrize("s, t, n", VANISHING)
+@pytest.mark.parametrize("precision", [15, 50])
+def test_vanishing_numbers_still_raise(s, t, n, precision):
+    # complex roots: no bound, so the sums run into {n} = 0 as before
+    p = golden_pair(s, t, precision=precision)
+    assert _stable.tail_ratios(((p.one(), p.one()), (p.one(), p.wrap("1/3"))), p.wrap("1/2"), p,
+                               arith=arith_of(p.s)) is None
+    message = rf"^cannot divide by \{{{n}\}} = 0 at \(s, t\) = \({s}, {t}\)$"
+    for call in (lambda: pantograph_at(p, PantographSpec(1, F(1, 2), F(1, 3)), p.wrap("1/2")),
+                 lambda: deformed_exp_at(p, F(1, 2), p.wrap("-1/3")),
+                 lambda: stquad.pantograph_antiderivative_at(
+                     p, PantographSpec(2, F(1, 5), F(1, 2)), p.wrap("1/2"))):
+        with pytest.raises(DegenerateStNumber, match=message):
+            call()
+
+
+def test_node_sums_and_products_report_decay(sums):
+    p = P11
+    stquad.pq_integral(lambda v: 1 / (1 + v * v), p.wrap("1/3"), p.phi, p.phi_prime)
+    assert [stats.reason for _, stats in sums] == ["decay"]
+    assert _stable.stable_product(iter([F(1, 2), F(1), F(1), F(1)]))[1] == SumStats(4, "decay")
+    assert 5 + SumStats(3, "bound", 0.0) == 8  # a running count adds the terms
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_float_bounds_enclose_the_value(seed):
+    # raw values of 1..300 bits, subnormal, huge and exact, and plain scalars
+    rng = random.Random(seed)
+    values = [(0, rng.getrandbits(bits) | 1, rng.randint(-1200, 1100), bits)
+              for bits in [1, 2, 52, 53, 54, 100, 300] * 20]
+    values = [(0, man, exp, man.bit_length()) for _, man, exp, _ in values]
+    for v in values + [F(rng.randint(1, 10 ** 40), rng.randint(1, 10 ** 40)) for _ in range(50)]:
+        exact = F(v[1]) * F(2) ** v[2] if isinstance(v, tuple) else v
+        lo, hi = _stable._float(v, False), _stable._float(v, True)
+        assert F(lo) <= exact and (hi == math.inf or exact <= F(hi)), v
+    assert _stable._float(F(10 ** 400), True) == math.inf
+    assert _stable._float(F(10 ** 400), False) == 1.7976931348623157e308

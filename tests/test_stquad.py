@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 from itertools import chain, repeat
 from operator import mul
@@ -24,6 +25,7 @@ from test_stfun import (  # noqa: F401 (sums is a fixture)
     POINT_PARAMS,
     _oracle_delay,
     _oracle_powers,
+    _oracle_ratios,
     _oracle_sum,
     _oracle_terms,
     assert_same_failure,
@@ -324,7 +326,8 @@ class TestAntiderivativeSumsMatchObjectLoop:
 
     def oracle(self, params, a, b, u, x, constant, tol):
         terms = _oracle_terms(_oracle_delay(a, b, u), x, x, params, 1)
-        return _oracle_sum(chain([constant], terms), tol)
+        ratios = _oracle_ratios(((a, params.one()), (b, u)), x, params, 1)  # none for the constant
+        return _oracle_sum(chain([constant], terms), tol, ratios and chain([math.inf], ratios))
 
     @pytest.mark.parametrize("spec", [("1", "1/2", "2/3"), ("2", "-1/4", "1/2"),
                                       ("3/2", "1/5", "-3/2"), ("-1", "1/3", "1"),
