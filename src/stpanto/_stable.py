@@ -21,8 +21,10 @@ and of every point value ``point_sum``.  A point sum runs its factors, {n},
 terms and stop rule in the ``Arith`` of its scalars (``arith_of``): real mpf
 values of one context on their raw libmp values, with the calls, order and
 rounding of mpf's own operators (so every result is bit-identical to the
-operator loop), others on operators.  One raw ``Arith`` serves each context,
-and raw {n} come from a bounded cache of tables (``st_numbers``).
+operator loop), others on operators.  One raw ``Arith`` serves each context
+(``_raw_arith``), and the float coefficient ring (``_rings.FloatRing``) runs
+its series kernels in the same table; raw {n} come from a bounded cache of
+tables (``st_numbers``).
 """
 
 from collections import namedtuple

@@ -30,7 +30,6 @@ them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -132,14 +131,8 @@ def _has_zero_factor(params: Params, a, b, u) -> bool:
     r = -a / b
     if r == 0 or abs(u) in (0, 1):
         return r == 1 or r == u     # then u^k only takes the values 1, u (and 0)
-    k = round(_log_abs(params, r) / _log_abs(params, u))
+    k = round(params.ring.log_abs(r) / params.ring.log_abs(u))
     return 0 <= k < TERM_CAP and a + b * u ** k == 0
-
-
-def _log_abs(params: Params, x) -> float:
-    if params.rational:
-        return math.log(abs(x.numerator)) - math.log(x.denominator)
-    return float(params.log(abs(x)))
 
 
 def theta_domain(x, y):

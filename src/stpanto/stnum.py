@@ -7,14 +7,16 @@ are the roots of x^2 - s x - t, with phi the larger one and q = phi'/phi.
 These satisfy phi + phi' = s, phi * phi' = -t and the factorial bridge
 {n}! = phi^C(n,2) (q;q)_n / (1-q)^n.
 
-Two scalar backends are fixed per Params instance:
+Each Params fixes one of two scalar backends, and ``golden_pair`` builds
+its coefficient ring (``_rings``), which every backend choice goes through:
 
 * ``rational`` -- exact fractions.Fraction arithmetic.  Requires s, t
   rational with sqrt(s^2 + 4t) rational, so phi and q are rational too.
-* ``float`` -- arbitrary-precision mpmath floats at a configurable number
-  of significant digits (``precision``, default 30).  Besides the exact
-  checks, a float pair is refused when s^2 + 4t is too small for the digits
-  kept to tell phi from phi' (see ``golden_pair``).
+* ``float`` -- arbitrary-precision real mpmath floats at a configurable
+  number of significant digits (``precision``, default 30).  Besides the
+  exact checks, a float pair is refused when s^2 + 4t is too small for the
+  digits kept to tell phi from phi' (see ``golden_pair``).  A pair with
+  s^2 + 4t < 0 has complex phi and q, which the ring refuses as scalars.
 
 Every other object in the package carries or references a Params.  The
 degenerate cases q = 1 and s^2 + 4t = 0 are hard errors: every divided
@@ -36,6 +38,7 @@ from typing import Union
 
 from mpmath.ctx_mp import MPContext
 
+from ._rings import RATIONAL, FloatRing, _as_fraction, _as_mpf
 from ._stable import (DEFAULT_TOL, delay_factors, st_numbers, stable_product, weights,
                       zero_divisor)
 from .errors import (
@@ -51,40 +54,6 @@ from .errors import (
 Scalar = Union[Fraction, object]  # Fraction or a context-bound mpmath mpf
 
 DEFAULT_PRECISION = 30
-FLOAT_EQ_TOL = 1e-12
-
-
-def _as_fraction(x) -> Fraction:
-    """Read a literal exactly; every rational-backend literal passes here."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, (str, float)):
-        # Read floats through their decimal repr so 0.2 means 1/5, not the
-        # binary expansion of the nearest double.
-        try:
-            return Fraction(str(x))
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise BackendMismatch(f"cannot interpret {x!r} as an exact rational")
-
-
-def _as_mpf(ctx, x):
-    """Read a finite literal at the context's precision (the float-backend
-    path): a scalar of the context is returned as it is, and a Fraction is
-    rounded as numerator over denominator."""
-    if type(x) is ctx.mpf:
-        return x
-    if isinstance(x, Fraction):
-        return ctx.mpf(x.numerator) / ctx.mpf(x.denominator)
-    try:
-        value = ctx.mpf(x)
-        if ctx.isfinite(value):
-            return value
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise StInputError(f"cannot interpret {x!r} as a finite number")
 
 
 @cache
@@ -113,7 +82,7 @@ class Params:
     share one mpmath context, which is safe because stpanto never changes a
     context's precision once made (nor may a caller).  All scalar values
     used with a Params must come from its own backend (``wrap`` converts
-    literals).
+    literals).  ``ring`` is the coefficient ring of the backend (``_rings``);
     ``growth`` is max(|phi|, |phi'|), the base {n} grows like.
     """
 
@@ -125,6 +94,7 @@ class Params:
     backend: str
     precision: int
     ctx: MPContext | None = field(compare=False)
+    ring: object = field(compare=False)
     growth: Scalar = field(init=False, compare=False)
 
     def __post_init__(self):
@@ -143,9 +113,7 @@ class Params:
     def wrap(self, x) -> Scalar:
         """Convert a literal (int, str, float, Fraction) to a backend scalar;
         a scalar of this backend is returned as it is."""
-        if self.rational:
-            return _as_fraction(x)
-        return _as_mpf(self.ctx, x)
+        return self.ring.wrap(x)
 
     def zero(self) -> Scalar:
         return self.wrap(0)
@@ -154,31 +122,21 @@ class Params:
         return self.wrap(1)
 
     def log(self, x) -> Scalar:
-        if self.rational:
-            raise BackendMismatch("log is not available in the rational backend")
-        return self.ctx.log(x)
+        return self.ring.log(x)
 
     def power(self, x, e) -> Scalar:
         """x**e; non-integer exponents need the float backend."""
         if isinstance(e, int) or (isinstance(e, Fraction) and e.denominator == 1):
             return self.wrap(x) ** int(e)
-        if self.rational:
-            raise BackendMismatch(f"non-integer exponent {e} in rational backend")
-        return self.ctx.power(self.wrap(x), self.wrap(e))
+        return self.ring.power(self.wrap(x), e)
 
     def eq(self, a, b) -> bool:
         """Backend equality: exact for rationals, relative FLOAT_EQ_TOL for floats."""
-        if self.rational:
-            return a == b
-        return abs(a - b) <= FLOAT_EQ_TOL * max(1, abs(a), abs(b))
+        return self.ring.eq(a, b)
 
     def to_str(self, x) -> str:
         """Exact 'p/q', or decimal at the declared precision (integers positional)."""
-        if isinstance(x, Fraction):
-            return str(x)
-        if self.ctx.isint(x):
-            return self.ctx.nstr(x, self.precision, min_fixed=-math.inf, max_fixed=math.inf)[:-2]
-        return self.ctx.nstr(x, self.precision)
+        return self.ring.to_str(x)
 
 
 def golden_pair(s, t, backend: str | None = None, precision: int | None = None) -> Params:
@@ -220,7 +178,7 @@ def golden_pair(s, t, backend: str | None = None, precision: int | None = None) 
                                           "use the float backend") from None
             else:
                 phi = (s + root) / 2
-                return Params(s, t, phi, s - phi, (s - phi) / phi, "rational", 0, None)
+                return Params(s, t, phi, s - phi, (s - phi) / phi, "rational", 0, None, RATIONAL)
 
     ctx = _context(precision)
     s, t = _as_mpf(ctx, s), _as_mpf(ctx, t)
@@ -230,7 +188,8 @@ def golden_pair(s, t, backend: str | None = None, precision: int | None = None) 
             f"s^2 + 4t vanishes at (s, t) = ({s}, {t}); phi = phi' is unsupported")
     phi = (s + ctx.sqrt(disc)) / 2
     phi_prime = s - phi
-    return Params(s, t, phi, phi_prime, phi_prime / phi, "float", precision, ctx)
+    return Params(s, t, phi, phi_prime, phi_prime / phi, "float", precision, ctx,
+                  FloatRing(ctx, precision))
 
 
 # -- (s,t)-numbers ------------------------------------------------------

@@ -211,11 +211,11 @@ def solve_series_linear(problem: LinearProblem, N: int = DEFAULT_ORDER) -> Solut
     coeffs = [p.wrap(problem.initial)]
     for n, f in zip(range(N), delay_factors(a, b, u)):
         coeffs.append(f / nums[n + 1] * alpha * coeffs[n] + beta.coeffs[n] / nums[n + 1])
-    y = Series._made(p, coeffs)
+    y = Series(p, coeffs)
     closed = {"tag": "a0*E(a,b;alpha*x,u) + particular",
               "parameters": {"a0": p.to_str(coeffs[0]), "alpha": p.to_str(alpha),
                              "a": p.to_str(a), "b": p.to_str(b), "u": p.to_str(u)}}
-    return SolutionReport(problem, y, closed, y.order)
+    return SolutionReport(problem, y, closed, N)
 
 
 def series_linear_closed_form(problem: LinearProblem, N: int = DEFAULT_ORDER) -> Series:
@@ -242,7 +242,7 @@ def series_linear_closed_form(problem: LinearProblem, N: int = DEFAULT_ORDER) ->
         inner = inner * alpha + fact * beta.coeffs[n - 1] / oplus[n]
         fact *= nums[n]
         coeffs.append(inner * oplus[n] / fact)
-    return homog + Series._made(p, coeffs)
+    return homog + Series(p, coeffs)
 
 
 def solve_special_rhs(params: Params, spec: PantographSpec, beta_amplitude, a0,

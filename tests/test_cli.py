@@ -577,6 +577,11 @@ def _verify_series_doc(tmp, **blocks):
     return ["verify", "--doc", _write(tmp / "series.json", json.dumps(doc))]
 
 
+def _complex_pair_solve(*flags):
+    """A float solve at (1, -2), where s^2 + 4t = -7 and phi is complex."""
+    return lambda tmp: ["solve", "--s=1", "--t=-2", "--backend=float", "--order=6", *flags]
+
+
 BAD_ARGV = {
     "derive-deep-nesting": lambda tmp: ["derive", "--s", "3", "--t", "-2", "--expr",
                                         "(" * 330 + "x" + ")" * 330],
@@ -643,6 +648,17 @@ BAD_ARGV = {
                                      "--order=4"],
     "solve-vanishing-6": lambda tmp: ["solve", "--family=integration-factor", "--s=3",
                                       "--t=-3", "--order=8"],
+    # s^2 + 4t < 0 makes phi complex: the float backend refuses it wherever it
+    # would enter a series or a point value
+    "complex-integration-factor": _complex_pair_solve("--family=integration-factor"),
+    "complex-integration-factor-phi-delay": _complex_pair_solve(
+        "--family=integration-factor", "--delay-side=phi-delay"),
+    "complex-special-rhs": _complex_pair_solve("--family=special-rhs"),
+    "complex-bernoulli": _complex_pair_solve("--family=bernoulli"),
+    "complex-bernoulli-phi-prime-delay": _complex_pair_solve(
+        "--family=bernoulli", "--delay-side=phi-prime-delay"),
+    "complex-series-linear-points": _complex_pair_solve("--family=series-linear",
+                                                        "--points=1/2"),
 }
 
 
@@ -655,6 +671,16 @@ def test_bad_input_is_one_error_line(capsys, tmp_path, case):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "vanishes" not in lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--family=series-linear"],
+    ["solve", "--family=operator"],
+    ["eval", "--fn=pantograph", "--a=1", "--b=1/2", "--u=1/3"]])
+def test_complex_pair_runs_that_stay_real(capsys, argv):
+    # phi is complex at (1, -2), but these series have real coefficients
+    code, doc = run_cli(capsys, *argv, "--s=1", "--t=-2", "--backend=float", "--order=6")
+    assert code == 0 and len(doc["solution"]["coeffs"]) == 7
 
 
 @pytest.mark.parametrize("s, t, n", [("1", "-1", 3), ("2", "-2", 4), ("3", "-3", 6)])

@@ -23,7 +23,8 @@ from stpanto._stable import (
     SumStats,
     weights,
 )
-from stpanto.errors import ConvergenceFailure, DegenerateStNumber, IndexOutOfRange
+from stpanto.errors import (BackendMismatch, ConvergenceFailure, DegenerateStNumber,
+                            IndexOutOfRange)
 from stpanto.stnum import golden_pair, q_pochhammer, q_pochhammer_inf, st_fibonomial, st_number
 from stpanto.stquad import pantograph_antiderivative_series
 from stpanto.stsolve import LinearProblem, integrating_factor, solve_series_linear
@@ -204,6 +205,18 @@ class TestProductExp:
     def test_exp_times_primed_exp_annihilates(self):
         # Exp(-x) Exp'(x) = 1: the k = 0 factor of (-1 (+) 1) vanishes
         assert product_exp(P32, -1, 1, 12) == Series.one(P32, 12)
+
+    def test_complex_roots_are_refused_on_the_float_backend(self):
+        # at (1, -2) phi is complex: its coefficients cannot enter a float
+        # series, which holds real values only
+        p = golden_pair(1, -2, backend="float")
+        with pytest.raises(BackendMismatch, match="complex value"):
+            product_exp(p, 1, 0, 6)
+        with pytest.raises(BackendMismatch, match="complex value"):
+            p.wrap(p.phi)
+        # a series whose coefficients stay real still works on that pair
+        e = pantograph(p, PantographSpec(1, F(1, 2), F(1, 3)), 6)
+        assert all(type(c) is p.ctx.mpf for c in (e * e).coeffs)
 
 
 class TestPantograph:

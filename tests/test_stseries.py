@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 from itertools import accumulate
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from stpanto import identities
 from stpanto.errors import (
+    BackendMismatch,
     NonInvertibleSeries,
     NonQPeriodicInitial,
     NonzeroConstantTerm,
@@ -397,6 +399,85 @@ class TestBlockForm:
         assert q * g == f
 
 
+class FractionListRing:
+    """A third coefficient ring, for tests only: a Series holds its plain
+    Fraction coefficients, and every kernel is a loop on operators."""
+
+    to_str = staticmethod(str)
+
+    def wrap(self, x):
+        return x if isinstance(x, F) else F(x)
+
+    def data(self, coeffs):
+        return list(coeffs)
+
+    def coeffs(self, data):
+        return list(data)
+
+    def order(self, data):
+        return len(data) - 1
+
+    def window(self, data, lo, hi):
+        return data[lo:hi]
+
+    def padded(self, data, extra):
+        return data + [F(0)] * extra
+
+    def add(self, a, b, n):
+        return [x + y for x, y in zip(a[:n + 1], b)]
+
+    def scaled(self, data, w):
+        return [x * w for x in data]
+
+    def times(self, data, fs):
+        return [x * f for x, f in zip(data, fs)]
+
+    def antiderive(self, data, nums):
+        return [F(0)] + [x / m for x, m in zip(data, nums)]
+
+    def product(self, a, b, n):
+        return schoolbook(a[:n + 1], b[:n + 1])
+
+    def quotient(self, f, g, n):
+        return quotient_loop(f, g)
+
+    def value(self, data, x):
+        acc = F(0)
+        for c in reversed(data):
+            acc = acc * x + c
+        return acc
+
+    def equals(self, f, g):
+        return f.coeffs == g.coeffs
+
+    def max_abs(self, data):
+        return max(map(abs, data))
+
+
+class TestThirdRing:
+    """A ring that ``stseries`` does not know plugs in through Params alone:
+    TestBlockForm's operation chains on Fraction lists agree, step by step,
+    with the same chains on integer blocks."""
+
+    @given(st.sampled_from(BLOCK_PAIRS), block_operand, block_operand,
+           st.lists(st.tuples(st.sampled_from(BLOCK_OPS), st.booleans(), block_scalar,
+                              st.integers(0, 40)), min_size=5, max_size=8),
+           st.fractions(min_value=-2, max_value=2, max_denominator=7))
+    @settings(max_examples=40, deadline=None)
+    def test_fraction_lists_agree_with_blocks(self, p, a, b, steps, x):
+        rings = (p, dataclasses.replace(p, ring=FractionListRing()))
+        pools = [[(Series(r, a), a), (Series(r, b), b)] for r in rings]
+        curs = [pool[0] for pool in pools]
+        for op, pick, w, k in steps:
+            curs = [block_step(r, op, cur, pool[pick], w, k)
+                    for r, cur, pool in zip(rings, curs, pools)]
+            (blocks, want), (lists, _) = curs
+            assert lists.data == blocks.coeffs == want
+        assert lists.eval(x) == blocks.eval(x)
+        assert lists.max_abs_coeff() == blocks.max_abs_coeff()
+        assert lists == Series(rings[1], want) and (-lists).data == [-c for c in want]
+
+
 class TestDerivative:
     def test_cubic(self):
         # {3} = 7 at (3,-2), so D x^3 = 7 x^2
@@ -681,3 +762,8 @@ class TestQPeriodic:
     def test_callable_needs_float_backend(self):
         with pytest.raises(NonQPeriodicInitial):
             QPeriodic.periodic(P32, lambda y: 1.0)
+
+    def test_callable_refuses_a_complex_q(self):
+        # at (1, -2) q is complex, so it has no place in 0 < q < 1
+        with pytest.raises(BackendMismatch, match="complex value"):
+            QPeriodic.periodic(golden_pair(1, -2, backend="float"), lambda y: 1.0)
