@@ -195,18 +195,23 @@ def powers(u, arith=PLAIN):
 
 def delay_factors(a, b, u, arith=PLAIN):
     """a + b u^k for k = 0, 1, ...: the factors of (a (+) b)^n_{1,u}."""
-    r = repeat(arith.prec), repeat(arith.rnd)
-    return map(arith.add, repeat(arith.operand(a)),
-               map(arith.mul, repeat(arith.operand(b)), powers(u, arith), *r), *r)
+    return factors(((a, 1), (b, u)), arith)
 
 
 def golden_factors(params, alpha, beta, arith=PLAIN):
     """alpha phi^k + beta phi'^k for k = 0, 1, ...: the factors of
     (alpha (+) beta)^n_{phi,phi'}."""
-    r = repeat(arith.prec), repeat(arith.rnd)
-    alpha, beta = repeat(arith.operand(alpha)), repeat(arith.operand(beta))
-    return map(arith.add, map(arith.mul, alpha, powers(params.phi, arith), *r),
-               map(arith.mul, beta, powers(params.phi_prime, arith), *r), *r)
+    return factors(((alpha, params.phi), (beta, params.phi_prime)), arith)
+
+
+def factors(pairs, arith=PLAIN):
+    """f_k = sum c r^k over one or two (c, r) ``pairs``, k = 0, 1, ...: a lone
+    (1, r) gives the ``powers`` of r, and a first pair (c, 1) the constant c."""
+    if len(pairs) == 1:
+        return powers(pairs[0][1], arith)
+    r, (a, p), (b, u) = (repeat(arith.prec), repeat(arith.rnd)), *pairs
+    a, b = repeat(arith.operand(a)), map(arith.mul, repeat(arith.operand(b)), powers(u, arith), *r)
+    return map(arith.add, a if p == 1 else map(arith.mul, a, powers(p, arith), *r), b, *r)
 
 
 def weights(factors, n: int, one) -> list:
@@ -235,10 +240,10 @@ def point_terms(factors, x, t, params=None, n=0, arith=PLAIN):
         raise zero_divisor(params, k) from None
 
 
-def tail_ratios(majorant, x, params=None, n=0, arith=PLAIN):
+def tail_ratios(pairs, x, params=None, n=0, arith=PLAIN):
     """Floats R_j >= rho_j / (1 - rho_j) (inf while rho_j >= 1), rounded outward:
     rho_j = |x| D / P^(n+1) sum |c| (|r|/P)^j / (1 - (Q/P)^(n+1+j)) bounds all
-    |f_k x / {n+1+k}|, k >= j, if |f_k| <= sum |c| |r|^k over ``majorant``'s (c, r),
+    |f_k x / {n+1+k}|, k >= j, if |f_k| <= sum |c| |r|^k over the (c, r) ``pairs``,
     as |{m}| >= (P^m - Q^m) / D, P = max(|phi|, |phi'|) > Q, D = |phi - phi'|
     (P = D = 1, Q = 0 with no ``params``).  None unless |r| <= P where c != 0
     (so rho_j falls) and lim rho_j < 1."""
@@ -246,7 +251,7 @@ def tail_ratios(majorant, x, params=None, n=0, arith=PLAIN):
     if any(type(v) is not type(x) for v in roots):  # complex roots, or of another kind than x
         return None
     op = arith.operand
-    bound = _majorant(tuple(map(op, chain(*majorant))), tuple(map(op, roots)), n, arith)
+    bound = _majorant(tuple(map(op, chain(*pairs))), tuple(map(op, roots)), n, arith)
     if bound is None:
         return None
     ws, rs, limit, gm, g = bound
@@ -304,16 +309,46 @@ def _float(v, up: bool) -> float:
     return nextafter(f, INF if up else 0.0)
 
 
-def point_sum(stream, majorant, x, t, params=None, n=0, head=None, tol=DEFAULT_TOL,
-              what="series"):
-    """[head +] the sum of ``point_terms`` of the factor stream ``stream(arith)``,
-    by one ``stable_sum`` in the ``Arith`` of x, t, head, the stream's
-    ``majorant`` (``tail_ratios``) and (s, t) of ``params``."""
+def point_sum(pairs, x, t, params=None, n=0, head=None, tol=DEFAULT_TOL, what="series"):
+    """[head +] the sum of ``point_terms`` of the ``factors`` of ``pairs``, by
+    one ``stable_sum`` in the ``Arith`` of x, t, head, the pairs and (s, t) of
+    ``params``, to the tail bound of the same pairs (``tail_ratios``).
+
+    With no bound, a sum of radius 0 is refused before any term is drawn:
+    x != 0, some c != 0 has |r| > P = max(|phi|, |phi'|) (1 with no
+    ``params``) and no factor vanishes.  As |{m}| <= 2 P^m / |phi - phi'|,
+    its term ratios then grow without bound, though its first terms may
+    decay far enough to stop the decay rule."""
     extra = (() if head is None else (head,)) + (() if params is None else (params.s, params.t))
-    ar = arith_of(x, t, *chain(*majorant), *extra)
-    terms = point_terms(stream(ar), x, t, params, n, ar)
-    ratios = tail_ratios(majorant, x, params, n, ar)
+    ar = arith_of(x, t, *chain(*pairs), *extra)
+    ratios = tail_ratios(pairs, x, params, n, ar)
+    if ratios is None:
+        _refuse_radius_zero(pairs, x, params, what)
+    terms = point_terms(factors(pairs, ar), x, t, params, n, ar)
     if head is not None:
         terms = chain([ar.operand(head)], terms)
         ratios = ratios and chain([INF], ratios)
     return stable_sum(terms, tol, what=what, arith=ar, ratios=ratios)[0]
+
+
+def _refuse_radius_zero(pairs, x, params, what):
+    big = 1 if params is None else params.growth
+    fast = max((abs(r) for c, r in pairs if c != 0), default=0)
+    if x != 0 and fast > big and not _vanishing_factor(pairs, params):
+        fast, big = _float(fast, True), _float(big, False)
+        raise ConvergenceFailure(f"{what} has radius 0: its factors grow like {fast:.6g}^k, "
+                                 f"faster than {big:.6g}^k")
+
+
+def _vanishing_factor(pairs, params) -> bool:
+    """Whether a + b u^k = 0 for some k below TERM_CAP, for pairs (a, 1),
+    (b, u) or a lone (1, u), which is (0, 1), (1, u).  (Golden pairs
+    (alpha, phi), (beta, phi') have no |r| > P, so never reach it.)"""
+    (a, _), (b, u) = pairs if len(pairs) == 2 else ((0, 1), *pairs)
+    if b == 0:
+        return a == 0
+    r = -a / b
+    if r == 0 or abs(u) in (0, 1):
+        return r == 1 or r == u     # then u^k only takes the values 1, u (and 0)
+    k = round(params.ring.log_abs(r) / params.ring.log_abs(u))
+    return 0 <= k < TERM_CAP and a + b * u ** k == 0

@@ -9,7 +9,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .stnum import (
     binet,
@@ -20,7 +19,7 @@ from .stnum import (
     st_number,
 )
 from .stseries import Series, q_derive_at, scale, st_antiderive, st_derive, st_derive_at
-from ._stable import golden_factors, point_sum
+from ._stable import point_sum
 from .stfun import (
     PantographSpec,
     deformed_exp,
@@ -207,8 +206,7 @@ def q_binomial_theorem() -> IdentityResult:
         x = p.wrap(xs)
         z = (1 - p.q) * x
         c = -b / p.phi
-        majorant = ((p.one(), p.phi), (c, p.phi_prime))
-        total = point_sum(partial(golden_factors, p, p.one(), c), majorant, x, p.one(), p,
+        total = point_sum(((p.one(), p.phi), (c, p.phi_prime)), x, p.one(), p,
                           what="q-binomial sum")
         rhs = q_pochhammer_inf(b / p.phi * z, p.q) / q_pochhammer_inf(z, p.q)
         worst = max(worst, float(abs(total - rhs)))

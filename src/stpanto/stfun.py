@@ -12,29 +12,26 @@ Every function here is one specialization of the prefix-product kernel
 in ``_stable``: the (+)-products are always computed from their defining
 factor products (a + b u^k resp. alpha phi^k + beta phi'^k), each series
 is ``stseries.factorial_series`` of its factor stream and each point
-evaluator is one ``_stable.point_sum`` of the same stream, on raw libmp
-values when the scalars are mpf.  exp(z, u) is E(0, 1; z, u),
-whose factors 0 + 1 u^k are the powers u^k, and Theta0(x, y) sums the
-(0 (+) 1)^n_{1,y} x^n without the {n}!.  The closed q-Pochhammer
-rewrite a^n (-b/a; u)_n is kept as a cross-check only.
+evaluator is one ``_stable.point_sum`` of the (c, r) pairs of its factors
+f_k = sum c r^k: (a, 1), (b, u) for E, (1, u) for exp(z, u), which is
+E(0, 1; z, u), and (1, y) for Theta0(x, y), which sums the
+(0 (+) 1)^n_{1,y} x^n without the {n}!.  The closed q-Pochhammer rewrite
+a^n (-b/a; u)_n is kept as a cross-check only.
 
-Each point sum stops at its proven tail bound (``_stable.tail_ratios``),
-or by the decay rule (three consecutive terms below tol) where its factors
-have no usable geometric majorant: complex or equal-modulus phi, phi',
-|u| > max(|phi|, |phi'|), or a ratio bound that tends to 1 or more.
-Before summing, E and Theta0 check analytically that their series converge
-at the point at all (``pantograph_domain``, ``theta_domain``): the first
-terms of a series of radius 0 can decay, and the decay rule would stop on
-them.
+The pairs give the point sum its stream, its proven tail bound
+(``_stable.tail_ratios``) and, where there is no bound, its refusal of a
+series of radius 0 (some |r| > max(|phi|, |phi'|) at c != 0 and no factor
+0) at any x != 0: the first terms of such a series can decay, and the
+decay rule would stop on them.  Other sums with no bound (complex or
+equal-modulus phi, phi', or a ratio bound that tends to 1 or more) stop
+by the decay rule (three consecutive terms below tol).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
-from ._stable import (DEFAULT_TOL, TERM_CAP, delay_factors, golden_factors, point_sum, powers,
-                      weights)
+from ._stable import DEFAULT_TOL, delay_factors, golden_factors, point_sum, powers, weights
 from .errors import ConvergenceFailure
 from .stnum import Params
 from .stseries import Series, factorial_series
@@ -74,9 +71,7 @@ def pantograph(params: Params, spec: PantographSpec, N: int) -> Series:
 def pantograph_at(params: Params, spec: PantographSpec, x, tol: float = DEFAULT_TOL):
     """E(a, b; x, u) at a point."""
     a, b, u, x, one = (params.wrap(v) for v in (spec.a, spec.b, spec.u, x, 1))
-    pantograph_domain(params, a, b, u, x)
-    return point_sum(partial(delay_factors, a, b, u), ((a, one), (b, u)), x, one, params,
-                     tol=tol, what="E(a, b; x, u)")
+    return point_sum(((a, one), (b, u)), x, one, params, tol=tol, what="E(a, b; x, u)")
 
 
 def deformed_exp(params: Params, u, N: int) -> Series:
@@ -88,8 +83,7 @@ def deformed_exp(params: Params, u, N: int) -> Series:
 def deformed_exp_at(params: Params, u, z, tol: float = DEFAULT_TOL):
     """exp(z, u) at a point."""
     u, z, one = params.wrap(u), params.wrap(z), params.one()
-    pantograph_domain(params, params.zero(), one, u, z)
-    return point_sum(partial(powers, u), ((one, u),), z, one, params, tol=tol, what="exp(z, u)")
+    return point_sum(((one, u),), z, one, params, tol=tol, what="exp(z, u)")
 
 
 def product_exp(params: Params, alpha, beta, N: int) -> Series:
@@ -102,43 +96,9 @@ def product_exp(params: Params, alpha, beta, N: int) -> Series:
     return factorial_series(params, factors, N)
 
 
-# -- convergence domains -----------------------------------------------------
-
-
-def pantograph_domain(params: Params, a, b, u, x):
-    """Raise unless the series of E(a, b; ., u) converges at x.
-
-    The weights (a (+) b)^n_{1,u} grow like G^(n^2/2), with G = |u| when
-    b != 0 and (a = 0 or |u| > 1) and G = 1 otherwise, and {n}! grows like
-    m^(n^2/2) with m = max(|phi|, |phi'|) (``params.growth``).  So the
-    radius is 0 when G > m, unless some factor a + b u^k is 0 and E is a
-    polynomial.  A series of radius 0 converges only at x = 0.
-    """
-    m = params.growth
-    if abs(u) <= m >= 1 or x == 0:
-        return      # G <= max(|u|, 1) <= m
-    grow = abs(u) if b != 0 and (a == 0 or abs(u) > 1) else 1
-    if grow > m and not _has_zero_factor(params, a, b, u):
-        raise ConvergenceFailure(
-            f"E(a, b; x, u) has radius 0: its weights outgrow {{n}}! "
-            f"(G = {float(grow):.6g} > max(|phi|, |phi'|) = {float(m):.6g})")
-
-
-def _has_zero_factor(params: Params, a, b, u) -> bool:
-    """Whether a + b u^k = 0 for some k below the point sums' term cap."""
-    if b == 0:
-        return a == 0
-    r = -a / b
-    if r == 0 or abs(u) in (0, 1):
-        return r == 1 or r == u     # then u^k only takes the values 1, u (and 0)
-    k = round(params.ring.log_abs(r) / params.ring.log_abs(u))
-    return 0 <= k < TERM_CAP and a + b * u ** k == 0
-
-
 def theta_domain(x, y):
-    """Raise unless the terms y^C(n,2) x^n of Theta0(x, y) can decay."""
-    if abs(y) > 1:
-        raise ConvergenceFailure(f"Theta0 needs |y| <= 1, got y = {y}")
+    """Raise where the terms y^C(n,2) x^n of Theta0(x, y) cannot decay at
+    |y| = 1 (|y| > 1 has radius 0, which ``point_sum`` refuses)."""
     if abs(y) == 1 and abs(x) >= 1:
         raise ConvergenceFailure("Theta0 at |y| = 1 needs |x| < 1")
 
@@ -149,12 +109,13 @@ def theta_domain(x, y):
 def partial_theta(x, y, tol: float = DEFAULT_TOL):
     """Theta0(x, y) = sum_n y^C(n,2) x^n at a point.
 
-    Needs |y| <= 1, and |x| < 1 on the boundary |y| = 1; outside that the
-    terms cannot decay and the sum is rejected.
+    Needs |y| <= 1 at x != 0 (|y| > 1 is radius 0), and |x| < 1 on the
+    boundary |y| = 1; outside that the terms cannot decay and the sum is
+    rejected.
     """
     theta_domain(x, y)
     one = x * 0 + 1
-    return point_sum(partial(powers, y), ((one, y),), x, one, tol=tol, what="Theta0(x, y)")
+    return point_sum(((one, y),), x, one, tol=tol, what="Theta0(x, y)")
 
 
 def partial_theta_series(y, N: int) -> list:

@@ -18,7 +18,6 @@ context, bit-identical to the loop on scalar objects.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import chain, repeat
 from typing import Callable, Union
 
@@ -32,7 +31,7 @@ from .errors import (
 )
 from .stnum import Params
 from .stseries import Series, factorial_series, st_antiderive, st_derive
-from .stfun import PantographSpec, pantograph_domain, theta_domain
+from .stfun import PantographSpec, theta_domain
 
 Integrand = Union[Series, Callable]
 
@@ -163,6 +162,8 @@ def pantograph_antiderivative_at(params: Params, spec: PantographSpec, x,
 
     Hypotheses: a != 0 and |b/(a u)| < 1.  For |u| <= 1 the same function is
     the alternating sum (1/a) sum_k (-1)^k (b/(a u))^k E(a, b; u^k x, u).
+    One ``point_sum`` of the pairs (a, 1), (b, u) of E, which also refuses
+    x != 0 where the series has radius 0.
     """
     a, b, u = params.wrap(spec.a), params.wrap(spec.b), params.wrap(spec.u)
     if a == 0 or u == 0:
@@ -171,10 +172,9 @@ def pantograph_antiderivative_at(params: Params, spec: PantographSpec, x,
     if abs(r) >= 1:
         raise HypothesisViolated(f"needs |b/(a u)| < 1, got |b/(a u)| = {abs(r)}")
     x = params.wrap(x)
-    pantograph_domain(params, a, b, u, x)
     # u/(a u + b) + sum_{n>=1} (a (+) b)^{n-1}_{1,u} x^n / {n}!, one sum
-    return point_sum(partial(delay_factors, a, b, u), ((a, params.one()), (b, u)), x, x, params, 1,
-                     u / (a * u + b), tol, "pantograph antiderivative")
+    return point_sum(((a, params.one()), (b, u)), x, x, params, 1, u / (a * u + b), tol,
+                     "pantograph antiderivative")
 
 
 def theta_antiderivative_at(params: Params, x, tol: float = DEFAULT_TOL):
@@ -183,12 +183,12 @@ def theta_antiderivative_at(params: Params, x, tol: float = DEFAULT_TOL):
 
     This is the boundary case b/(a u) = -1 of the pantograph antiderivative
     at spec (1, -q, q), where u/(a u + b) is undefined: the same power series
-    with constant 0.
+    with constant 0, whose pairs (1, 1), (-q, q) refuse x != 0 at |phi| < 1
+    (radius 0).
     """
     if not abs(params.q) < 1:
         raise QOutOfRange(f"needs |q| < 1, got q = {params.q}")
     x, q, one = params.wrap(x), params.q, params.one()
-    if x != 0:
-        theta_domain((1 - q) * x, 1 / params.phi)
-    return point_sum(partial(delay_factors, one, -q, q), ((one, one), (-q, q)), x, x, params, 1,
-                     params.zero(), tol, "theta antiderivative")
+    theta_domain((1 - q) * x, 1 / params.phi)
+    return point_sum(((one, one), (-q, q)), x, x, params, 1, params.zero(), tol,
+                     "theta antiderivative")

@@ -442,8 +442,9 @@ def _pointwise_parts(problem: LinearProblem, N: int) -> tuple:
 
 
 def _st_number_general(params: Params, n):
-    """{n} for possibly non-integer n, via phi powers (float backend)."""
-    if isinstance(n, int) or (hasattr(n, "denominator") and n.denominator == 1):
+    """{n} for a non-integer n (float backend) or an integer n < 0 (exact on
+    both backends) as (phi^n - phi'^n) / (phi - phi'); st_number otherwise."""
+    if (isinstance(n, int) or (hasattr(n, "denominator") and n.denominator == 1)) and n >= 0:
         return st_number(params, int(n))
     num = params.power(params.phi, n) - params.power(params.phi_prime, n)
     return num / (params.phi - params.phi_prime)
@@ -512,7 +513,7 @@ def bernoulli_reconstruct(z, n, params: Params, y_anchor=None,
         raise StInputError("reconstruction with n != 2 needs the anchor value")
     p = params
     integer_n = isinstance(n, int) or (hasattr(n, "denominator") and n.denominator == 1)
-    if not integer_n and p.q < 0:
+    if not integer_n and p.wrap(p.q) < 0:  # a complex q is refused
         raise StInputError("non-integer order with q < 0 puts the product nodes "
                            "on complex rays; not supported")
     anchor = p.wrap(y_anchor)

@@ -391,6 +391,20 @@ class TestCommands:
         assert [F(c) for c in doc["solution"]["coeffs"][:3]] == \
             [F(4), F(4), F(1) + F(1, 3)]
 
+    @pytest.mark.parametrize("backend, n", [("rational", "-1"), ("float", "-1"),
+                                            ("rational", "-3")])
+    def test_solve_bernoulli_negative_order(self, capsys, tmp_path, backend, n):
+        out = tmp_path / "bernoulli.json"
+        code, _ = run_cli(capsys, "solve", "--family", "bernoulli", "--backend", backend,
+                          "--s", "3", "--t", "-2", "--alpha", "1", "--beta", "1",
+                          "--y0", "1", "--n", n, "--out", str(out))
+        assert code == 0
+        doc = json.loads(out.read_text())
+        if backend == "rational":
+            assert doc["residual"]["coeff_max"] == "0"
+        code, verification = run_cli(capsys, "verify", "--doc", str(out))
+        assert code == 0 and verification["matches_document"] is True
+
     def test_eval_theta_function(self, capsys):
         code, doc = run_cli(capsys, "eval", "--s", "3", "--t", "-2",
                             "--fn", "theta", "--y", "1/2", "--order", "4")

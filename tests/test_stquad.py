@@ -9,7 +9,8 @@ from stpanto.errors import (BackendMismatch, ConvergenceFailure, DegenerateRatio
                             HypothesisViolated, QOutOfRange)
 from stpanto.stnum import golden_pair, st_number
 from stpanto.stseries import Series, st_antiderive, st_derive_at
-from stpanto.stfun import PantographSpec, pantograph, pantograph_at
+from stpanto.stfun import (PantographSpec, deformed_exp_at, pantograph, pantograph_at,
+                           partial_theta, psi_theta)
 from stpanto.stquad import (
     QInterval,
     check_by_parts,
@@ -367,6 +368,74 @@ def test_radius_zero_is_refused_before_any_sum(precision, sums):
     with pytest.raises(ConvergenceFailure, match="radius 0"):
         pantograph_at(p, PantographSpec(1, F(1, 2), F(1, 3)), p.wrap("-1/100"))
     assert sums == []
+
+
+def _domain_oracle(params, a, b, u, x) -> bool:
+    """The growth rule point sums were once refused by: E(a, b; ., u) has
+    radius 0 at x != 0 when G > max(|phi|, |phi'|), with G = |u| if b != 0
+    and (a = 0 or |u| > 1) and G = 1 otherwise, unless some factor a + b u^k
+    (k < TERM_CAP) is 0 and E is a polynomial."""
+    m = params.growth
+    if abs(u) <= m >= 1 or x == 0:
+        return False
+    grow = abs(u) if b != 0 and (a == 0 or abs(u) > 1) else 1
+    if b == 0:
+        vanishes = a == 0
+    elif (r := -a / b) == 0 or abs(u) in (0, 1):
+        vanishes = r == 1 or r == u
+    else:
+        k = round(params.ring.log_abs(r) / params.ring.log_abs(u))
+        vanishes = 0 <= k < 10_000 and a + b * u ** k == 0
+    return grow > m and not vanishes
+
+
+# phi = 2, 4/5, 1.618.. and |phi| = sqrt(2) (complex roots); specs on both
+# sides of each G = max(|phi|, |phi'|), and polynomials (a + b u^k = 0)
+DOMAIN_PARAMS = [golden_pair(3, -2), golden_pair(F(11, 10), F(-6, 25)),
+                 golden_pair(1, 1, backend="float", precision=30),
+                 golden_pair(1, -2, backend="float")]
+DOMAIN_SPECS = [("1", "1/2", "1/3"), ("0", "1", "2"), ("0", "1", "3"), ("1", "1", "5/2"),
+                ("1", "1", "-3"), ("2", "0", "5"), ("0", "0", "3"), ("1", "-1/4", "2"),
+                ("1", "1", "-1"), ("1", "-1", "3"), ("0", "1", "1/2"), ("0", "1", "9/10"),
+                ("1", "1/4", "1/2"), ("1", "1/5", "3/2"), ("3", "-1", "5/4"), ("0", "1", "1")]
+
+
+@pytest.mark.parametrize("params", DOMAIN_PARAMS,
+                         ids=["rational", "rational-small-phi", "float30", "float-complex"])
+@pytest.mark.parametrize("spec", DOMAIN_SPECS)
+def test_radius_zero_refusals_follow_the_growth_rule(params, spec, sums):
+    a, b, u = (params.wrap(v) for v in spec)
+    calls = [lambda x: pantograph_at(params, PantographSpec(a, b, u), x)]
+    if (a, b) == (0, 1):
+        calls.append(lambda x: deformed_exp_at(params, u, x))
+    if a != 0 and u != 0 and abs(b / (a * u)) < 1:
+        calls.append(lambda x: pantograph_antiderivative_at(params, PantographSpec(a, b, u), x))
+    for x in map(params.wrap, ("0", "1/10", "-1/5")):
+        for call in calls:
+            sums.clear()
+            if _domain_oracle(params, a, b, u, x):
+                with pytest.raises(ConvergenceFailure, match="radius 0"):
+                    call(x)
+                assert sums == []
+            else:
+                call(x)
+                assert len(sums) == 1
+
+
+def test_theta_radius_zero_is_refused_only_away_from_zero():
+    # Theta0(., y) with |y| > 1 has radius 0; at x = 0 it is 1, as E is
+    assert partial_theta(0, 2) == 1
+    assert partial_theta(F(0), F(-3, 2)) == 1
+    with pytest.raises(ConvergenceFailure, match="radius 0"):
+        psi_theta(2)
+    with pytest.raises(ConvergenceFailure, match="radius 0"):
+        partial_theta(F(1, 1000), F(-3, 2))
+
+
+def test_radius_zero_of_a_huge_delay_is_refused():
+    # |u| = 10^400 is past the float range, which the refusal's message reads
+    with pytest.raises(ConvergenceFailure, match="radius 0"):
+        pantograph_at(P32, PantographSpec(0, 1, 10 ** 400), F(1, 10))
 
 
 def _oracle_pq(f, a, p, q, tol):

@@ -619,6 +619,26 @@ class TestBernoulli:
         with pytest.raises(BackendMismatch):
             self.u_bernoulli_residual(P32, F(5, 2))
 
+    @pytest.mark.parametrize("n, want", [(-1, F(-3, 4)), (-3, F(-15, 16))])
+    def test_negative_integer_order(self, n, want):
+        # {n - 1} from phi^(n-1) - phi'^(n-1) = 2^(n-1) - 1 on (3, -2), exact
+        prob = LinearProblem.bernoulli(P32, PantographSpec(0, 1, P32.phi), alpha=1,
+                                       beta=Series.monomial(P32, 1, order=8), n=n)
+        z_prob = bernoulli_transform(prob)
+        assert type(z_prob.alpha) is F and z_prob.alpha == -want
+        assert z_prob.beta.coeffs[1] == -want
+        # the backward recurrence {m} = (3 {m + 1} - {m + 2}) / 2 agrees
+        nums = {0: F(0), 1: F(1)}
+        for m in range(-1, n - 2, -1):
+            nums[m] = (nums[m + 2] - 3 * nums[m + 1]) / -2
+        assert nums[n - 1] == want
+
+    def test_reconstruct_refuses_a_complex_q(self):
+        # s^2 + 4t < 0: the non-integer order compares q, which is complex
+        p = golden_pair(1, -2, backend="float")
+        with pytest.raises(BackendMismatch):
+            bernoulli_reconstruct(lambda x: 1 + x, F(1, 2), p, y_anchor=1)
+
     def test_reconstruct_n2_inverts(self):
         z = Series(P32, [F(2), F(1), F(1, 2)])
         y = bernoulli_reconstruct(z, 2, P32)
