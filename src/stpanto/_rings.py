@@ -22,11 +22,12 @@ coefficients of ``stseries.factorial_series``.
   zero numerators.  Products, antiderivatives and compositions divide each
   block by the gcd of its D and numerators.  A product is one Kronecker
   substitution (Harvey, J. Symbolic Comput. 2009) per pair of blocks, and
-  ``value`` one integer Horner sum per block over a single division.  From
-  order ``_NEWTON_ORDER`` on, a quotient is built from Series products:
-  Newton iteration takes 1/g to order N/2 (Brent and Kung, J. ACM 1978),
-  and one last step on the quotient gives f/g to order N (Karp and
-  Markstein, ACM TOMS 1997), the exact value of the recurrence below.
+  ``value`` one integer Horner sum per block over a single division.  A
+  quotient is built from Series products at every order: Newton iteration
+  takes 1/g to order N/2 (Brent and Kung, J. ACM 1978), and one last step
+  on the quotient gives f/g to order N (Karp and Markstein, ACM TOMS
+  1997), the exact value of the recurrence that ``FloatRing.quotient``
+  runs.
 * ``FloatRing``: real mpf values of one context as their raw libmp values.
   Every kernel runs in the context's one raw ``Arith`` (``_stable``), the
   table of the point sums, with the calls, order and rounding of mpf's
@@ -41,7 +42,7 @@ from functools import partial
 from itertools import repeat
 from operator import eq, truediv
 
-from ._stable import PLAIN, _raw_arith, weights
+from ._stable import _raw_arith, weights
 from .errors import BackendMismatch, StInputError
 
 FLOAT_EQ_TOL = 1e-12
@@ -83,28 +84,11 @@ def _as_mpf(ctx, x):
     raise StInputError(f"cannot interpret {x!r} as a finite number")
 
 
-def _recurrence(f: list, g: list, ar) -> list:
-    """q_k = (f_k - sum_{j<k} q_j g_{k-j}) (1/g_0) for k < len(f), operands
-    of the ``Arith`` ar, each sum in the order of j."""
-    minus, times, prec, rnd = ar.sub, ar.mul, ar.prec, ar.rnd
-    inv0, out = ar.div(ar.operand(1), g[0], prec, rnd), []
-    for k, acc in enumerate(f):
-        for j in range(k):
-            acc = minus(acc, times(out[j], g[k - j], prec, rnd), prec, rnd)
-        out.append(times(acc, inv0, prec, rnd))
-    return out
-
-
 # -- the rational ring: integer blocks --------------------------------------
 
 # The smallest denominator a block grows from, in bits, so the first
 # coefficients (denominators of a few bits) do not each open a block.
 _BLOCK_BITS = 128
-
-# From this order on, a rational quotient is built from products; below it
-# the recurrence is faster (E(2, 1/2; x, 1/3) / exp(x, -1/2) on the pairs
-# (3,-2), (4,-3), (2,3): the recurrence wins at 16, Newton iteration at 20).
-_NEWTON_ORDER = 20
 
 
 def _lcm(a: int, b: int) -> int:
@@ -264,13 +248,15 @@ def _newton_quotient(f, g, n: int) -> list:
     inv <- inv (2 - g inv) take 1/g from x^k to x^(2k+1) until x^h,
     h = n // 2; then q0 = f inv up to x^h, and the remainder f - g q0,
     which vanishes below x^(h+1), gives the rest of the quotient as one
-    product of order n - h - 1."""
+    product of order n - h - 1 (none at n = 0, where q0 = f_0 / g_0)."""
     h = n // 2
     inv = type(g)(g.params, [1 / g._head()])
     while inv.order < h:
         inv = inv.padded(min(2 * inv.order + 1, h))
         inv = inv * (2 - g * inv)
     q0 = f.truncated(h) * inv
+    if n == 0:
+        return q0.data
     r = f - g * q0.padded(n)
     tail = inv.truncated(n - h - 1) * f._like(_window(r.data, h + 1, n + 1))
     return _coalesced(q0.data + [(s + h + 1, d, xs) for s, d, xs in tail.data])
@@ -311,6 +297,7 @@ class RationalRing:
     times = staticmethod(_times)
     value = staticmethod(_block_value)
     reduced = staticmethod(_reduced)
+    quotient = staticmethod(_newton_quotient)
 
     def antiderive(self, blocks, nums) -> list:
         """F_0 = 0, F_{n+1} = c_n / nums_n, reduced: dividing by {n} often
@@ -320,11 +307,6 @@ class RationalRing:
 
     def product(self, a, b, n: int) -> list:
         return _kronecker_product(_window(a, 0, n + 1), _window(b, 0, n + 1), n)
-
-    def quotient(self, f, g, n: int) -> list:
-        if n >= _NEWTON_ORDER:
-            return _newton_quotient(f, g, n)
-        return self.data(_recurrence(f.coeffs[:n + 1], g.coeffs[:n + 1], PLAIN))
 
     def equals(self, f, g) -> bool:
         return (f - g).max_abs_coeff() == 0  # no coefficient reduced
@@ -421,7 +403,16 @@ class FloatRing:
         return out
 
     def quotient(self, f, g, n: int) -> list:
-        return _recurrence(f.data[:n + 1], g.data[:n + 1], self.arith)
+        """q_k = (f_k - sum_{j<k} q_j g_{k-j}) (1/g_0) for k <= n, each sum in
+        the order of j."""
+        ar, f, g = self.arith, f.data[:n + 1], g.data[:n + 1]
+        minus, times, prec, rnd = ar.sub, ar.mul, ar.prec, ar.rnd
+        inv0, out = ar.div(ar.operand(1), g[0], prec, rnd), []
+        for k, acc in enumerate(f):
+            for j in range(k):
+                acc = minus(acc, times(out[j], g[k - j], prec, rnd), prec, rnd)
+            out.append(times(acc, inv0, prec, rnd))
+        return out
 
     def value(self, data, x):
         """The Horner loop acc * x + c, highest coefficient first."""

@@ -193,25 +193,15 @@ def powers(u, arith=PLAIN):
         p = times(p, u, prec, rnd)
 
 
-def delay_factors(a, b, u, arith=PLAIN):
-    """a + b u^k for k = 0, 1, ...: the factors of (a (+) b)^n_{1,u}."""
-    return factors(((a, 1), (b, u)), arith)
-
-
-def golden_factors(params, alpha, beta, arith=PLAIN):
-    """alpha phi^k + beta phi'^k for k = 0, 1, ...: the factors of
-    (alpha (+) beta)^n_{phi,phi'}."""
-    return factors(((alpha, params.phi), (beta, params.phi_prime)), arith)
-
-
 def factors(pairs, arith=PLAIN):
-    """f_k = sum c r^k over one or two (c, r) ``pairs``, k = 0, 1, ...: a lone
-    (1, r) gives the ``powers`` of r, and a first pair (c, 1) the constant c."""
-    if len(pairs) == 1:
-        return powers(pairs[0][1], arith)
-    r, (a, p), (b, u) = (repeat(arith.prec), repeat(arith.rnd)), *pairs
-    a, b = repeat(arith.operand(a)), map(arith.mul, repeat(arith.operand(b)), powers(u, arith), *r)
-    return map(arith.add, a if p == 1 else map(arith.mul, a, powers(p, arith), *r), b, *r)
+    """f_k = sum c r^k over one or two (c, r) ``pairs``, k = 0, 1, ...: a pair
+    (c, 1) gives the constant c and a pair (1, r) the ``powers`` of r; the
+    factors of (a (+) b)^n_{1,u} are the pairs (a, 1), (b, u), those of
+    (alpha (+) beta)^n_{phi,phi'} the pairs (alpha, phi), (beta, phi')."""
+    r = (repeat(arith.prec), repeat(arith.rnd))
+    a, *b = (repeat(arith.operand(c)) if u == 1 else powers(u, arith) if c == 1 else
+             map(arith.mul, repeat(arith.operand(c)), powers(u, arith), *r) for c, u in pairs)
+    return map(arith.add, a, *b, *r) if b else a
 
 
 def weights(factors, n: int, one) -> list:
@@ -342,7 +332,7 @@ def _refuse_radius_zero(pairs, x, params, what):
 
 def _vanishing_factor(pairs, params) -> bool:
     """Whether a + b u^k = 0 for some k below TERM_CAP, for pairs (a, 1),
-    (b, u) or a lone (1, u), which is (0, 1), (1, u).  (Golden pairs
+    (b, u) or a lone (b, u), which is (0, 1), (b, u).  (Golden pairs
     (alpha, phi), (beta, phi') have no |r| > P, so never reach it.)"""
     (a, _), (b, u) = pairs if len(pairs) == 2 else ((0, 1), *pairs)
     if b == 0:

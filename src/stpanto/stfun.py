@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._stable import DEFAULT_TOL, delay_factors, golden_factors, point_sum, powers, weights
+from ._stable import DEFAULT_TOL, factors, point_sum, powers, weights
 from .errors import ConvergenceFailure
 from .stnum import Params
 from .stseries import Series, factorial_series
@@ -50,13 +50,13 @@ class PantographSpec:
 
 def oplus_delay_pow(a, b, u, n: int):
     """(a (+) b)^n_{1,u} = prod_{k<n} (a + b u^k)."""
-    return weights(delay_factors(a, b, u), n, a * 0 + 1)[n]
+    return weights(factors(((a, 1), (b, u))), n, a * 0 + 1)[n]
 
 
 def oplus_golden_pow(params: Params, alpha, beta, n: int):
     """(alpha (+) beta)^n_{phi,phi'} = prod_{k<n} (alpha phi^k + beta phi'^k)."""
-    factors = golden_factors(params, params.wrap(alpha), params.wrap(beta))
-    return weights(factors, n, params.one())[n]
+    pairs = ((params.wrap(alpha), params.phi), (params.wrap(beta), params.phi_prime))
+    return weights(factors(pairs), n, params.one())[n]
 
 
 # -- pantograph function and its specializations ----------------------------
@@ -64,8 +64,8 @@ def oplus_golden_pow(params: Params, alpha, beta, n: int):
 
 def pantograph(params: Params, spec: PantographSpec, N: int) -> Series:
     """Series of E(a, b; z, u): coefficients (a (+) b)^n_{1,u} / {n}!."""
-    factors = delay_factors(params.wrap(spec.a), params.wrap(spec.b), params.wrap(spec.u))
-    return factorial_series(params, factors, N)
+    pairs = ((params.wrap(spec.a), 1), (params.wrap(spec.b), params.wrap(spec.u)))
+    return factorial_series(params, factors(pairs), N)
 
 
 def pantograph_at(params: Params, spec: PantographSpec, x, tol: float = DEFAULT_TOL):
@@ -92,8 +92,8 @@ def product_exp(params: Params, alpha, beta, N: int) -> Series:
     Equals the product Exp(alpha x) Exp'(beta x) of the two golden-pair
     exponentials Exp = exp(., phi), Exp' = exp(., phi').
     """
-    factors = golden_factors(params, params.wrap(alpha), params.wrap(beta))
-    return factorial_series(params, factors, N)
+    pairs = ((params.wrap(alpha), params.phi), (params.wrap(beta), params.phi_prime))
+    return factorial_series(params, factors(pairs), N)
 
 
 def theta_domain(x, y):

@@ -39,8 +39,7 @@ from typing import Union
 from mpmath.ctx_mp import MPContext
 
 from ._rings import RATIONAL, FloatRing, _as_fraction, _as_mpf
-from ._stable import (DEFAULT_TOL, delay_factors, st_numbers, stable_product, weights,
-                      zero_divisor)
+from ._stable import DEFAULT_TOL, factors, st_numbers, stable_product, weights, zero_divisor
 from .errors import (
     BackendMismatch,
     DegenerateDiscriminant,
@@ -247,10 +246,12 @@ def st_fibonomial(params: Params, n: int, k: int) -> Scalar:
     return st_factorial(params, n) / (st_factorial(params, k) * st_factorial(params, n - k))
 
 
-def binet(params: Params, n: int) -> Scalar:
-    """(phi^n - phi'^n) / (phi - phi'); cross-check for st_number."""
-    nonnegative(n)
-    return (params.phi ** n - params.phi_prime ** n) / (params.phi - params.phi_prime)
+def binet(params: Params, n) -> Scalar:
+    """{n} = (phi^n - phi'^n) / (phi - phi') at any n through ``Params.power``:
+    an integer n < 0 (exact on both backends) or a non-integer n (float
+    backend), and at n >= 0 the independent cross-check for st_number."""
+    num = params.power(params.phi, n) - params.power(params.phi_prime, n)
+    return num / (params.phi - params.phi_prime)
 
 
 # -- q-side machinery ----------------------------------------------------
@@ -274,7 +275,7 @@ def q_factorial(q, n: int):
 def q_pochhammer(a, q, n: int):
     """(a;q)_n = prod_{k=0..n-1} (1 - a q^k)."""
     nonnegative(n)
-    return weights(delay_factors(1, -a, q), n, 1 - a * 0)[n]
+    return weights(factors(((1, 1), (-a, q))), n, 1 - a * 0)[n]
 
 
 def q_pochhammer_inf(a, q, tol: float = DEFAULT_TOL):
@@ -283,4 +284,4 @@ def q_pochhammer_inf(a, q, tol: float = DEFAULT_TOL):
     |a q^k| <= tol, or at an exact zero factor (a = q^-k), returning 0."""
     if abs(q) >= 1:
         raise DivergentProduct(f"(a;q)_inf requires |q| < 1, got q = {q}")
-    return stable_product(delay_factors(1, -a, q), tol, what="(a;q)_inf")[0]
+    return stable_product(factors(((1, 1), (-a, q))), tol, what="(a;q)_inf")[0]

@@ -32,7 +32,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Callable, Iterable, Sequence
 
-from ._stable import delay_factors, powers
+from ._stable import factors, powers
 from .errors import (
     BackendMismatch,
     NonInvertibleSeries,
@@ -319,8 +319,8 @@ def compose_ab(g_coeffs: Sequence, spec, f: Series) -> Series:
     ``spec`` carries the delay triple (a, b, u).
     """
     p = f.params
-    factors = delay_factors(p.wrap(spec.a), p.wrap(spec.b), p.wrap(spec.u))
-    return _composition(g_coeffs, factors, _powers_for(g_coeffs, f))
+    pairs = ((p.wrap(spec.a), 1), (p.wrap(spec.b), p.wrap(spec.u)))
+    return _composition(g_coeffs, factors(pairs), _powers_for(g_coeffs, f))
 
 
 def sq_int(f, lower: Series, upper: Series, u=None) -> Series:

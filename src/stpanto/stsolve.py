@@ -27,7 +27,7 @@ from functools import cached_property, partial
 from itertools import count, islice
 from typing import Callable, Sequence
 
-from ._stable import DEFAULT_TOL, delay_factors, powers, stable_product, weights
+from ._stable import DEFAULT_TOL, factors, powers, stable_product, weights
 from .errors import (
     DegenerateStNumber,
     HypothesisViolated,
@@ -37,7 +37,7 @@ from .errors import (
     ZeroDelay,
     ZeroDenominator,
 )
-from .stnum import Params, nonnegative, st_divisors, st_number, st_number_range
+from .stnum import Params, binet, nonnegative, st_divisors, st_number, st_number_range
 from .stseries import (
     DEFAULT_ORDER,
     QPeriodic,
@@ -209,7 +209,7 @@ def solve_series_linear(problem: LinearProblem, N: int = DEFAULT_ORDER) -> Solut
     beta = _as_series(problem.beta, p, N)
     nums = st_divisors(p, N)
     coeffs = [p.wrap(problem.initial)]
-    for n, f in zip(range(N), delay_factors(a, b, u)):
+    for n, f in zip(range(N), factors(((a, 1), (b, u)))):
         coeffs.append(f / nums[n + 1] * alpha * coeffs[n] + beta.coeffs[n] / nums[n + 1])
     y = Series(p, coeffs)
     closed = {"tag": "a0*E(a,b;alpha*x,u) + particular",
@@ -230,7 +230,7 @@ def series_linear_closed_form(problem: LinearProblem, N: int = DEFAULT_ORDER) ->
     a, b, u = p.wrap(problem.spec.a), p.wrap(problem.spec.b), p.wrap(problem.spec.u)
     alpha = p.wrap(problem.alpha)
     beta = _as_series(problem.beta, p, N)
-    oplus = weights(delay_factors(a, b, u), N, p.one())
+    oplus = weights(factors(((a, 1), (b, u))), N, p.one())
     if any(w == 0 for w in oplus[1:]):
         raise ZeroDenominator("a prefix product (a(+)b)^{k+1} vanishes; "
                               "use the recurrence solver")
@@ -347,8 +347,8 @@ def integrating_factor(params: Params, spec: PantographSpec, alpha: Series,
         factor = scale(e, c)
         return factor, factor * a + scale(e, c * u) * b
     table = symbolic_powers(st_antiderive(alpha).truncated(N), N)
-    factor = _composition([1] * (N + 1), delay_factors(a, b, u), table)
-    delayed = _composition(list(islice(powers(u), N + 1)), delay_factors(a, b, u), table)
+    factor = _composition([1] * (N + 1), factors(((a, 1), (b, u))), table)
+    delayed = _composition(list(islice(powers(u), N + 1)), factors(((a, 1), (b, u))), table)
     return factor, factor * a + delayed * b
 
 
@@ -441,15 +441,6 @@ def _pointwise_parts(problem: LinearProblem, N: int) -> tuple:
 # -- Bernoulli family ---------------------------------------------------------
 
 
-def _st_number_general(params: Params, n):
-    """{n} for a non-integer n (float backend) or an integer n < 0 (exact on
-    both backends) as (phi^n - phi'^n) / (phi - phi'); st_number otherwise."""
-    if (isinstance(n, int) or (hasattr(n, "denominator") and n.denominator == 1)) and n >= 0:
-        return st_number(params, int(n))
-    num = params.power(params.phi, n) - params.power(params.phi_prime, n)
-    return num / (params.phi - params.phi_prime)
-
-
 def bernoulli_transform(problem: LinearProblem) -> LinearProblem:
     """Convert a (u-)Bernoulli problem into the linear problem satisfied by
     the infinite-product substitution z.
@@ -468,7 +459,8 @@ def bernoulli_transform(problem: LinearProblem) -> LinearProblem:
     if n in (0, 1):
         raise InvalidBernoulliOrder("the Bernoulli order n must avoid 0 and 1")
     p = problem.params
-    scale_num = _st_number_general(p, n - 1)
+    integer_n = isinstance(n, int) or (hasattr(n, "denominator") and n.denominator == 1)
+    scale_num = st_number(p, int(n) - 1) if integer_n and n >= 1 else binet(p, n - 1)
     if scale_num == 0:
         raise DegenerateStNumber(f"{{n-1}} = 0 at n = {n}")
     flipped = PHI_PRIME_DELAY if problem.delay_side == PHI_DELAY else PHI_DELAY

@@ -24,7 +24,7 @@ from stpanto.stseries import (
     st_derive,
     st_derive_at,
 )
-from stpanto._stable import delay_factors, weights
+from stpanto._stable import factors, weights
 from stpanto.stfun import (
     PantographSpec,
     deformed_exp,
@@ -136,7 +136,7 @@ def test_criterion_04_special_values():
     bb = pf.wrap(F(1, 3))
     for xs in ("0.1", "0.2"):
         z = (1 - pf.q) * pf.wrap(xs)
-        oplus = weights(delay_factors(pf.phi, -bb, pf.q), 300, pf.one())
+        oplus = weights(factors(((pf.phi, 1), (-bb, pf.q))), 300, pf.one())
         total, w, qq = pf.zero(), pf.one(), pf.one()
         for n in range(300):
             total += oplus[n] / pf.phi ** n * w / qq

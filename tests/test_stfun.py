@@ -14,8 +14,7 @@ from stpanto._stable import (
     PLAIN,
     TERM_CAP,
     arith_of,
-    delay_factors,
-    golden_factors,
+    factors,
     point_terms,
     powers,
     st_numbers,
@@ -99,17 +98,17 @@ class TestStableSum:
 
 class TestOplus:
     def test_empty_product(self):
-        assert weights(delay_factors(F(2), F(3), F(1, 2)), 0, F(1)) == [1]
-        assert weights(golden_factors(P32, F(1), F(4)), 0, P32.one()) == [1]
+        assert weights(factors(((F(2), 1), (F(3), F(1, 2)))), 0, F(1)) == [1]
+        assert weights(factors(((F(1), P32.phi), (F(4), P32.phi_prime))), 0, P32.one()) == [1]
 
     def test_annihilating_pair(self):
-        p = weights(delay_factors(F(3), F(-3), F(1, 2)), 7, F(1))
+        p = weights(factors(((F(3), 1), (F(-3), F(1, 2)))), 7, F(1))
         for n in range(1, 8):
             assert p[n] == 0
 
     def test_prefix_recurrence(self):
         a, b, u = F(1), F(1, 2), F(1, 3)
-        p = weights(delay_factors(a, b, u), 12, F(1))
+        p = weights(factors(((a, 1), (b, u))), 12, F(1))
         for n in range(12):
             assert p[n + 1] == p[n] * (a + b * u ** n)
 
@@ -125,7 +124,7 @@ class TestOplus:
 
     def test_golden_matches_direct(self):
         alpha, beta = F(2), F(-1, 3)
-        p = weights(golden_factors(P32, alpha, beta), 7, P32.one())
+        p = weights(factors(((alpha, P32.phi), (beta, P32.phi_prime))), 7, P32.one())
         for n in range(8):
             direct = math.prod((alpha * P32.phi ** k + beta * P32.phi_prime ** k
                                 for k in range(n)), start=F(1))
@@ -134,7 +133,19 @@ class TestOplus:
 
     def test_cache_extension_past_capacity(self):
         # long prefix products: 70 factors of 1 + 1
-        assert weights(delay_factors(F(1), F(1), F(1)), 70, F(1))[70] == 2 ** 70
+        assert weights(factors(((F(1), 1), (F(1), F(1)))), 70, F(1))[70] == 2 ** 70
+
+    @pytest.mark.parametrize("params", [P32, golden_pair(1, 1, backend="float")],
+                             ids=["rational", "float30"])
+    def test_lone_pair_scales_its_powers(self, params):
+        # a lone (c, r) gives c r^k, so the point sum of t_n = 2^n 2^-C(n,2) 3^-n
+        # is about 1.929, not the 1.394 of the powers of r alone
+        c, r, x, one = map(params.wrap, (2, "1/2", "1/3", 1))
+        assert list(islice(factors(((c, r),)), 4)) == [2, 1, F(1, 2), F(1, 4)]
+        want = sum(2 ** n * F(1, 2) ** (n * (n - 1) // 2) * F(1, 3) ** n for n in range(40))
+        got = _stable.point_sum(((c, r),), x, one)
+        assert abs(got - want) <= 1e-15 * (1 + want)
+        assert abs(got - F("1.929143653739769")) < 1e-14
 
 
 class TestDeformedExp:
@@ -377,7 +388,7 @@ class TestQBinomialTheorem:
         for x in (p.wrap("0.1"), p.wrap("0.2")):
             z = (1 - p.q) * x
             total, term_w = p.zero(), p.one()
-            oplus = weights(delay_factors(p.phi, -b, p.q), 200, p.one())
+            oplus = weights(factors(((p.phi, 1), (-b, p.q))), 200, p.one())
             qq = p.one()
             for n in range(200):
                 total += (oplus[n] / p.phi ** n) * term_w / qq
@@ -487,7 +498,7 @@ class TestKernelMatchesInlineLoops:
         for x in ("1/3", "-2/5", "0"):
             x = params.wrap(x)
             want = stable_sum(_ref_pantograph_terms(params, a, b, u, x), 1e-20)
-            got = stable_sum(point_terms(delay_factors(a, b, u), x, params.one(), params),
+            got = stable_sum(point_terms(factors(((a, 1), (b, u))), x, params.one(), params),
                              1e-20)
             assert got == want  # same value from the same number of terms
             want = _oracle_sum(_ref_pantograph_terms(params, a, b, u, x), 1e-20,
@@ -832,8 +843,8 @@ class TestArithOf:
                 [repr(p.wrap(v)) for v in islice(stream, 60)]
         agree(st_numbers(p.s._mpf_, p.t._mpf_, raw), _oracle_nums(p.s, p.t))
         agree(powers(u, raw), _oracle_powers(u))
-        agree(delay_factors(a, b, u, raw), _oracle_delay(a, b, u))
-        agree(golden_factors(p, a, b, raw), _oracle_golden(p, a, b))
+        agree(factors(((a, 1), (b, u)), raw), _oracle_delay(a, b, u))
+        agree(factors(((a, p.phi), (b, p.phi_prime)), raw), _oracle_golden(p, a, b))
 
     def test_plain_scalars_match_object_loop(self, sums):
         # Python floats and mpf values of two contexts take the plain path
@@ -1036,6 +1047,22 @@ def test_bound_stops_are_within_tol(params, sums):
         assert stats.reason == "bound", name
         assert stats.tail <= 1e-15 * (1 + abs(value)), name
         assert abs(got - call(1e-60)) <= 1e-15 * (1 + abs(got)), name
+
+
+@pytest.mark.parametrize("params, terms", [
+    (golden_pair(-3, -2), 9), (golden_pair(-3, -2, backend="float"), 9),
+    (golden_pair(-1, 1, backend="float"), 12),
+], ids=["rational", "float30", "float30-irrational"])
+def test_bound_with_the_larger_root_second(params, terms, sums):
+    # |phi'| > |phi| (phi = -1, phi' = -2; phi = 0.618, phi' = -1.618): the
+    # tail bound takes P = |phi'|, and E(1, 1/2; 1/2, 1/3) stops by it
+    spec, x = PantographSpec(1, F(1, 2), F(1, 3)), params.wrap("1/2")
+    assert abs(params.phi_prime) > abs(params.phi)
+    got = pantograph_at(params, spec, x)
+    (value, stats), = sums
+    assert (stats.reason, stats.terms) == ("bound", terms) and got == value
+    assert stats.tail <= 1e-15 * (1 + abs(got))
+    assert abs(got - pantograph(params, spec, 80).eval(x)) <= 1e-15 * (1 + abs(got))
 
 
 def test_a_dipping_sum_is_summed_to_the_tol(sums):

@@ -142,6 +142,13 @@ class TestStNumbers:
         p = golden_pair(3, -2)
         assert st_number(p, n) == binet(p, n)
 
+    def test_binet_at_negative_n(self):
+        # {n} = ({n+2} - s {n+1}) / t runs the recurrence backward, exactly
+        p, nums = golden_pair(3, -2), [F(1), F(0)]  # {1}, {0}, then {-1}, ...
+        for n in range(-1, -11, -1):
+            nums.append((nums[-2] - p.s * nums[-1]) / p.t)
+            assert binet(p, n) == nums[-1]
+
     def test_binet_float_backend(self):
         p = golden_pair(1, 1)
         for n in range(31):

@@ -191,15 +191,15 @@ def quotient_loop(f, g):
 
 
 EXACT_PAIRS = [P32, golden_pair(4, -3), golden_pair(2, 3)]
-# Orders on both sides of the order where the rational quotient leaves the
-# recurrence for Newton iteration.
-quotient_order = st.sampled_from([12, 16, 19, 20, 21, 24, 33, 47, 64])
+# Orders from 0 up: at 0 Newton iteration takes no step and has no
+# remainder, at 1 and 2 its remainder product is of order 0.
+quotient_order = st.sampled_from([0, 1, 2, 3, 5, 8, 12, 16, 19, 20, 21, 24, 33, 47, 64])
 quotient_coeff = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
 
 
 class TestExactQuotient:
-    """The rational quotient (the recurrence below a size threshold, Newton
-    iteration on Series products above it) against the recurrence."""
+    """The rational quotient (Newton iteration on Series products at every
+    order) against the recurrence."""
 
     @given(st.sampled_from(EXACT_PAIRS), quotient_order, quotient_order, st.data())
     @settings(max_examples=25, deadline=None)
