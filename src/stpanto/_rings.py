@@ -2,16 +2,17 @@
 of its Series are held and computed with.
 
 ``stnum.golden_pair`` builds one ring per Params, and every backend choice
-goes through it.  A ring has the scalar helpers ``wrap``, ``log``,
-``log_abs``, ``power`` (non-integer exponents), ``eq`` and ``to_str``, and
-the Series kernels, each one call from ``stseries``.  A Series holds the
-ring's ``data``: ``data(scalars)`` builds it and ``coeffs(data)`` reads the
-scalars back; ``order``, ``window``, ``padded``, ``add``, ``scaled`` (by a
-scalar), ``times`` (c_n f_n), ``antiderive`` (c_n / {n+1}), ``product``,
-``value`` (at a point), ``reduced`` (a composition's sum) and ``max_abs``
-take data.  ``quotient`` and ``equals`` take the Series, since the rational
-ones are built from Series operations, and ``factorial`` gives the scalar
-coefficients of ``stseries.factorial_series``.
+goes through it.  A ring has the scalar ``one``, the scalar helpers
+``wrap``, ``log``, ``log_abs``, ``power`` (non-integer exponents), ``eq``
+and ``to_str``, and the Series kernels, each one call from ``stseries``.
+A Series holds the ring's ``data``: ``data(scalars)`` builds it and
+``coeffs(data)`` reads the scalars back; ``order``, ``window``, ``padded``,
+``add``, ``scaled`` (by a scalar), ``times`` (c_n f_n), ``antiderive``
+(c_n / {n+1}), ``product``, ``value`` (at a point), ``reduced`` (a
+composition's sum) and ``max_abs`` take data.  ``quotient`` and
+``equals`` take the Series, since the rational ones are built from Series
+operations, and ``factorial`` gives the scalar coefficients of
+``stseries.factorial_series``.
 
 * ``RationalRing``: exact Fractions as integer blocks (start, D,
   numerators), coefficient start + i being numerators[i] / D unreduced.
@@ -266,6 +267,7 @@ class RationalRing:
     """Exact Fractions; Series data are integer blocks (start, D, numerators)."""
 
     wrap = staticmethod(_as_fraction)
+    one = Fraction(1)
     eq = staticmethod(eq)
     to_str = staticmethod(str)
 
@@ -329,6 +331,7 @@ class FloatRing:
 
     def __init__(self, ctx, precision: int):
         self.ctx, self.precision, self.wrap = ctx, precision, partial(_as_mpf, ctx)
+        self.one = ctx.mpf(1)
         self.arith = ar = _raw_arith(ctx, *ctx._prec_rounding)
         self.zero, self.made, self._rounding = ar.operand(0), ar.made, (ar.prec, ar.rnd)
 
@@ -415,10 +418,12 @@ class FloatRing:
         return out
 
     def value(self, data, x):
-        """The Horner loop acc * x + c, highest coefficient first."""
-        plus, times, (prec, rnd), acc, x = (self.arith.add, self.arith.mul, self._rounding,
-                                            self.zero, x._mpf_)
-        for c in reversed(data):
+        """The Horner loop acc * x + c from acc = the highest coefficient (at a
+        finite x, 0 * x + c is c itself)."""
+        plus, times, (prec, rnd), x = self.arith.add, self.arith.mul, self._rounding, x._mpf_
+        coeffs = reversed(data)
+        acc = next(coeffs, self.zero)
+        for c in coeffs:
             acc = plus(times(acc, x, prec, rnd), c, prec, rnd)
         return self.made(acc)
 

@@ -2,7 +2,7 @@
 numbers {n}, and the prefix-product construction the special functions are
 built from.
 
-A point sum stops at its proven tail bound (``tail_ratios``): at the first
+A point sum stops at its proven tail bound (``point_sum``): at the first
 t_n with |t_n| rho_n / (1 - rho_n) <= tol * (1 + |partial sum|), rho_n < 1
 bounding every later term ratio.  Other sums stop once three consecutive
 terms satisfy |term| <= tol * (1 + |partial sum|), a product once three
@@ -17,20 +17,28 @@ a sum, the caller's cap (TERM_CAP by default) for a product.
 The construction: a factor stream f_k, its prefix products
 w_n = f_0 ... f_{n-1} and the point terms w_n x^n / {n}!; the one builder
 of the series form sum w_n g_n x^n / {n}! is ``stseries.factorial_series``,
-and of every point value ``point_sum``.  A point sum runs its factors, {n},
-terms and stop rule in the ``Arith`` of its scalars (``arith_of``): real mpf
-values of one context on their raw libmp values, with the calls, order and
-rounding of mpf's own operators (so every result is bit-identical to the
-operator loop), others on operators.  One raw ``Arith`` serves each context
-(``_raw_arith``), and the float coefficient ring (``_rings.FloatRing``) runs
-its series kernels in the same table; raw {n} come from a bounded cache of
-tables (``st_numbers``).
+and of every point value ``point_sum``.  A point sum is one term loop
+(``_term_loop``: t_{k+1} = t_k f_k x / {k+1}, f_k and {k+1} drawn inline)
+under one ``stable_sum``, which runs the bound's float recurrence beside
+its stop rule.  Both run in the ``Arith`` of the sum's scalars
+(``arith_of``): real mpf values of one context on their raw libmp values,
+with the calls, order and rounding of mpf's own operators (so every result
+is bit-identical to the operator loop), others on operators.  What does
+not depend on x (the kinds of the pairs, {n+1}.. from the raw table and the
+majorant at |x| = 1) is looked up once per call, in a bounded cache
+(``_point_setup``).  For 30-digit E(2, 1/4; x, 1/2) at (1, 3), at the 123
+nodes of its Jackson integral over [1/4, 3/4], a point sum takes about
+26 us per node (Python 3.11, mpmath's pure-Python libmp, 4.3 terms a sum),
+where a chain of one iterator per factor, term and ratio took 49 us.  One
+raw ``Arith`` serves each context (``_raw_arith``), and the float
+coefficient ring (``_rings.FloatRing``) runs its series kernels in the same
+table; raw {n} come from a bounded cache of tables (``st_numbers``).
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, count, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import inf as INF, ldexp, nextafter
 from operator import add, gt, le, mul, sub, truediv
 
@@ -47,11 +55,11 @@ NUMBER_TABLE = 64  # raw {n} kept per (s, t, prec, rnd), in a bounded cache
 _raw_constant = lru_cache(maxsize=32)(from_float)  # raw 0, 1 and tol, once each
 
 
-def _threshold(tol, magnitude, prec=None, rnd=None):
-    # Keep Fraction arithmetic exact: float * huge Fraction can overflow.
-    if isinstance(magnitude, Fraction):
-        return Fraction(tol) * (1 + magnitude)
-    return tol * (1 + magnitude)
+def _threshold(tol):
+    """m -> tol (1 + m) on plain scalars.  A float tol is made exact once, for
+    Fraction magnitudes: float * huge Fraction can overflow."""
+    exact = Fraction(tol) if type(tol) is float else tol
+    return lambda m: (exact if isinstance(m, Fraction) else tol) * (1 + m)
 
 
 def _plain(op):
@@ -60,8 +68,9 @@ def _plain(op):
 
 # Operations take (prec, rnd) after their operands, as libmp's do (PLAIN drops
 # them), except ``abs``: unrounded mpf_abs of a value at the context's
-# precision is the rounded one.  ``operand`` lifts a scalar, 0, 1 or tol, and
-# ``made`` returns a scalar.
+# precision is the rounded one.  ``operand`` lifts a scalar, 0, 1 or tol,
+# ``made`` returns a scalar, and ``threshold`` turns a lifted tol into the
+# decay rule's bound m -> tol (1 + m).
 Arith = namedtuple("Arith", "add sub mul div abs le gt threshold prec rnd operand made")
 PLAIN = Arith(_plain(add), _plain(sub), _plain(mul), _plain(truediv), abs, le, gt, _threshold,
               None, None, lambda x: x, lambda x: x)
@@ -70,8 +79,9 @@ PLAIN = Arith(_plain(add), _plain(sub), _plain(mul), _plain(truediv), abs, le, g
 def arith_of(*scalars) -> Arith:
     """Raw libmp arithmetic when every scalar is a real mpf of one context,
     PLAIN otherwise; one raw Arith serves a context at its precision and rounding."""
-    ctx = getattr(type(scalars[0]), "context", None)
-    if ctx is None or any(type(x) is not ctx.mpf for x in scalars):
+    kind, *others = set(map(type, scalars))
+    ctx = getattr(kind, "context", None)
+    if others or ctx is None or kind is not ctx.mpf:
         return PLAIN
     return _raw_arith(ctx, *ctx._prec_rounding)
 
@@ -79,7 +89,7 @@ def arith_of(*scalars) -> Arith:
 @lru_cache(maxsize=32)
 def _raw_arith(ctx, prec, rnd) -> Arith:
     return Arith(mpf_add, mpf_sub, mpf_mul, mpf_div, mpf_abs, mpf_le, mpf_gt,
-                 lambda tol, m, prec, rnd: mpf_mul(mpf_add(m, fone, prec, rnd), tol, prec, rnd),
+                 lambda tol: lambda m: mpf_mul(mpf_add(m, fone, prec, rnd), tol, prec, rnd),
                  prec, rnd, lambda x: getattr(x, "_mpf_", None) or _raw_constant(x), ctx.make_mpf)
 
 
@@ -94,35 +104,48 @@ def _cap_failure(what, cap):
     return ConvergenceFailure(f"{what}: no convergence within {cap} terms")
 
 
-def stable_sum(terms, tol=DEFAULT_TOL, what="series", arith=PLAIN, ratios=None):
+def stable_sum(terms, tol=DEFAULT_TOL, what="series", arith=PLAIN, bound=None):
     """Sum the stream ``terms``, operands of ``arith``, under the decay rule,
-    or, when ``ratios`` yields a float R_n >= rho_n / (1 - rho_n) with each
-    term (``tail_ratios``), to the first n with |t_n| R_n <= tol (1 + |S_n|).
+    or, with the ``bound`` of a point sum (``point_sum``), to the first n with
+    |t_n| R_n <= tol (1 + |S_n|) for a float R_n >= rho_n / (1 - rho_n).
+    ``bound`` is (skip, gm, g, w0, r0, w1, r1): R_n = N / (1 - gm - N) with
+    N = w0 + w1 (w1 None: w0), each w times its r and gm times g after every
+    term from the ``skip``-th on, and inf for the terms before it.
 
     Returns (value, SumStats).  Raises ConvergenceFailure when the terms
     grow without settling, or when TERM_CAP terms (or a stream that ends
     sooner) do not settle; no term past the cap is drawn.
     """
-    plus, size, le, gt, threshold = arith.add, arith.abs, arith.le, arith.gt, arith.threshold
-    low_tol = _float(tol, False)
-    prec, rnd, tol, one = arith.prec, arith.rnd, arith.operand(tol), arith.operand(1)
+    plus, size, gt, prec, rnd, one = (arith.add, arith.abs, arith.gt, arith.prec, arith.rnd,
+                                      arith.operand(1))
+    if bound is None:
+        le, threshold = arith.le, arith.threshold(arith.operand(tol))
+    else:
+        low_tol, (skip, gm, g, w0, r0, w1, r1) = _float(tol, False), bound
     total = prev_mag = None
     small = growing = 0
     for n, term in enumerate(islice(terms, TERM_CAP)):
         total = term if total is None else plus(total, term, prec, rnd)
         mag = size(term)
-        if ratios is not None:
-            if (r := next(ratios)) < INF:  # rho_n < 1, so no later term grows
-                tail = nextafter(_float(mag, True) * r, INF)
+        if bound is None:
+            if le(mag, threshold(size(total))):
+                small += 1
+                if small >= STABLE_RUN:
+                    return arith.made(total), SumStats(n + 1, "decay")
+            else:
+                small = 0
+        elif n >= skip:  # R_n = N / (E - N): N = w0 + w1, E = 1 - gm, then w *= r, gm *= g
+            num = w0 if w1 is None else nextafter(w0 + w1, INF)
+            den = nextafter(nextafter(1.0 - gm, 0.0) - num, 0.0)
+            ratio = nextafter(num / den, INF) if den > 0 else INF
+            w0, gm = nextafter(w0 * r0, INF), nextafter(gm * g, INF)
+            if w1 is not None:
+                w1 = nextafter(w1 * r1, INF)
+            if ratio < INF:  # rho_n < 1, so no later term grows
+                tail = nextafter(_float(mag, True) * ratio, INF)
                 if tail <= nextafter(low_tol * nextafter(1 + _float(size(total), False), 0.0), 0):
                     return arith.made(total), SumStats(n + 1, "bound", tail)
                 continue
-        elif le(mag, threshold(tol, size(total), prec, rnd)):
-            small += 1
-            if small >= STABLE_RUN:
-                return arith.made(total), SumStats(n + 1, "decay")
-        else:
-            small = 0
         if gt(mag, one) and prev_mag is not None and gt(mag, prev_mag):
             growing += 1
             if growing >= GROW_RUN:
@@ -193,15 +216,24 @@ def powers(u, arith=PLAIN):
         p = times(p, u, prec, rnd)
 
 
-def factors(pairs, arith=PLAIN):
+CONSTANT, POWERS, SCALED = "constant", "powers", "scaled"
+
+
+def _kind(c, r, one) -> str:
+    """How a pair (c, r) gives f_k = c r^k: the constant c when r = 1, the
+    ``powers`` of r when c = 1, else c times them."""
+    return CONSTANT if r == one else POWERS if c == one else SCALED
+
+
+def factors(pairs):
     """f_k = sum c r^k over one or two (c, r) ``pairs``, k = 0, 1, ...: a pair
     (c, 1) gives the constant c and a pair (1, r) the ``powers`` of r; the
     factors of (a (+) b)^n_{1,u} are the pairs (a, 1), (b, u), those of
     (alpha (+) beta)^n_{phi,phi'} the pairs (alpha, phi), (beta, phi')."""
-    r = (repeat(arith.prec), repeat(arith.rnd))
-    a, *b = (repeat(arith.operand(c)) if u == 1 else powers(u, arith) if c == 1 else
-             map(arith.mul, repeat(arith.operand(c)), powers(u, arith), *r) for c, u in pairs)
-    return map(arith.add, a, *b, *r) if b else a
+    kinds = [(_kind(c, r, 1), c, r) for c, r in pairs]
+    a, *b = (repeat(c) if kind is CONSTANT else powers(r) if kind is POWERS else
+             map(mul, repeat(c), powers(r)) for kind, c, r in kinds)
+    return map(add, a, *b) if b else a
 
 
 def weights(factors, n: int, one) -> list:
@@ -210,81 +242,121 @@ def weights(factors, n: int, one) -> list:
     return list(islice(accumulate(factors, mul, initial=one), n + 1))
 
 
-def point_terms(factors, x, t, params=None, n=0, arith=PLAIN):
-    """The terms t_n = t, t_{k+1} = t_k f x / {k+1} (k >= n) of a point sum,
-    operands of ``arith``: f runs over ``factors`` (of the same arith) and
-    {k} over the numbers of ``params``, drawn from ``st_numbers``; with
-    ``params`` None there is no divisor."""
-    times, prec, rnd, x, t = arith.mul, arith.prec, arith.rnd, arith.operand(x), arith.operand(t)
-    if params is None:
-        for f in factors:
-            yield t
-            t = times(times(t, f, prec, rnd), x, prec, rnd)
-        return
-    nums = islice(st_numbers(arith.operand(params.s), arith.operand(params.t), arith), n + 1, None)
+def point_sum(pairs, x, t, params=None, n=0, head=None, tol=DEFAULT_TOL, what="series"):
+    """[head +] the sum of the terms t_n = t, t_{k+1} = t_k f_k x / {k+1}
+    (k >= n; no divisor with ``params`` None), f_k the ``factors`` of
+    ``pairs``: one ``stable_sum`` in the ``Arith`` of x, t, head, the pairs
+    and (s, t) of ``params``, to the tail bound of the same pairs.
+
+    The bound: R_j >= rho_j / (1 - rho_j) (inf while rho_j >= 1), in floats
+    rounded outward, where rho_j = |x| D / P^(n+1) sum |c| (|r|/P)^j /
+    (1 - (Q/P)^(n+1+j)) bounds all |f_k x / {n+1+k}|, k >= j, as |f_k| <=
+    sum |c| |r|^k and |{m}| >= (P^m - Q^m) / D, P = max(|phi|, |phi'|) > Q,
+    D = |phi - phi'| (P = D = 1, Q = 0 with no ``params``).  There is none
+    unless phi, phi' are real of x's kind, |r| <= P where c != 0 (so rho_j
+    falls) and lim rho_j < 1.
+
+    With no bound, a sum of radius 0 is refused before any term is drawn:
+    x != 0, some c != 0 has |r| > P (1 with no ``params``) and no factor
+    vanishes.  As |{m}| <= 2 P^m / |phi - phi'|, its term ratios then grow
+    without bound, though its first terms may decay far enough to stop the
+    decay rule."""
+    st = () if params is None else (params.s, params.t)
+    ar = arith_of(x, t, *chain(*pairs), *st, *(() if head is None else (head,)))
+    op = ar.operand
+    values = [*map(op, chain(*pairs)), None, None][:4]  # c, r, d, v; d = v = None for a lone pair
+    raw_st = [*map(op, st), None, None][:2]
+    roots = [None, None]
+    if params is not None and type(params.phi) is type(x) is type(params.phi_prime):
+        roots = [op(params.phi), op(params.phi_prime)]  # real, of x's kind: a bound may exist
+    kinds, divisors, majorant = _point_setup(ar, n, *values, *raw_st, *roots)
+    bound = None
+    if majorant is not None:  # scaled by |x|: R_j from N_j = w0 r0^j + w1 r1^j
+        limit, gm, g, w0, r0, w1, r1 = majorant
+        k = _float(ar.abs(op(x)), True)
+        if nextafter(k * limit, INF) < 1:
+            bound = (0 if head is None else 1, gm, g, nextafter(k * w0, INF), r0,
+                     None if w1 is None else nextafter(k * w1, INF), r1)
+    if bound is None:
+        _refuse_radius_zero(pairs, x, params, what)
+    nums = repeat(None) if params is None else chain(
+        divisors, islice(st_numbers(*raw_st, ar), n + 1 + len(divisors), None))
+    terms = _term_loop(op(x), op(t), None if head is None else op(head), values, kinds, nums,
+                       ar, params, n)
+    return stable_sum(terms, tol, what=what, arith=ar, bound=bound)[0]
+
+
+def _term_loop(x, t, head, values, kinds, nums, arith, params, n):
+    """[head,] t, then t_{k+1} = t_k f_k x / {k+1} for {k+1} in ``nums``
+    (None: no divisor), f_k from the raw pairs ``values`` of ``kinds``."""
+    times, plus, prec, rnd = arith.mul, arith.add, arith.prec, arith.rnd
+    (c, r, d, v), (kc, kd), p = values, kinds, arith.operand(1)
+    q, k = p, n
+    if head is not None:
+        yield head
     try:
-        for k, f, num in zip(count(n + 1), factors, nums):
+        for num in nums:
             yield t
-            t = arith.div(times(times(t, f, prec, rnd), x, prec, rnd), num, prec, rnd)
+            f = c if kc is CONSTANT else p if kc is POWERS else times(c, p, prec, rnd)
+            if kc is not CONSTANT:
+                p = times(p, r, prec, rnd)
+            if kd is not None:
+                e = d if kd is CONSTANT else q if kd is POWERS else times(d, q, prec, rnd)
+                if kd is not CONSTANT:
+                    q = times(q, v, prec, rnd)
+                f = plus(f, e, prec, rnd)
+            t = times(times(t, f, prec, rnd), x, prec, rnd)
+            if num is not None:
+                k += 1
+                t = arith.div(t, num, prec, rnd)
     except ZeroDivisionError:  # by num = {k}
         raise zero_divisor(params, k) from None
 
 
-def tail_ratios(pairs, x, params=None, n=0, arith=PLAIN):
-    """Floats R_j >= rho_j / (1 - rho_j) (inf while rho_j >= 1), rounded outward:
-    rho_j = |x| D / P^(n+1) sum |c| (|r|/P)^j / (1 - (Q/P)^(n+1+j)) bounds all
-    |f_k x / {n+1+k}|, k >= j, if |f_k| <= sum |c| |r|^k over the (c, r) ``pairs``,
-    as |{m}| >= (P^m - Q^m) / D, P = max(|phi|, |phi'|) > Q, D = |phi - phi'|
-    (P = D = 1, Q = 0 with no ``params``).  None unless |r| <= P where c != 0
-    (so rho_j falls) and lim rho_j < 1."""
-    roots = () if params is None else (params.phi, params.phi_prime)
-    if any(type(v) is not type(x) for v in roots):  # complex roots, or of another kind than x
-        return None
-    op = arith.operand
-    bound = _majorant(tuple(map(op, chain(*pairs))), tuple(map(op, roots)), n, arith)
-    if bound is None:
-        return None
-    ws, rs, limit, gm, g = bound
-    k = _float(arith.abs(op(x)), True)
-    return None if nextafter(k * limit, INF) >= 1 else _ratios(
-        [nextafter(k * w, INF) for w in ws], rs, gm, g)
+@lru_cache(maxsize=64, typed=True)
+def _point_setup(arith, n, c, r, d, v, s, t, phi, phi_prime):
+    """The part of a point sum that does not depend on x, from the raw pairs
+    (c, r), (d, v) (d = v = None for a lone pair), (s, t) and (phi, phi')
+    (None with no ``params``; phi = phi' = None with no bound): the kinds of
+    the pairs, {n+1}.. from the raw table (none on plain scalars, whose key
+    also holds their types) and the ``_majorant``, or None."""
+    one = arith.operand(1)
+    kinds = (_kind(c, r, one), None if d is None else _kind(d, v, one))
+    divisors = () if s is None or arith.prec is None else \
+        _number_table(s, t, arith.prec, arith.rnd)[n + 1:]
+    pairs = ((c, r),) if d is None else ((c, r), (d, v))
+    bounded = s is None or phi is not None  # no params, or real roots of x's kind
+    return kinds, divisors, _majorant(pairs, phi, phi_prime, n, arith) if bounded else None
 
 
-@lru_cache(maxsize=64)
-def _majorant(values, roots, n, arith):
-    """(D |c| / P^(n+1) and |r|/P at each c != 0, lim rho_j, (Q/P)^(n+1), Q/P) of
-    ``tail_ratios`` at |x| = 1 from raw c, r, c, r, ... and (phi, phi'), or None."""
+def _majorant(pairs, phi, phi_prime, n, arith):
+    """(lim rho_j, (Q/P)^(n+1), Q/P, then D |c| / P^(n+1) and |r|/P at each
+    c != 0, None for a second that is missing), or None where rho_j does not
+    fall: the bound of ``point_sum`` at |x| = 1.  No roots: P = D = 1, Q = 0."""
     gt, zero, p = arith.gt, arith.operand(0), arith.operand(1)
     lo, k, g, gm, limit, ws, rs = 1.0, 1.0, 0.0, 0.0, 0.0, [], []
-    if roots:
-        p, q = map(arith.abs, roots)
+    if phi is not None:
+        p, q = arith.abs(phi), arith.abs(phi_prime)
         if gt(q, p):
             p, q = q, p
         lo = _float(p, False)
         gm, g = 1.0, nextafter(_float(q, True) / lo, INF)
         if not gt(p, q) or g >= 1:
             return None
-        k = _float(arith.abs(arith.sub(*roots, arith.prec, round_up)), True)  # away from 0
+        k = _float(arith.abs(arith.sub(phi, phi_prime, arith.prec, round_up)), True)  # away from 0
         for _ in range(n + 1):
             k, gm = nextafter(k / lo, INF), nextafter(gm * g, INF)
-    for c, r in zip(map(arith.abs, values[::2]), map(arith.abs, values[1::2])):
+    for c, r in pairs:
+        c, r = arith.abs(c), arith.abs(r)
         if gt(c, zero):
             if gt(r, p):
                 return None
             ws.append(nextafter(k * _float(c, True), INF))
             rs.append(nextafter(_float(r, True) / lo, INF))
             limit = limit if gt(p, r) else nextafter(limit + ws[-1], INF)
-    return tuple(ws) or (0.0,), tuple(rs) or (0.0,), limit, gm, g  # shared: never mutated
-
-
-def _ratios(ws, rs, gm, g):
-    while True:  # rho_j / (1 - rho_j) = N / (E - N): N = sum ws rs^j, E = 1 - g^(n+1+j)
-        num = ws[0]
-        for w in ws[1:]:
-            num = nextafter(num + w, INF)
-        den = nextafter(nextafter(1.0 - gm, 0.0) - num, 0.0)
-        yield nextafter(num / den, INF) if den > 0 else INF
-        ws, gm = [nextafter(w * r, INF) for w, r in zip(ws, rs)], nextafter(gm * g, INF)
+    (w0, r0), *more = list(zip(ws, rs)) or [(0.0, 0.0)]
+    w1, r1 = more[0] if more else (None, None)
+    return limit, gm, g, w0, r0, w1, r1
 
 
 def _float(v, up: bool) -> float:
@@ -292,33 +364,16 @@ def _float(v, up: bool) -> float:
     mantissa cut to 53 bits (plus a unit up) or Python's nearest, one step out."""
     v = getattr(v, "_mpf_", v)
     try:
-        cut = max(v[3] - 53, 0) if type(v) is tuple else None
-        f = float(v) if cut is None else ldexp((v[1] >> cut) + (up and cut > 0), v[2] + cut)
+        if type(v) is not tuple:
+            f = float(v)
+        elif v[3] > 53:
+            cut = v[3] - 53
+            f = ldexp((v[1] >> cut) + up, v[2] + cut)
+        else:
+            f = ldexp(v[1], v[2])
     except OverflowError:
         f = INF
     return nextafter(f, INF if up else 0.0)
-
-
-def point_sum(pairs, x, t, params=None, n=0, head=None, tol=DEFAULT_TOL, what="series"):
-    """[head +] the sum of ``point_terms`` of the ``factors`` of ``pairs``, by
-    one ``stable_sum`` in the ``Arith`` of x, t, head, the pairs and (s, t) of
-    ``params``, to the tail bound of the same pairs (``tail_ratios``).
-
-    With no bound, a sum of radius 0 is refused before any term is drawn:
-    x != 0, some c != 0 has |r| > P = max(|phi|, |phi'|) (1 with no
-    ``params``) and no factor vanishes.  As |{m}| <= 2 P^m / |phi - phi'|,
-    its term ratios then grow without bound, though its first terms may
-    decay far enough to stop the decay rule."""
-    extra = (() if head is None else (head,)) + (() if params is None else (params.s, params.t))
-    ar = arith_of(x, t, *chain(*pairs), *extra)
-    ratios = tail_ratios(pairs, x, params, n, ar)
-    if ratios is None:
-        _refuse_radius_zero(pairs, x, params, what)
-    terms = point_terms(factors(pairs, ar), x, t, params, n, ar)
-    if head is not None:
-        terms = chain([ar.operand(head)], terms)
-        ratios = ratios and chain([INF], ratios)
-    return stable_sum(terms, tol, what=what, arith=ar, ratios=ratios)[0]
 
 
 def _refuse_radius_zero(pairs, x, params, what):

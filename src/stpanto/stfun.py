@@ -18,13 +18,13 @@ E(0, 1; z, u), and (1, y) for Theta0(x, y), which sums the
 (0 (+) 1)^n_{1,y} x^n without the {n}!.  The closed q-Pochhammer rewrite
 a^n (-b/a; u)_n is kept as a cross-check only.
 
-The pairs give the point sum its stream, its proven tail bound
-(``_stable.tail_ratios``) and, where there is no bound, its refusal of a
-series of radius 0 (some |r| > max(|phi|, |phi'|) at c != 0 and no factor
-0) at any x != 0: the first terms of such a series can decay, and the
-decay rule would stop on them.  Other sums with no bound (complex or
-equal-modulus phi, phi', or a ratio bound that tends to 1 or more) stop
-by the decay rule (three consecutive terms below tol).
+The pairs give the point sum its terms, its proven tail bound (from the
+majorant sum |c| |r|^k of the factors) and, where there is no bound, its
+refusal of a series of radius 0 (some |r| > max(|phi|, |phi'|) at c != 0
+and no factor 0) at any x != 0: the first terms of such a series can
+decay, and the decay rule would stop on them.  Other sums with no bound
+(complex or equal-modulus phi, phi', or a ratio bound that tends to 1 or
+more) stop by the decay rule (three consecutive terms below tol).
 """
 
 from __future__ import annotations
@@ -70,7 +70,8 @@ def pantograph(params: Params, spec: PantographSpec, N: int) -> Series:
 
 def pantograph_at(params: Params, spec: PantographSpec, x, tol: float = DEFAULT_TOL):
     """E(a, b; x, u) at a point."""
-    a, b, u, x, one = (params.wrap(v) for v in (spec.a, spec.b, spec.u, x, 1))
+    a, b, u = params.wrap(spec.a), params.wrap(spec.b), params.wrap(spec.u)
+    x, one = params.wrap(x), params.one()
     return point_sum(((a, one), (b, u)), x, one, params, tol=tol, what="E(a, b; x, u)")
 
 

@@ -118,7 +118,7 @@ class Params:
         return self.wrap(0)
 
     def one(self) -> Scalar:
-        return self.wrap(1)
+        return self.ring.one
 
     def log(self, x) -> Scalar:
         return self.ring.log(x)

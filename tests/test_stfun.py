@@ -15,7 +15,6 @@ from stpanto._stable import (
     TERM_CAP,
     arith_of,
     factors,
-    point_terms,
     powers,
     st_numbers,
     stable_sum,
@@ -493,14 +492,14 @@ class TestKernelMatchesInlineLoops:
         assert got == _ref_product_exp(params, alpha, beta, 12)
 
     @pytest.mark.parametrize("spec", KERNEL_SPECS[:4])
-    def test_pantograph_at(self, params, spec):
+    def test_pantograph_at(self, params, spec, monkeypatch):
         a, b, u = (params.wrap(v) for v in spec)
         for x in ("1/3", "-2/5", "0"):
             x = params.wrap(x)
-            want = stable_sum(_ref_pantograph_terms(params, a, b, u, x), 1e-20)
-            got = stable_sum(point_terms(factors(((a, 1), (b, u))), x, params.one(), params),
-                             1e-20)
-            assert got == want  # same value from the same number of terms
+            want = list(islice(_ref_pantograph_terms(params, a, b, u, x), 30))
+            got, _ = handed(lambda: pantograph_at(params, PantographSpec(a, b, u), x), 30,
+                            monkeypatch)
+            assert repr(got) == repr(want)  # the same terms, every bit
             want = _oracle_sum(_ref_pantograph_terms(params, a, b, u, x), 1e-20,
                                _oracle_ratios(((a, params.one()), (b, u)), x, params))
             assert pantograph_at(params, PantographSpec(a, b, u), x, tol=1e-20) == want[0]
@@ -626,7 +625,7 @@ def _down(v):
 
 
 def _oracle_ratios(majorant, x, params=None, n=0):
-    """``_stable.tail_ratios`` on scalar objects: the floats R_j, or None
+    """The tail bound of ``_stable.point_sum`` on scalar objects: the floats R_j, or None
     where that has no bound."""
     roots = () if params is None else (params.phi, params.phi_prime)
     ctx = getattr(type(x), "context", None)
@@ -719,6 +718,20 @@ def _oracle_terms(factors, x, t, params=None, n=0):
         t = t * f * x if num is None else t * f * x / num
 
 
+def handed(call, count, monkeypatch):
+    """The first ``count`` terms (as scalars) and the tail bound that the point
+    sum of ``call()`` hands its one stable_sum (whose value is then None)."""
+    seen = []
+
+    def record(terms, tol, what, arith, bound):
+        seen.append((list(map(arith.made, islice(terms, count))), bound))
+        return None, None
+    with monkeypatch.context() as patch:
+        patch.setattr(_stable, "stable_sum", record)
+        call()
+    return seen[0]
+
+
 @pytest.fixture
 def sums(monkeypatch):
     """Every (value, terms) that a point evaluator's stable_sum returns."""
@@ -809,6 +822,67 @@ class TestPointSumsMatchObjectLoop:
             "grow without bound")
 
 
+# The exits of a point sum that the classes above do not reach, each against
+# the loop on scalar objects (value and SumStats, or error), on raw values at
+# 1, 30 and 50 digits and on plain scalars.
+EXIT_IDS = ["float1", "float30", "float50", "plain"]
+
+
+@pytest.mark.parametrize("tol", [1e-15, 1e-50])
+@pytest.mark.parametrize("params, spec", [
+    *[(golden_pair(1, -2, precision=d), ("1", "1/2", "1/3")) for d in (1, 30, 50)],
+    (golden_pair(3, -2), ("1", "-1/4", "4")),
+], ids=EXIT_IDS)
+def test_point_sum_decay_stop(params, spec, tol, sums):
+    # no bound: phi, phi' are complex, or |u| = 4 > P = 2 in a polynomial
+    # (1 - 4^k / 4 = 0 at k = 1), whose zero terms stop the decay rule
+    a, b, u = map(params.wrap, spec)
+    for x in map(params.wrap, ["1/5", "-2/5", "3/2"]):
+        sums.clear()
+        assert _oracle_ratios(((a, params.one()), (b, u)), x, params) is None
+        got = pantograph_at(params, PantographSpec(a, b, u), x, tol)
+        assert_same_sum(got, sums, _oracle_sum(
+            _oracle_terms(_oracle_delay(a, b, u), x, params.one(), params), tol))
+        assert sums[0][1].reason == "decay"
+
+
+@pytest.mark.parametrize("digits", [1, 30, 50, None], ids=EXIT_IDS)
+def test_point_sum_term_cap(digits):
+    # at (3/2, -1/2) {n} tends to 2 and the factors 5/2 + (3/2)(-1)^k alternate
+    # 4 and 1: E's terms settle into a two-cycle that neither decays nor grows;
+    # on plain scalars the terms (-1)^C(n,2) of a sum with no divisor do the same
+    if digits is None:
+        one = F(1)
+        call = lambda: _stable.point_sum(((one, -one),), one, one)  # noqa: E731
+        oracle = lambda: _oracle_sum(_oracle_terms(_oracle_powers(-one), one, one),  # noqa: E731
+                                     1e-15)
+    else:
+        p = golden_pair("3/2", "-1/2", backend="float", precision=digits)
+        a, b, u, one = p.wrap("5/2"), p.wrap("3/2"), p.wrap(-1), p.one()
+        call = lambda: pantograph_at(p, PantographSpec(a, b, u), one)  # noqa: E731
+        oracle = lambda: _oracle_sum(  # noqa: E731
+            _oracle_terms(_oracle_delay(a, b, u), one, one, p), 1e-15)
+    assert_same_failure(call, oracle, f"no convergence within {TERM_CAP} terms")
+
+
+@pytest.mark.parametrize("digits", [1, 30, 50, None], ids=EXIT_IDS)
+def test_point_sum_vanishing_number(digits, monkeypatch):
+    # at (1, -1) {3} = 0: the terms before it are the oracle's, and the division
+    # by it names {3}; a Fraction x makes the same sum run on plain scalars
+    p = golden_pair(1, -1, precision=digits or 30)
+    a, b, u, one = p.wrap(1), p.wrap("1/2"), p.wrap("1/3"), p.one()
+    x = F(1, 2) if digits is None else p.wrap("1/2")
+    want = []
+    with pytest.raises(ZeroDivisionError):
+        want.extend(_oracle_terms(_oracle_delay(a, b, u), x, one, p))
+    assert len(want) == 3
+    call = lambda: _stable.point_sum(((a, one), (b, u)), x, one, p)  # noqa: E731
+    assert repr(handed(call, 3, monkeypatch)[0]) == repr(want)
+    with pytest.raises(DegenerateStNumber,
+                       match=r"^cannot divide by \{3\} = 0 at \(s, t\) = \(1, -1\)$"):
+        call()
+
+
 def test_q_binomial_sum_matches_object_loop(sums):
     # the left side of identities.q_binomial_theorem, one sum per point
     p = golden_pair(3, -2, backend="float")
@@ -832,19 +906,26 @@ class TestArithOf:
         assert arith_of(golden_pair(1, -1).phi) is PLAIN       # mpc
 
     @pytest.mark.parametrize("precision", [1, 30])
-    def test_raw_streams_match_objects(self, precision):
-        # {n}, u^k, a + b u^k and alpha phi^k + beta phi'^k, every bit
+    def test_raw_streams_match_objects(self, precision, monkeypatch):
+        # {n}, u^k and the point terms of the factors u^k, a + b u^k and
+        # alpha phi^k + beta phi'^k, every bit
         p = golden_pair("7/3", "1/7", backend="float", precision=precision)
-        a, b, u = p.wrap("2/3"), p.wrap("-5/7"), p.wrap("-6/7")
+        a, b, u, x, one = p.wrap("2/3"), p.wrap("-5/7"), p.wrap("-6/7"), p.wrap("9/4"), p.one()
         raw = arith_of(p.s, a)
 
         def agree(raw_stream, stream):
             assert [repr(p.ctx.make_mpf(v)) for v in islice(raw_stream, 60)] == \
                 [repr(p.wrap(v)) for v in islice(stream, 60)]
+
+        def agree_terms(pairs, factors):
+            got, _ = handed(lambda: _stable.point_sum(pairs, x, one, p), 60, monkeypatch)
+            assert repr(got) == repr(list(islice(_oracle_terms(factors, x, one, p), 60)))
         agree(st_numbers(p.s._mpf_, p.t._mpf_, raw), _oracle_nums(p.s, p.t))
         agree(powers(u, raw), _oracle_powers(u))
-        agree(factors(((a, 1), (b, u)), raw), _oracle_delay(a, b, u))
-        agree(factors(((a, p.phi), (b, p.phi_prime)), raw), _oracle_golden(p, a, b))
+        agree_terms(((one, u),), _oracle_powers(u))
+        agree_terms(((a, u),), map(mul, repeat(a), _oracle_powers(u)))
+        agree_terms(((a, one), (b, u)), _oracle_delay(a, b, u))
+        agree_terms(((a, p.phi), (b, p.phi_prime)), _oracle_golden(p, a, b))
 
     def test_plain_scalars_match_object_loop(self, sums):
         # Python floats and mpf values of two contexts take the plain path
@@ -928,7 +1009,7 @@ def test_negative_order_is_refused(params, N):
 
 def _clear_raw_caches():
     for cached in (_stable._number_table, _stable._raw_arith, _stable._raw_constant,
-                   _stable._majorant):
+                   _stable._point_setup):
         cached.cache_clear()
 
 
@@ -983,12 +1064,12 @@ class TestCachedStateIsInvisible:
     def test_vanishing_number_read_from_the_table(self):
         p = golden_pair(1, -1)
         _clear_raw_caches()
-        for _ in range(2):   # the table is built, then read from the cache
+        for _ in range(2):   # the table is built, then read from the cached set-up
             with pytest.raises(DegenerateStNumber,
                                match=r"^cannot divide by \{3\} = 0 at \(s, t\) = \(1, -1\)$"):
                 pantograph_at(p, PantographSpec(1, F(1, 2), F(1, 3)), p.wrap("1/2"))
-        info = _stable._number_table.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        table, setup = _stable._number_table.cache_info(), _stable._point_setup.cache_info()
+        assert (table.misses, table.hits, setup.misses, setup.hits) == (1, 0, 1, 1)
 
     def test_a_context_whose_precision_changes(self, sums):
         # the raw Arith of mpmath's global context follows its precision
@@ -1091,11 +1172,11 @@ def test_sums_with_no_bound_keep_the_decay_rule(params, spec, x, sums):
 
 @pytest.mark.parametrize("s, t, n", VANISHING)
 @pytest.mark.parametrize("precision", [15, 50])
-def test_vanishing_numbers_still_raise(s, t, n, precision):
+def test_vanishing_numbers_still_raise(s, t, n, precision, monkeypatch):
     # complex roots: no bound, so the sums run into {n} = 0 as before
     p = golden_pair(s, t, precision=precision)
-    assert _stable.tail_ratios(((p.one(), p.one()), (p.one(), p.wrap("1/3"))), p.wrap("1/2"), p,
-                               arith=arith_of(p.s)) is None
+    assert handed(lambda: _stable.point_sum(((p.one(), p.one()), (p.one(), p.wrap("1/3"))),
+                                            p.wrap("1/2"), p.one(), p), 0, monkeypatch)[1] is None
     message = rf"^cannot divide by \{{{n}\}} = 0 at \(s, t\) = \({s}, {t}\)$"
     for call in (lambda: pantograph_at(p, PantographSpec(1, F(1, 2), F(1, 3)), p.wrap("1/2")),
                  lambda: deformed_exp_at(p, F(1, 2), p.wrap("-1/3")),
