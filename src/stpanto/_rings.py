@@ -12,7 +12,8 @@ A Series holds the ring's ``data``: ``data(scalars)`` builds it and
 composition's sum) and ``max_abs`` take data.  ``quotient`` and
 ``equals`` take the Series, since the rational ones are built from Series
 operations, and ``factorial`` gives the scalar coefficients of
-``stseries.factorial_series``.
+``stseries.factorial_series`` from the (c, r) pairs of its factors, on the
+rational ring one Fraction step built from integers per coefficient.
 
 * ``RationalRing``: exact Fractions as integer blocks (start, D,
   numerators), coefficient start + i being numerators[i] / D unreduced.
@@ -40,10 +41,10 @@ operations, and ``factorial`` gives the scalar coefficients of
 import math
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from operator import eq, truediv
 
-from ._stable import _raw_arith, weights
+from ._stable import _raw_arith, factors, weights
 from .errors import BackendMismatch, StInputError
 
 FLOAT_EQ_TOL = 1e-12
@@ -317,10 +318,19 @@ class RationalRing:
         """The largest numerator of each block, reduced."""
         return max(Fraction(max(map(abs, xs)), d) for _, d, xs in blocks)
 
-    def factorial(self, factors, nums, N: int, g=None) -> list:
-        """c_0 = 1, c_{n+1} = c_n f_n / {n+1} (one small operand per step), times g_n."""
-        c = weights(map(truediv, factors, nums[1:]), N, Fraction(1))
-        return c if g is None else [cn * self.wrap(gn) for cn, gn in zip(c, g)]
+    def factorial(self, pairs, nums, N: int, g=None, lead: int = 0) -> list:
+        """c_0 = 1, c_{n+1} = c_n (f_n / {n+1}), times g_n: each step one Fraction
+        of integers, f_n = c r^n + d v^n over the denominators of c, d, r^n, v^n."""
+        (c, r), (d, v) = (*pairs, (0, 1))[:2]
+        (cn, cd), (dn, dd), (r, rr), (v, vv) = (x.as_integer_ratio() for x in (c, d, r, v))
+        rn = rd = vn = vd = f = fd = 1  # r^k = rn / rd, v^k = vn / vd; f_k = f / fd, 1 at lead
+        out = [Fraction(1)]
+        for m in nums[1:N + 1]:
+            if len(out) > lead:
+                f, fd = cn * dd * rn * vd + dn * cd * vn * rd, cd * dd * rd * vd
+                rn, rd, vn, vd = rn * r, rd * rr, vn * v, vd * vv
+            out.append(out[-1] * Fraction(f * m.denominator, fd * m.numerator))
+        return out if g is None else [c * self.wrap(x) for c, x in zip(out, g)]
 
 
 RATIONAL = RationalRing()
@@ -433,10 +443,10 @@ class FloatRing:
     def max_abs(self, data):
         return max(map(abs, self.coeffs(data)))
 
-    def factorial(self, factors, nums, N: int, g=None) -> list:
-        """(w_n g_n) / {n}!, rounded in that order."""
-        one = self.wrap(1)
-        c = weights(factors, N, one)
+    def factorial(self, pairs, nums, N: int, g=None, lead: int = 0) -> list:
+        """(w_n g_n) / {n}!, rounded in that order, w_n the prefix products of
+        ``lead`` ints 1 then the ``factors`` of the pairs."""
+        c = weights(chain(repeat(1, lead), factors(pairs)), N, self.one)
         if g is not None:
             c = [cn * self.wrap(gn) for cn, gn in zip(c, g)]
-        return list(map(truediv, c, weights(nums[1:], N, one)))
+        return list(map(truediv, c, weights(nums[1:], N, self.one)))

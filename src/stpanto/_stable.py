@@ -4,9 +4,10 @@ built from.
 
 A point sum stops at its proven tail bound (``point_sum``): at the first
 t_n with |t_n| rho_n / (1 - rho_n) <= tol * (1 + |partial sum|), rho_n < 1
-bounding every later term ratio.  Other sums stop once three consecutive
-terms satisfy |term| <= tol * (1 + |partial sum|), a product once three
-consecutive factors satisfy |factor - 1| <= tol or at an exact zero factor.
+bounding every later term ratio, and (a;q)_inf at its geometric one
+(``stable_product``).  Other sums stop once three consecutive terms satisfy
+|term| <= tol * (1 + |partial sum|), other products once three consecutive
+factors satisfy |factor - 1| <= tol, and a product at an exact zero factor.
 A sum whose term magnitudes instead keep growing past 1 for many
 consecutive steps is declared divergent early (convergent sums here have at
 most a short growth prefix before the factorials win); a product has no
@@ -158,14 +159,25 @@ def stable_sum(terms, tol=DEFAULT_TOL, what="series", arith=PLAIN, bound=None):
     raise _cap_failure(what, TERM_CAP)
 
 
-def stable_product(factors, tol=DEFAULT_TOL, cap=TERM_CAP, what="product"):
+def stable_product(factors, tol=DEFAULT_TOL, cap=TERM_CAP, what="product", bound=None):
     """Multiply the infinite stream ``factors`` until three consecutive ones
     lie within tol of 1, or one is exactly zero (the product is then exactly
     0).  Returns (value, SumStats) and fails at the cap like ``stable_sum``.
-    """
+    With ``bound`` (|a|, |q|) of factors 1 - a q^k, it stops instead after the
+    first n with ``tail`` 2 L <= min(tol, 1), L = 2 |a q^n| / (1 - |q|): every
+    later |a q^k| <= 1/2, where |log(1 - z)| <= 2 |z|, so the rest of the
+    product is within e^L - 1 <= 2 L of 1 (floats rounded outward; by the
+    decay rule where |a| is nan or rounds to inf, or |q| rounds to 1)."""
+    m, g = (_float(v, True) if v < INF else INF for v in bound or (INF, 1))
     total, near_one = 1, 0
     for n, factor in enumerate(islice(factors, cap)):
         total *= factor
+        if m < INF and g < 1 and factor != 0:
+            m = nextafter(m * g, INF)  # >= |a q^(n+1)|
+            tail = nextafter(4 * m / nextafter(1 - g, 0.0), INF)
+            if tail <= min(tol, 1):
+                return total, SumStats(n + 1, "bound", tail)
+            continue
         near_one = near_one + 1 if abs(factor - 1) <= tol else 0
         if factor == 0 or near_one >= STABLE_RUN:
             return total, SumStats(n + 1, "decay")

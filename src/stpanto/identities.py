@@ -18,7 +18,8 @@ from .stnum import (
     st_factorial,
     st_number,
 )
-from .stseries import Series, q_derive_at, scale, st_antiderive, st_derive, st_derive_at
+from .stseries import (Series, compose_deformed, q_derive_at, scale, sq_int, st_antiderive,
+                       st_derive, st_derive_at)
 from ._stable import point_sum
 from .stfun import (
     PantographSpec,
@@ -36,8 +37,8 @@ from .stquad import (
     pantograph_antiderivative_at,
     pantograph_antiderivative_series,
     st_integral,
+    theta_antiderivative_at,
 )
-from .stseries import compose_deformed, sq_int
 
 SEED = 20240901
 
@@ -65,21 +66,21 @@ def binet_form() -> IdentityResult:
 
 
 def factorial_bridge() -> IdentityResult:
-    # {n}! = phi^C(n,2) (q;q)_n/(1-q)^n at 30-digit precision, n <= 20
-    p = golden_pair(3, -2, backend="float", precision=30)
-    worst = 0.0
+    # {n}! = phi^C(n,2) (q;q)_n/(1-q)^n, n <= 20, exactly at phi = 2, q = 1/2
+    p = golden_pair(3, -2)
+    worst = Fraction(0)
     for n in range(21):
         lhs = st_factorial(p, n)
         rhs = p.phi ** (n * (n - 1) // 2) * q_pochhammer(p.q, p.q, n) / (1 - p.q) ** n
-        worst = max(worst, float(abs(lhs - rhs) / abs(rhs)))
-    return _result("factorial-bridge", worst, 1e-12)
+        worst = max(worst, abs(lhs - rhs) / abs(rhs))
+    return _result("factorial-bridge", worst, 0.0)
 
 
 def derivative_equivalence() -> IdentityResult:
-    # (D f)(x) = (D_q f)(phi x) on random polynomials
+    # (D f)(x) = (D_q f)(phi x) on random polynomials, exactly at phi = 2, q = 1/2
     rng = random.Random(SEED)
-    p = golden_pair(3, -2, backend="float")
-    worst = 0.0
+    p = golden_pair(3, -2)
+    worst = Fraction(0)
     for _ in range(20):
         f = Series(p, [Fraction(rng.randint(-40, 40), rng.randint(1, 9))
                        for _ in range(9)])
@@ -87,8 +88,8 @@ def derivative_equivalence() -> IdentityResult:
             x = p.wrap(Fraction(rng.randint(1, 100), 101))
             lhs = st_derive_at(f.eval, x, p)
             rhs = q_derive_at(f.eval, p.phi * x, p)
-            worst = max(worst, float(abs(lhs - rhs) / max(1, abs(rhs))))
-    return _result("derivative-equivalence", worst, 1e-12)
+            worst = max(worst, abs(lhs - rhs) / max(1, abs(rhs)))
+    return _result("derivative-equivalence", worst, 0.0)
 
 
 def pantograph_equation() -> IdentityResult:
@@ -112,11 +113,8 @@ def special_values() -> IdentityResult:
     p = golden_pair(3, -2)
     N = 24
     a, b, c, u = Fraction(2, 3), Fraction(-1, 2), Fraction(3), Fraction(2, 5)
-    checks = []
-    one = Series.one(p, N)
-    checks.append(pantograph(p, PantographSpec(a, -a, u), N) - one)
-    checks.append(pantograph(p, PantographSpec(a, 0, u), N)
-                  - scale(deformed_exp(p, 1, N), a))
+    checks = [pantograph(p, PantographSpec(a, -a, u), N) - Series.one(p, N),
+              pantograph(p, PantographSpec(a, 0, u), N) - scale(deformed_exp(p, 1, N), a)]
     checks.append(pantograph(p, PantographSpec(0, a, u), N)
                   - scale(deformed_exp(p, u, N), a))
     checks.append(pantograph(p, PantographSpec(a, b, 1), N)
@@ -127,7 +125,7 @@ def special_values() -> IdentityResult:
     theta_side = Series(p, [theta[n] * (1 - p.q) ** n for n in range(N + 1)])
     checks.append(pantograph(p, PantographSpec(1, -p.q, p.q), N) - theta_side)
     worst = max(ch.max_abs_coeff() for ch in checks)
-    return _result("special-values", worst, 1e-10)
+    return _result("special-values", worst, 0.0)
 
 
 def ftc_defect() -> IdentityResult:
@@ -221,7 +219,6 @@ def theta_psi_value() -> IdentityResult:
 
 
 def theta_antiderivative_consistency() -> IdentityResult:
-    from .stquad import theta_antiderivative_at
     pf = golden_pair(3, -2, backend="float")
     x = 0.4
     dval = st_derive_at(lambda y: theta_antiderivative_at(pf, y, 1e-20), x, pf)

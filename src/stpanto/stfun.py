@@ -10,9 +10,9 @@ function Theta0(x, y) = sum y^C(n,2) x^n.
 
 Every function here is one specialization of the prefix-product kernel
 in ``_stable``: the (+)-products are always computed from their defining
-factor products (a + b u^k resp. alpha phi^k + beta phi'^k), each series
-is ``stseries.factorial_series`` of its factor stream and each point
-evaluator is one ``_stable.point_sum`` of the (c, r) pairs of its factors
+factor products (a + b u^k resp. alpha phi^k + beta phi'^k), and each series
+(``stseries.factorial_series``) and each point evaluator (one
+``_stable.point_sum``) is built from the (c, r) pairs of its factors
 f_k = sum c r^k: (a, 1), (b, u) for E, (1, u) for exp(z, u), which is
 E(0, 1; z, u), and (1, y) for Theta0(x, y), which sums the
 (0 (+) 1)^n_{1,y} x^n without the {n}!.  The closed q-Pochhammer rewrite
@@ -65,7 +65,7 @@ def oplus_golden_pow(params: Params, alpha, beta, n: int):
 def pantograph(params: Params, spec: PantographSpec, N: int) -> Series:
     """Series of E(a, b; z, u): coefficients (a (+) b)^n_{1,u} / {n}!."""
     pairs = ((params.wrap(spec.a), 1), (params.wrap(spec.b), params.wrap(spec.u)))
-    return factorial_series(params, factors(pairs), N)
+    return factorial_series(params, pairs, N)
 
 
 def pantograph_at(params: Params, spec: PantographSpec, x, tol: float = DEFAULT_TOL):
@@ -78,7 +78,7 @@ def pantograph_at(params: Params, spec: PantographSpec, x, tol: float = DEFAULT_
 def deformed_exp(params: Params, u, N: int) -> Series:
     """Series of exp(z, u) = E(0, 1; z, u): coefficients u^C(n,2) / {n}!;
     u = 0 gives 1 + z."""
-    return factorial_series(params, powers(params.wrap(u)), N)
+    return factorial_series(params, ((1, params.wrap(u)),), N)
 
 
 def deformed_exp_at(params: Params, u, z, tol: float = DEFAULT_TOL):
@@ -94,7 +94,7 @@ def product_exp(params: Params, alpha, beta, N: int) -> Series:
     exponentials Exp = exp(., phi), Exp' = exp(., phi').
     """
     pairs = ((params.wrap(alpha), params.phi), (params.wrap(beta), params.phi_prime))
-    return factorial_series(params, factors(pairs), N)
+    return factorial_series(params, pairs, N)
 
 
 def theta_domain(x, y):

@@ -279,9 +279,9 @@ def q_pochhammer(a, q, n: int):
 
 
 def q_pochhammer_inf(a, q, tol: float = DEFAULT_TOL):
-    """(a;q)_inf = prod_k (1 - a q^k) under the shared product rule
-    (``stable_product``): it stops after three consecutive factors with
-    |a q^k| <= tol, or at an exact zero factor (a = q^-k), returning 0."""
+    """(a;q)_inf = prod_k (1 - a q^k) to the geometric tail bound of
+    ``stable_product``, or to an exact zero factor (a = q^-k), which gives 0."""
     if abs(q) >= 1:
         raise DivergentProduct(f"(a;q)_inf requires |q| < 1, got q = {q}")
-    return stable_product(factors(((1, 1), (-a, q))), tol, what="(a;q)_inf")[0]
+    return stable_product(factors(((1, 1), (-a, q))), tol, what="(a;q)_inf",
+                          bound=(abs(a), abs(q)))[0]

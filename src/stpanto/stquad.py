@@ -22,7 +22,7 @@ from itertools import chain, repeat
 from typing import Callable, Union
 
 from . import _stable
-from ._stable import DEFAULT_TOL, PLAIN, arith_of, factors, point_sum, powers
+from ._stable import DEFAULT_TOL, PLAIN, arith_of, point_sum, powers
 from .errors import (
     DegenerateRatio,
     HypothesisViolated,
@@ -151,8 +151,8 @@ def pantograph_antiderivative_series(params: Params, spec: PantographSpec, N: in
         raise HypothesisViolated("the k-sum form needs a != 0 and u != 0")
     if a * u + b == 0:
         raise HypothesisViolated("the constant u/(a u + b) is undefined at a u + b = 0")
-    return factorial_series(params, chain([1], factors(((a, 1), (b, u)))), N,
-                            chain([u / (a * u + b)], repeat(1)))
+    return factorial_series(params, ((a, 1), (b, u)), N, chain([u / (a * u + b)], repeat(1)),
+                            lead=1)
 
 
 def pantograph_antiderivative_at(params: Params, spec: PantographSpec, x,

@@ -22,9 +22,9 @@ A Series holds the data of its Params's coefficient ring (``_rings``), and
 every kernel below is one call into that ring, so no code here tests which
 backend it runs on.
 
-Every series sum_n f_0 ... f_{n-1} g_n x^n / {n}! of a factor stream f
-(the special functions, the weights of a composition, the deformed
-integrand of ``sq_int``) is built by ``factorial_series``.
+Every series sum_n f_0 ... f_{n-1} g_n x^n / {n}!, f_k = sum c r^k over (c, r)
+pairs (the special functions, the weights of a composition, the deformed
+integrand of ``sq_int``), is built by ``factorial_series``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Callable, Iterable, Sequence
 
-from ._stable import factors, powers
+from ._stable import powers
 from .errors import (
     BackendMismatch,
     NonInvertibleSeries,
@@ -268,17 +268,13 @@ def symbolic_power(f: Series, k: int) -> Series:
     return symbolic_powers(f, k)[k]
 
 
-def factorial_series(params: Params, factors, N: int, g: Iterable | None = None) -> Series:
-    """sum_n w_n g_n x^n / {n}! to x^N: w_n = f_0 ... f_{n-1} are the prefix
-    products of the factor stream, and g_n = 1 when g is None.  The ring
-    fixes the rounding order (``factorial``).  An order below 0 raises
-    IndexOutOfRange."""
-    return Series(params, _factorial_coeffs(params, factors, N, g))
-
-
-def _factorial_coeffs(params: Params, factors, N: int, g: Iterable | None = None) -> list:
+def factorial_series(params: Params, pairs, N: int, g: Iterable | None = None, lead=0) -> Series:
+    """sum_n w_n g_n x^n / {n}! to x^N: w_n = f_0 ... f_{n-1} over ``lead``
+    factors 1, then f_k = sum c r^k of one or two (c, r) ``pairs`` (as
+    ``_stable.factors``), and g_n = 1 when g is None.  The ring fixes the
+    rounding order (``factorial``).  An order below 0 raises IndexOutOfRange."""
     nums = st_divisors(params, nonnegative(N, "order N"))
-    return params.ring.factorial(factors, nums, N, g)
+    return Series(params, params.ring.factorial(pairs, nums, N, g, lead))
 
 
 def _powers_for(g_coeffs: Sequence, f: Series) -> list[Series]:
@@ -289,14 +285,14 @@ def _powers_for(g_coeffs: Sequence, f: Series) -> list[Series]:
     return symbolic_powers(f, max(min(len(g_coeffs) - 1, f.order), 0))
 
 
-def _composition(g_coeffs: Sequence, factors, sym: list[Series]) -> Series:
+def _composition(g_coeffs: Sequence, pairs, sym: list[Series]) -> Series:
     """sum_n w_n g_n f^[n] / {n}! over a symbolic-power table
     sym = [f^[0], ..., f^[K]], truncated at f's order, w_n the prefix
-    products of the factor stream.  One table serves every g and every
-    factor stream composed with the same f."""
+    products of the factors of the (c, r) ``pairs``.  One table serves every
+    g and every pair of factors composed with the same f."""
     p = sym[0].params
     n_top = min(len(g_coeffs), len(sym)) - 1
-    c = _factorial_coeffs(p, factors, max(n_top, 0), g_coeffs)
+    c = factorial_series(p, pairs, max(n_top, 0), g_coeffs).coeffs
     acc = Series.zero(p, sym[0].order)
     for n in range(n_top + 1):
         if c[n] != 0:
@@ -310,7 +306,7 @@ def compose_deformed(g_coeffs: Sequence, u, f: Series) -> Series:
 
     g_coeffs are the factorial-basis coefficients g_n of g.
     """
-    return _composition(g_coeffs, powers(f.params.wrap(u)), _powers_for(g_coeffs, f))
+    return _composition(g_coeffs, ((1, f.params.wrap(u)),), _powers_for(g_coeffs, f))
 
 
 def compose_ab(g_coeffs: Sequence, spec, f: Series) -> Series:
@@ -320,7 +316,7 @@ def compose_ab(g_coeffs: Sequence, spec, f: Series) -> Series:
     """
     p = f.params
     pairs = ((p.wrap(spec.a), 1), (p.wrap(spec.b), p.wrap(spec.u)))
-    return _composition(g_coeffs, factors(pairs), _powers_for(g_coeffs, f))
+    return _composition(g_coeffs, pairs, _powers_for(g_coeffs, f))
 
 
 def sq_int(f, lower: Series, upper: Series, u=None) -> Series:
@@ -343,7 +339,7 @@ def sq_int(f, lower: Series, upper: Series, u=None) -> Series:
     else:
         if u is None:
             raise NonzeroConstantTerm("coefficient-sequence integrand needs the deformation u")
-        a = _factorial_coeffs(params, powers(params.wrap(u)), max(len(f) - 1, 0), f)
+        a = factorial_series(params, ((1, params.wrap(u)),), max(len(f) - 1, 0), f).coeffs
     m_top = min(len(a) - 1, order - 1)
     low_pows = symbolic_powers(lower, m_top + 1)
     up_pows = symbolic_powers(upper, m_top + 1)

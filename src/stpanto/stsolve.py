@@ -347,8 +347,8 @@ def integrating_factor(params: Params, spec: PantographSpec, alpha: Series,
         factor = scale(e, c)
         return factor, factor * a + scale(e, c * u) * b
     table = symbolic_powers(st_antiderive(alpha).truncated(N), N)
-    factor = _composition([1] * (N + 1), factors(((a, 1), (b, u))), table)
-    delayed = _composition(list(islice(powers(u), N + 1)), factors(((a, 1), (b, u))), table)
+    factor = _composition([1] * (N + 1), ((a, 1), (b, u)), table)
+    delayed = _composition(list(islice(powers(u), N + 1)), ((a, 1), (b, u)), table)
     return factor, factor * a + delayed * b
 
 

@@ -347,6 +347,15 @@ class TestCommands:
         assert doc["all_pass"] is True
         assert len(doc["identities"]) >= 12
 
+    def test_exact_identity_rows(self, capsys):
+        # rows whose objects are rational run exactly: defect 0 at tolerance 0
+        code, doc = run_cli(capsys, "identities")
+        rows = {r["name"]: r for r in doc["identities"]}
+        assert code == 0 and len(rows) == 13 and all(r["pass"] for r in rows.values())
+        for name in ("derivative-equivalence", "factorial-bridge", "special-values",
+                     "pantograph-equation", "substitution-formula"):
+            assert (rows[name]["defect"], rows[name]["tolerance"]) == (0, 0)
+
     def test_numbers_csv(self, capsys):
         code, text = run_cli(capsys, "numbers", "--s=1", "--t=1", "--upto=6", "--format=csv")
         assert code == 0

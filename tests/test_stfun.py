@@ -613,6 +613,37 @@ class TestRoutedCallersMatchInlineLoops:
         assert _reprs(got_numerator) == _reprs(factor * a + delayed * b)
 
 
+FACTORIAL_PAIRS = [golden_pair(3, -2), golden_pair(4, -3), golden_pair(2, 3), golden_pair(-3, -2),
+                   golden_pair(F(5, 2), -1), golden_pair(1, 1, backend="float")]
+FACTORIAL_SPECS = [("2", "-1/2", "1/3"), ("3/4", "-3/4", "2/5"), ("1/2", "0", "3/4"),
+                   ("1", "1/5", "0"), ("-2/3", "7/4", "-5/2"), ("0", "1", "1/2")]
+
+
+@pytest.mark.parametrize("params", FACTORIAL_PAIRS,
+                         ids=["3,-2", "4,-3", "2,3", "-3,-2", "5/2,-1", "float"])
+@pytest.mark.parametrize("N", [0, 1, 12, 128])
+def test_factorial_kernel_matches_inline_loops(params, N):
+    """factorial_series from (c, r) pairs gives the coefficients of the
+    inline loops (a = -b, b = 0, u = 0 and u < 0 among the specs; {n} not
+    integers at (5/2, -1)), with a g, after a lead factor 1 and as a lone
+    pair (1, u): equal Fractions, and floats bit for bit (by repr); its
+    blocks are the ring's data."""
+    same = list if params.backend == "rational" else (lambda cs: list(map(repr, cs)))
+    g, ones = [ROUTED_G[n % len(ROUTED_G)] for n in range(N + 1)], [1] * (N + 1)
+    for a, b, u in FACTORIAL_SPECS[:3] if N == 128 else FACTORIAL_SPECS:
+        a, b, u = (params.wrap(v) for v in (a, b, u))
+        pairs, one = ((a, 1), (b, u)), params.one()
+        w = _ref_weights(params, a, b, u, N)
+        lead = [one] + _ref_weights(params, a, b, u, N - 1)[:N]
+        lone = _ref_weights(params, params.zero(), one, u, N)
+        for got, want in ((factorial_series(params, pairs, N), (w, ones)),
+                          (factorial_series(params, pairs, N, g), (w, g)),
+                          (factorial_series(params, pairs, N, g, lead=1), (lead, g)),
+                          (factorial_series(params, ((one, u),), N), (lone, ones))):
+            assert same(got.coeffs) == same(_ref_over_factorials(params, *want))
+            assert got.blocks == params.ring.data(got.coeffs)
+
+
 # -- the point sums against the scalar-object loop they replaced -------------------
 
 
@@ -982,9 +1013,10 @@ class TestVanishingStNumber:
 
 
 def test_other_zero_divisions_pass_through():
-    p = golden_pair(1, 1)  # no {n} is 0
-    with pytest.raises(ZeroDivisionError):
-        factorial_series(p, (p.one() / 0 for _ in range(4)), 3)
+    # a ZeroDivisionError that is not {n} = 0 (here drawn from g) is not renamed
+    for p in (golden_pair(1, 1), P32):  # no {n} is 0
+        with pytest.raises(ZeroDivisionError):
+            factorial_series(p, ((p.one(), F(1, 2)),), 3, (p.one() / 0 for _ in range(4)))
 
 
 @pytest.mark.parametrize("N", [-1, -2, -5])
@@ -998,7 +1030,7 @@ def test_negative_order_is_refused(params, N):
                  lambda: deformed_exp(params, F(1, 2), N),
                  lambda: product_exp(params, 1, F(1, 2), N),
                  lambda: pantograph_antiderivative_series(params, spec, N),
-                 lambda: factorial_series(params, powers(params.one()), N),
+                 lambda: factorial_series(params, ((params.one(), params.one()),), N),
                  lambda: solve_series_linear(problem, N)):
         with pytest.raises(IndexOutOfRange, match=rf"^order N = {N} must be nonnegative$"):
             call()

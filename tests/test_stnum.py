@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
 
+from stpanto import stnum
+from stpanto._stable import stable_product
 from stpanto.errors import (
     BackendMismatch,
+    ConvergenceFailure,
     DegenerateDiscriminant,
     DegenerateQ,
     DivergentProduct,
@@ -266,8 +269,38 @@ class TestQPochhammer:
         for k in range(3000):
             brute *= 1 - a * q ** k
         val = q_pochhammer_inf(a, q)
-        assert abs(val - brute) <= 1e-13 * abs(brute)
-        assert ctx.nstr(val, 20) == "5.1124508948630301196e+382"
+        # stopped at the proven tail bound: within tol = 1e-15 of the product
+        assert abs(val - brute) <= 1e-15 * abs(brute)
+        assert ctx.nstr(val, 20) == "5.1124508948629943517e+382"
+
+    @pytest.mark.parametrize("a, q, factors", [(F(1, 3), F(1, 2), 200), ("-7/2", "-9/10", 3000),
+                                               ("1e6", "0.9", 3000), ("1e400", "0.5", None)])
+    def test_stops_at_the_proven_tail(self, a, q, factors, monkeypatch):
+        # a "bound" stop within tol of the product, by the decay rule where
+        # |a| does not fit a float
+        ctx = golden_pair(3, -2, backend="float", precision=30).ctx
+        a, q = (v if isinstance(v, F) else ctx.mpf(v) for v in (a, q))
+        stats = []
+
+        def spy(*args, **kwargs):
+            out = stable_product(*args, **kwargs)
+            stats.append(out[1])
+            return out
+        monkeypatch.setattr(stnum, "stable_product", spy)
+        val = q_pochhammer_inf(a, q)
+        (got,) = stats
+        if factors is None:
+            assert got.reason == "decay"
+        else:
+            assert got.reason == "bound" and got.tail <= 1e-15
+            assert abs(val - q_pochhammer(a, q, factors)) <= got.tail * abs(val)
+
+    @pytest.mark.parametrize("a", ["inf", "nan"])
+    def test_no_bound_from_inf_or_nan(self, a):
+        # as with no bound: the factors never settle, and the product fails at the cap
+        ctx = golden_pair(3, -2, backend="float", precision=30).ctx
+        with pytest.raises(ConvergenceFailure, match="within 10000 terms"):
+            q_pochhammer_inf(ctx.mpf(a), ctx.mpf("0.5"))
 
     def test_zero_factor_is_exact(self):
         # 1 - 8 (1/2)^3 = 0
