@@ -24,11 +24,12 @@ under one ``stable_sum``, which runs the bound's float recurrence beside
 its stop rule.  Both run in the ``Arith`` of the sum's scalars
 (``arith_of``): real mpf values of one context on their raw libmp values,
 with the calls, order and rounding of mpf's own operators (so every result
-is bit-identical to the operator loop), others on operators.  What does
-not depend on x (the kinds of the pairs, {n+1}.. from the raw table and the
-majorant at |x| = 1) is looked up once per call, in a bounded cache
-(``_point_setup``).  For 30-digit E(2, 1/4; x, 1/2) at (1, 3), at the 123
-nodes of its Jackson integral over [1/4, 3/4], a point sum takes about
+is bit-identical to the operator loop), others on operators; so does the
+Jackson node sum ``node_sum``, which sums on objects where a term is no real
+mpf.  What does not depend on x (the kinds of the pairs, {n+1}.. from the raw
+table and the majorant at |x| = 1) is looked up once per call, in a bounded
+cache (``_point_setup``).  For 30-digit E(2, 1/4; x, 1/2) at (1, 3), at the
+123 nodes of its Jackson integral over [1/4, 3/4], a point sum takes about
 26 us per node (Python 3.11, mpmath's pure-Python libmp, 4.3 terms a sum),
 where a chain of one iterator per factor, term and ratio took 49 us.  One
 raw ``Arith`` serves each context (``_raw_arith``), and the float
@@ -252,6 +253,37 @@ def weights(factors, n: int, one) -> list:
     """[w_0, ..., w_n]: w_0 = one and w_{k+1} = w_k f_k, the prefix products
     (the empty list for n = -1)."""
     return list(islice(accumulate(factors, mul, initial=one), n + 1))
+
+
+class _NotReal(Exception):
+    pass
+
+
+def node_sum(f, a, p, q, tol=DEFAULT_TOL):
+    """sum_k w f(w a) over the nodes w = q^k/p^{k+1}, one ``stable_sum`` in the
+    ``Arith`` of a, p and q, or on objects where a term is no real mpf."""
+    arith = arith_of(a, p, q)
+    try:
+        return stable_sum(_node_terms(f, a, p, q, arith), tol, "pq_integral", arith)[0]
+    except _NotReal:
+        return stable_sum(_node_terms(f, a, p, q, PLAIN), tol, "pq_integral")[0]
+
+
+def _node_terms(f, a, p, q, arith):
+    """The terms w f(w a); on raw values, v = f(w a) that is no mpf of a's
+    context enters as mpf's own product w v."""
+    mul, prec, rnd, made, lift = arith.mul, arith.prec, arith.rnd, arith.made, arith.operand
+    real = None if arith is PLAIN else type(a)  # the mpf type of the raw values
+    x = lift(a)
+    for w in map(mul, powers(q / p, arith), repeat(lift(1 / p)), repeat(prec), repeat(rnd)):
+        v = f(made(mul(w, x, prec, rnd)))
+        if type(v) is real:
+            yield mul(w, v._mpf_, prec, rnd)
+            continue
+        v = made(w) * v
+        if real is not None and type(v) is not real:
+            raise _NotReal
+        yield lift(v)
 
 
 def point_sum(pairs, x, t, params=None, n=0, head=None, tol=DEFAULT_TOL, what="series"):

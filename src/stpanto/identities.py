@@ -13,14 +13,13 @@ from fractions import Fraction
 from .stnum import (
     binet,
     golden_pair,
-    q_pochhammer,
     q_pochhammer_inf,
     st_factorial,
     st_number,
 )
 from .stseries import (Series, compose_deformed, q_derive_at, scale, sq_int, st_antiderive,
                        st_derive, st_derive_at)
-from ._stable import point_sum
+from ._stable import factors, point_sum, weights
 from .stfun import (
     PantographSpec,
     deformed_exp,
@@ -69,9 +68,10 @@ def factorial_bridge() -> IdentityResult:
     # {n}! = phi^C(n,2) (q;q)_n/(1-q)^n, n <= 20, exactly at phi = 2, q = 1/2
     p = golden_pair(3, -2)
     worst = Fraction(0)
-    for n in range(21):
+    pochhammers = weights(factors(((1, 1), (-p.q, p.q))), 20, p.one())  # (q;q)_0..(q;q)_20
+    for n, poch in enumerate(pochhammers):
         lhs = st_factorial(p, n)
-        rhs = p.phi ** (n * (n - 1) // 2) * q_pochhammer(p.q, p.q, n) / (1 - p.q) ** n
+        rhs = p.phi ** (n * (n - 1) // 2) * poch / (1 - p.q) ** n
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
     return _result("factorial-bridge", worst, 0.0)
 

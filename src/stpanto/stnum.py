@@ -22,7 +22,8 @@ Every other object in the package carries or references a Params.  The
 degenerate cases q = 1 and s^2 + 4t = 0 are hard errors: every divided
 difference below divides by phi - phi'.  In particular the classical pair
 (s, t) = (2, -1) is rejected; the classical limit is recovered only term
-by term through the raw recurrence (see ``st_number_raw``).  The pure
+by term through the raw recurrence (``st_number_raw``); with a Params,
+{n} and {n}! are read from its one cached table, ``st_number_range``.  The pure
 q-calculus tower is the special case phi = 1, reached at s = 1 + q,
 t = -q, where {n} reduces to the q-number [n]_q.
 """
@@ -207,13 +208,7 @@ def st_number_raw(s, t, n: int):
     Needs no golden pair, so it also covers degenerate pairs like the
     classical (2, -1).
     """
-    nonnegative(n)
-    return next(islice(st_numbers(s, t), n, None))
-
-
-def st_number(params: Params, n: int) -> Scalar:
-    """{n}_{s,t} via the linear recurrence (never Binet: no cancellation)."""
-    return st_number_raw(params.s, params.t, n)
+    return next(islice(st_numbers(s, t), nonnegative(n), None))
 
 
 @lru_cache(maxsize=256)
@@ -221,6 +216,11 @@ def st_number_range(params: Params, upto: int) -> tuple:
     """({0}, {1}, ..., {upto}), kept in a bounded cache per Params and upto."""
     nonnegative(upto, "upto")
     return tuple(islice(st_numbers(params.s, params.t), upto + 1))
+
+
+def st_number(params: Params, n: int) -> Scalar:
+    """{n}_{s,t} from the recurrence's table (never Binet: no cancellation)."""
+    return st_number_range(params, nonnegative(n))[n]
 
 
 def st_divisors(params: Params, upto: int) -> tuple:
@@ -233,9 +233,8 @@ def st_divisors(params: Params, upto: int) -> tuple:
 
 
 def st_factorial(params: Params, n: int) -> Scalar:
-    """{n}! = {1}{2}...{n}; empty product for n = 0."""
-    nonnegative(n)
-    return weights(islice(st_numbers(params.s, params.t), 1, None), n, params.one())[n]
+    """{n}! = {1}{2}...{n}, from left to right; empty product for n = 0."""
+    return math.prod(st_number_range(params, nonnegative(n))[1:], start=params.one())
 
 
 def st_fibonomial(params: Params, n: int, k: int) -> Scalar:

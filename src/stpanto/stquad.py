@@ -11,9 +11,8 @@ exactly F(b) - F(a) with F its antiderivative, so none runs.  A callable
 is summed with the package-wide decay truncation, so convergence is a
 runtime diagnostic (the sum settled before the cap), not an a-priori
 membership test.  Negative q with |q| < 1 is allowed: the node terms then
-alternate and the same decay rule applies.  The node sum runs in the
-``Arith`` of the endpoint and (p, q), on raw libmp values for mpf of one
-context, bit-identical to the loop on scalar objects.
+alternate and the same decay rule applies.  The node sum is
+``_stable.node_sum``.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ from __future__ import annotations
 from itertools import chain, repeat
 from typing import Callable, Union
 
-from . import _stable
-from ._stable import DEFAULT_TOL, PLAIN, arith_of, point_sum, powers
+from ._stable import DEFAULT_TOL, node_sum, point_sum
 from .errors import (
     DegenerateRatio,
     HypothesisViolated,
@@ -86,35 +84,7 @@ def pq_integral(f: Callable, a, p, q, tol: float = DEFAULT_TOL):
         raise DegenerateRatio(f"(p, q)-integral needs |p/q| != 1, got p = {p}, q = {q}")
     if ratio < 1:
         p, q = q, p
-    try:
-        value = _node_sum(f, a, p, q, tol, arith_of(a, p, q))
-    except _NotReal:  # a term w f(w a) that is no real mpf: sum on objects
-        value = _node_sum(f, a, p, q, tol, PLAIN)
-    return (p - q) * a * value
-
-
-class _NotReal(Exception):
-    pass
-
-
-def _node_sum(f, a, p, q, tol, ar):
-    """sum_k w f(w a) over the nodes w = q^k/p^{k+1}, one stable_sum in ``ar``;
-    w v for a value v of f that is no mpf of a's context is mpf's own product."""
-    mul, prec, rnd, made = ar.mul, ar.prec, ar.rnd, ar.made
-    nodes = map(mul, powers(q / p, ar), repeat(ar.operand(1 / p)), repeat(prec), repeat(rnd))
-    if ar is PLAIN:
-        return _stable.stable_sum((w * f(w * a) for w in nodes), tol, "pq_integral")[0]
-    mpf, a = type(a), a._mpf_
-
-    def term(w):
-        v = f(made(mul(w, a, prec, rnd)))
-        if type(v) is mpf:
-            return mul(w, v._mpf_, prec, rnd)
-        v = made(w) * v
-        if type(v) is not mpf:
-            raise _NotReal
-        return v._mpf_
-    return _stable.stable_sum(map(term, nodes), tol, "pq_integral", ar)[0]
+    return (p - q) * a * node_sum(f, a, p, q, tol)
 
 
 def check_ftc(f: Series, interval: QInterval, tol: float = DEFAULT_TOL):

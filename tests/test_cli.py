@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stpanto import cli, stsolve
+from stpanto import cli, identities, stsolve
 from stpanto.cli import format_series, main, parse_expression
 from stpanto.errors import DegreeOverflow, ExpressionSyntaxError
 from stpanto.stfun import PantographSpec
@@ -119,6 +119,10 @@ class TestParser:
             parse_expression("x^40", P32, max_degree=32)
         with pytest.raises(DegreeOverflow):
             parse_expression("x^20 * x^20", P32, max_degree=32)
+
+    def test_product_past_the_cap_with_a_zero_top(self):
+        # x + 0 x^3 has degree 1, so its product with x fits order 3
+        assert parse_expression("(x + 0*x^3)*x", P32, 3).coeffs == [0, 0, 1, 0]
 
     def test_unexpected_character(self):
         with pytest.raises(ExpressionSyntaxError):
@@ -355,6 +359,13 @@ class TestCommands:
         for name in ("derivative-equivalence", "factorial-bridge", "special-values",
                      "pantograph-equation", "substitution-formula"):
             assert (rows[name]["defect"], rows[name]["tolerance"]) == (0, 0)
+
+    def test_failing_identity_exits_1(self, capsys, monkeypatch):
+        failed = identities.IdentityResult("broken", 1.0, 0.0, False)
+        monkeypatch.setattr(identities, "run_all", lambda: [failed])
+        code, doc = run_cli(capsys, "identities")
+        assert code == 1 and doc["all_pass"] is False
+        assert doc["exit_hint"] == "at least one identity failed"
 
     def test_numbers_csv(self, capsys):
         code, text = run_cli(capsys, "numbers", "--s=1", "--t=1", "--upto=6", "--format=csv")
@@ -640,6 +651,8 @@ BAD_ARGV = {
     # only integrate takes a tolerance
     "solve-tol": lambda tmp: ["solve", "--family=series-linear", "--s=3", "--t=-2",
                               "--tol=1e-3"],
+    "series-linear-alpha-x": lambda tmp: ["solve", "--family", "series-linear", "--s=3",
+                                          "--t=-2", "--alpha", "x"],
     "order-negative": lambda tmp: ["solve", "--family=series-linear", "--s=3", "--t=-2",
                                    "--order=-1"],
     # number literals past the interpreter's 4,300-digit integer-string limit

@@ -1193,7 +1193,8 @@ def test_a_dipping_sum_is_summed_to_the_tol(sums):
     (golden_pair(1, -2, backend="float"), (1, F(1, 2), F(1, 3)), F(1, 5)),  # complex roots
     (golden_pair(F(3, 2), F(-1, 2)), (1, F(1, 2), -1), 2),    # P = 1: lim rho_j = 3/2
     (golden_pair(F(11, 10), F(-6, 25)), (1, F(-1, 4), 2), F(1, 2)),  # |u| > P: a polynomial
-], ids=["complex", "P=1", "u-above-P"])
+    (golden_pair("1e-20", 1, backend="float"), (1, -1, 1), F(1, 2)),  # |q| rounds to 1
+], ids=["complex", "P=1", "u-above-P", "Q/P-rounds-to-1"])
 def test_sums_with_no_bound_keep_the_decay_rule(params, spec, x, sums):
     # at P = 1 and u = -1 the factors alternate 3/2 and 1/2, so E converges at
     # x = 2 while the majorant's ratios tend to (1 + 1/2) x / 2 = 3/2

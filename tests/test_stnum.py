@@ -69,6 +69,13 @@ class TestGoldenPair:
         with pytest.raises(BackendMismatch):
             golden_pair(1, 1, backend="rational")
 
+    def test_rational_backend_refuses_an_mpf_literal(self):
+        with pytest.raises(BackendMismatch, match="exact rational"):
+            golden_pair(mpmath.mpf("1.5"), 1, backend="rational")
+
+    def test_repr(self):
+        assert repr(golden_pair(3, -2)) == "Params(s=3, t=-2, backend='rational', phi=2, q=1/2)"
+
     def test_derived_constants(self):
         for args in [(3, -2), (4, -3), (2, 3), (F(3, 2), F(-1, 2))]:
             p = golden_pair(*args)
@@ -135,6 +142,16 @@ class TestStNumbers:
     def test_negative_index(self):
         with pytest.raises(IndexOutOfRange):
             st_number(golden_pair(3, -2), -1)
+
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_numbers_and_factorials_read_the_cached_range(self, backend):
+        # {n} and {n}! are the table's entries and its left-to-right product
+        p = golden_pair(3, -2, backend=backend)
+        nums = st_number_range(p, 9)
+        before = sum(st_number_range.cache_info()[:2])  # hits + misses
+        assert [st_number(p, n) for n in range(10)] == list(nums)
+        assert st_factorial(p, 9) == math.prod(nums[1:], start=p.one())
+        assert sum(st_number_range.cache_info()[:2]) == before + 11
 
     def test_range(self):
         p = golden_pair(3, -2)
@@ -323,6 +340,9 @@ class TestBackendPlumbing:
     def test_to_str_roundtrip(self):
         p = golden_pair(3, -2)
         assert p.wrap(p.to_str(F(22, 7))) == F(22, 7)
+
+    def test_float_to_str_of_a_fraction(self):
+        assert golden_pair(1, 1).to_str(F(22, 7)) == "22/7"
 
     def test_params_equality(self):
         assert golden_pair(3, -2) == golden_pair(3, -2)

@@ -6,7 +6,7 @@ from operator import mul
 import pytest
 
 from stpanto.errors import (BackendMismatch, ConvergenceFailure, DegenerateRatio,
-                            HypothesisViolated, QOutOfRange)
+                            HypothesisViolated, ParamsMismatch, QOutOfRange)
 from stpanto.stnum import golden_pair, st_number
 from stpanto.stseries import Series, st_antiderive, st_derive_at
 from stpanto.stfun import (PantographSpec, deformed_exp_at, pantograph, pantograph_at,
@@ -80,6 +80,13 @@ class TestStIntegral:
         assert abs(bad.q) > 1
         with pytest.raises(QOutOfRange):
             QInterval(0, 1, bad)
+
+    def test_interval_repr(self):
+        assert repr(QInterval(F(1, 5), 1, P32)) == "QInterval(1/5, 1, q=1/2)"
+
+    def test_series_of_other_params(self):
+        with pytest.raises(ParamsMismatch):
+            st_integral(Series.monomial(golden_pair(4, -3), 1), unit_interval(P32))
 
     def test_negative_q_alternating(self):
         p = golden_pair(2, 3)  # phi = 3, phi' = -1, q = -1/3
@@ -307,6 +314,11 @@ class TestThetaAntiderivative:
     def test_q_out_of_range(self):
         p = golden_pair(1, 1)  # q negative but |q| < 1: allowed
         theta_antiderivative_at(p, 0.1)
+
+    def test_q_outside_the_unit_disk(self):
+        p = golden_pair(-1, 2)  # q = -2
+        with pytest.raises(QOutOfRange):
+            theta_antiderivative_at(p, F(1, 10))
 
     def test_phi_below_one_is_rejected(self):
         # (11/10, -6/25): phi = 4/5, so Theta0(., 1/phi) has growing terms

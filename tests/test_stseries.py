@@ -14,6 +14,7 @@ from stpanto.errors import (
     NonQPeriodicInitial,
     NonzeroConstantTerm,
     ParamsMismatch,
+    QOutOfRange,
     ZeroPoint,
 )
 from stpanto.stfun import PantographSpec, deformed_exp, pantograph
@@ -51,6 +52,16 @@ def poly(params, coeffs):
 
 
 class TestSeriesArithmetic:
+    def test_negative_truncation_is_zero(self):
+        assert Series(P32, [1, 2]).truncated(-1) == Series.zero(P32)
+
+    def test_scalar_over_series(self):
+        s = Series(P32, [F(1), F(2), F(0), F(0)])
+        assert (2 / s).coeffs == [2, -4, 8, -16]
+
+    def test_series_is_not_equal_to_a_scalar(self):
+        assert (Series(P32, [5]) == 5) is False and Series(P32, [5]) != 5
+
     def test_min_order_closure(self):
         f = poly(P32, [1, 2, 3])
         g = poly(P32, [1, 1, 1, 1, 1])
@@ -517,6 +528,10 @@ class TestDerivative:
         with pytest.raises(ZeroPoint):
             st_derive_at(lambda x: x, 0, P32)
 
+    def test_q_derivative_zero_point(self):
+        with pytest.raises(ZeroPoint):
+            q_derive_at(lambda y: y, 0, P32)
+
     def test_q_derivative_equivalence(self):
         # (D f)(x) = (D_q f)(phi x)
         f = poly(P32, [1, 2, F(-1, 3), 0, 4])
@@ -721,6 +736,10 @@ class TestSqInt:
         with pytest.raises(NonzeroConstantTerm):
             sq_int(Series.monomial(P32, 1), poly(P32, [1, 0]), poly(P32, [0, 1]))
 
+    def test_coefficient_sequence_needs_u(self):
+        with pytest.raises(NonzeroConstantTerm, match="deformation u"):
+            sq_int([1, 1], Series.zero(P32, 3), Series.monomial(P32, 1, order=3))
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_substitution_example(self, n):
         # {n} * integral_0^x r^{n-1} exp[u r^n, u] dr, both routes, order 20
@@ -762,6 +781,17 @@ class TestQPeriodic:
     def test_callable_needs_float_backend(self):
         with pytest.raises(NonQPeriodicInitial):
             QPeriodic.periodic(P32, lambda y: 1.0)
+
+    def test_callable_needs_q_in_the_unit_interval(self):
+        p = golden_pair(1, 2, backend="float")  # q = -1/2
+        with pytest.raises(QOutOfRange):
+            QPeriodic.periodic(p, lambda y: 1.0)
+
+    @pytest.mark.parametrize("x", [0, -1])
+    def test_callable_needs_positive_x(self, x):
+        g = QPeriodic.periodic(golden_pair(3, -2, backend="float"), lambda y: 1.0)
+        with pytest.raises(ZeroPoint):
+            g.evaluate(x)
 
     def test_callable_refuses_a_complex_q(self):
         # at (1, -2) q is complex, so it has no place in 0 < q < 1

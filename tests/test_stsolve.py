@@ -9,12 +9,14 @@ from stpanto import stsolve
 from stpanto.errors import (
     BackendMismatch,
     ConvergenceFailure,
+    DegenerateStNumber,
     HypothesisViolated,
     InvalidBernoulliOrder,
     NonQPeriodicInitial,
     ResonantParameters,
     StInputError,
     ZeroDelay,
+    ZeroDenominator,
 )
 from stpanto.stnum import golden_pair, st_factorial, st_number
 from stpanto.stseries import (
@@ -734,3 +736,82 @@ class TestResidual:
             p.wrap(1), Series(p, ["1", "0.5"]), p.wrap(2))
         rep = solve_series_linear(prob, 20)
         assert rep.residual_coeff_max <= 1e-45 * max(1, rep.solution.max_abs_coeff())
+
+
+# -- refusals -------------------------------------------------------------------
+
+SPEC = PantographSpec(0, 1, F(1, 2))
+
+
+@pytest.mark.parametrize("family, fields, message", [
+    ("nope", {"alpha": 1}, "unknown family"),
+    ("series-linear", {"alpha": 1, "delay_side": "sideways"}, "unknown delay side"),
+    ("bernoulli", {"alpha": 1}, "needs the order n"),
+    ("series-linear", {}, "needs alpha"),
+])
+def test_problem_refuses_incomplete_fields(family, fields, message):
+    with pytest.raises(StInputError, match=message):
+        LinearProblem(family, P32, SPEC, **fields)
+
+
+@pytest.mark.parametrize("solver, family", [
+    (solve_series_linear, "integration-factor"),
+    (solve_integration_factor, "series-linear"),
+    (bernoulli_transform, "integration-factor"),
+])
+def test_solver_refuses_another_family(solver, family):
+    prob = LinearProblem(family, P32, SPEC, alpha=1, n_bernoulli=3)
+    with pytest.raises(StInputError, match=f"got {family}"):
+        solver(prob)
+
+
+def test_closed_form_refuses_a_vanishing_prefix_product():
+    # a + b u^0 = 0: (a (+) b)^1 vanishes
+    prob = LinearProblem.series_linear(P32, PantographSpec(1, -1, 1), 1, 0, 1)
+    with pytest.raises(ZeroDenominator):
+        series_linear_closed_form(prob, 8)
+
+
+def test_transform_refuses_a_vanishing_scale():
+    # {3} = 0 at (1, -1), so n = 4 has no -(1/{n-1}) D z
+    p = golden_pair(1, -1)
+    prob = LinearProblem.bernoulli(p, PantographSpec(0, 1, 1), 1, 0, 4)
+    with pytest.raises(DegenerateStNumber, match="n = 4"):
+        bernoulli_transform(prob)
+
+
+def test_reconstruct_refuses_a_vanishing_z():
+    y = bernoulli_reconstruct(lambda x: x - F(1, 2), 2, P32)
+    with pytest.raises(ZeroDenominator):
+        y(F(1, 2))
+
+
+def test_reconstruct_refuses_a_non_integer_order_at_negative_q():
+    p = golden_pair(-1, 2)  # q = -2
+    with pytest.raises(StInputError, match="q < 0"):
+        bernoulli_reconstruct(lambda x: 1 + x, F(1, 2), p, y_anchor=1)
+
+
+def test_reconstruct_is_the_anchor_at_zero():
+    y = bernoulli_reconstruct(lambda x: 1 + x, 3, P32, y_anchor=F(5, 2))
+    assert y(0) == F(5, 2)
+
+
+def test_residual_of_a_callable_needs_the_order():
+    prob = LinearProblem.series_linear(P32, SPEC, 1, 0, 1)
+    with pytest.raises(StInputError, match="series order"):
+        residual(prob, lambda x: x, [F(1, 2)])
+
+
+def test_bernoulli_point_residual_needs_n_2():
+    prob = LinearProblem.bernoulli(P32, PantographSpec(0, 1, P32.phi), 1, 1, 3)
+    with pytest.raises(StInputError, match="order n = 2"):
+        residual(prob, lambda x: 1 + x, [F(1, 2)])
+
+
+def test_numeric_mode_has_no_coefficient_residual():
+    p = golden_pair(3, -2, backend="float")
+    prob = LinearProblem.classical_factor(
+        p, -p.one(), Series.monomial(p, 2, order=12), initial=1, eta=p.wrap("0.2"))
+    rep = solve_integration_factor(prob, 12, points=[p.wrap("0.5")])
+    assert rep.solution is None and rep.residual_coeff_max is None
