@@ -7,11 +7,11 @@ goes through it.  A ring has the scalar ``one``, the scalar helpers
 and ``to_str``, and the Series kernels, each one call from ``stseries``.
 A Series holds the ring's ``data``: ``data(scalars)`` builds it and
 ``coeffs(data)`` reads the scalars back; ``order``, ``window``, ``padded``,
-``add``, ``scaled`` (by a scalar), ``times`` (c_n f_n), ``antiderive``
-(c_n / {n+1}), ``product``, ``value`` (at a point), ``reduced`` (a
-composition's sum) and ``max_abs`` take data.  ``quotient`` and
-``equals`` take the Series, since the rational ones are built from Series
-operations, and ``factorial`` gives the scalar coefficients of
+``add``, ``scaled`` (by a scalar), ``times`` (c_n f_n), ``scale`` (u^n c_n),
+``antiderive`` (c_n / {n+1}), ``product``, ``value`` (at a point),
+``reduced`` (a composition's sum) and ``max_abs`` take data.  ``quotient``
+and ``equals`` take the Series, since the rational ones are built from
+Series operations, and ``factorial`` gives the scalar coefficients of
 ``stseries.factorial_series`` from the (c, r) pairs of its factors, on the
 rational ring one Fraction step built from integers per coefficient.
 
@@ -21,15 +21,17 @@ rational ring one Fraction step built from integers per coefficient.
   bit length has doubled: the denominators grow like phi^(n^2/2), too fast
   for one D per series (FLINT's fmpq_poly).  Sums, scalar products and
   equality take one common-D test per pair of blocks; a zero is a block of
-  zero numerators.  Products, antiderivatives and compositions divide each
-  block by the gcd of its D and numerators.  A product is one Kronecker
-  substitution (Harvey, J. Symbolic Comput. 2009) per pair of blocks, and
-  ``value`` one integer Horner sum per block over a single division.  A
-  quotient is built from Series products at every order: Newton iteration
-  takes 1/g to order N/2 (Brent and Kung, J. ACM 1978), and one last step
-  on the quotient gives f/g to order N (Karp and Markstein, ACM TOMS
-  1997), the exact value of the recurrence that ``FloatRing.quotient``
-  runs.
+  zero numerators.  ``scale`` multiplies a block's numerators by powers of
+  the numerator and denominator of u, and ``antiderive`` lifts a block by
+  the lcm of the numerators of its {n+1}: neither makes a Fraction.
+  Products, antiderivatives and compositions divide each block by the gcd
+  of its D and numerators.  A product is one Kronecker substitution
+  (Harvey, J. Symbolic Comput. 2009) per pair of blocks, and ``value`` one
+  integer Horner sum per block over a single division.  A quotient is built
+  from Series products at every order: Newton iteration takes 1/g to order
+  N/2 (Brent and Kung, J. ACM 1978), and one last step on the quotient
+  gives f/g to order N (Karp and Markstein, ACM TOMS 1997), the exact value
+  of the recurrence that ``FloatRing.quotient`` runs.
 * ``FloatRing``: real mpf values of one context as their raw libmp values.
   Every kernel runs in the context's one raw ``Arith`` (``_stable``), the
   table of the point sums, with the calls, order and rounding of mpf's
@@ -41,10 +43,10 @@ rational ring one Fraction step built from integers per coefficient.
 import math
 from fractions import Fraction
 from functools import partial
-from itertools import chain, repeat
-from operator import eq, truediv
+from itertools import accumulate, chain, repeat
+from operator import eq, mul, truediv
 
-from ._stable import _raw_arith, factors, weights
+from ._stable import _lcm, _raw_arith, factors, powers, weights
 from .errors import BackendMismatch, StInputError
 
 FLOAT_EQ_TOL = 1e-12
@@ -91,11 +93,6 @@ def _as_mpf(ctx, x):
 # The smallest denominator a block grows from, in bits, so the first
 # coefficients (denominators of a few bits) do not each open a block.
 _BLOCK_BITS = 128
-
-
-def _lcm(a: int, b: int) -> int:
-    """lcm(a, b) for a, b > 0; equal or dividing arguments cost no gcd."""
-    return a if a % b == 0 else b if b % a == 0 else a // math.gcd(a, b) * b
 
 
 def _coalesced(pieces) -> list[tuple[int, int, list[int]]]:
@@ -155,16 +152,27 @@ def _scaled(blocks, w: Fraction) -> list:
             for s, d, xs in blocks for g in (math.gcd(d, p),)]
 
 
-def _times(blocks, fs) -> list:
-    """c_n f_n, one Fraction f_n per index; D gains the lcm of its f's denominators."""
+def _times(blocks, ratios) -> list:
+    """c_n a_n / b_n, one pair of integers (a_n, b_n != 0) per index; D gains
+    the lcm of its |b|'s."""
     out = []
     for s, d, xs in blocks:
-        part, den = fs[s:s + len(xs)], 1
-        for f in part:
-            den = _lcm(den, f.denominator)
-        out.append((s, d * den, [x * f.numerator * (den // f.denominator)
-                                 for x, f in zip(xs, part)]))
+        part, den = ratios[s:s + len(xs)], 1
+        for _, b in part:
+            den = _lcm(den, abs(b))
+        out.append((s, d * den, [x * a * (den // b) for x, (a, b) in zip(xs, part)]))
     return _coalesced(out)
+
+
+def _block_scale(blocks, u: Fraction) -> list:
+    """u^n c_n for u = p/q: block (s, D, xs) of length L is over D q^(s+L-1),
+    its xs_i times p^(s+i) q^(L-1-i), the blocks ``_times`` gives the u^n."""
+    p, q = u.numerator, u.denominator
+    n = blocks[-1][0] + len(blocks[-1][2])
+    ps, qs = (list(accumulate(repeat(r, n - 1), mul, initial=1)) for r in (p, q))
+    return _coalesced([(s, d * qs[s + len(xs) - 1],
+                        [x * a * b for x, a, b in zip(xs, ps[s:], reversed(qs[:len(xs)]))])
+                       for s, d, xs in blocks])
 
 
 def _block_value(blocks, x: Fraction) -> Fraction:
@@ -297,15 +305,19 @@ class RationalRing:
     window = staticmethod(_window)
     add = staticmethod(_block_sum)
     scaled = staticmethod(_scaled)
-    times = staticmethod(_times)
+    scale = staticmethod(_block_scale)
     value = staticmethod(_block_value)
     reduced = staticmethod(_reduced)
     quotient = staticmethod(_newton_quotient)
 
+    def times(self, blocks, fs) -> list:
+        return _times(blocks, [f.as_integer_ratio() for f in fs])
+
     def antiderive(self, blocks, nums) -> list:
-        """F_0 = 0, F_{n+1} = c_n / nums_n, reduced: dividing by {n} often
-        cancels (symbolic powers)."""
-        blocks = _reduced(_times(blocks, [1 / m for m in nums]))
+        """F_0 = 0, F_{n+1} = c_n / nums_n, each block lifted by the lcm of its
+        nums' numerators, then reduced: dividing by {n} often cancels
+        (symbolic powers)."""
+        blocks = _reduced(_times(blocks, [(m.denominator, m.numerator) for m in nums]))
         return [(0, 1, [0])] + [(s + 1, d, xs) for s, d, xs in blocks]
 
     def product(self, a, b, n: int) -> list:
@@ -388,6 +400,11 @@ class FloatRing:
 
     def scaled(self, data, w) -> list:
         return self.times(data, repeat(w))
+
+    def scale(self, data, u) -> list:
+        """u^n c_n, the raw powers of u rounded as mpf's loop rounds them."""
+        mul, (prec, rnd) = self.arith.mul, self._rounding
+        return [mul(x, w, prec, rnd) for x, w in zip(data, powers(u, self.arith))]
 
     def times(self, data, fs) -> list:
         """c_n f_n, each f_n a scalar or an int."""

@@ -26,22 +26,27 @@ its stop rule.  Both run in the ``Arith`` of the sum's scalars
 with the calls, order and rounding of mpf's own operators (so every result
 is bit-identical to the operator loop), others on operators; so does the
 Jackson node sum ``node_sum``, which sums on objects where a term is no real
-mpf.  What does not depend on x (the kinds of the pairs, {n+1}.. from the raw
-table and the majorant at |x| = 1) is looked up once per call, in a bounded
-cache (``_point_setup``).  For 30-digit E(2, 1/4; x, 1/2) at (1, 3), at the
-123 nodes of its Jackson integral over [1/4, 3/4], a point sum takes about
-26 us per node (Python 3.11, mpmath's pure-Python libmp, 4.3 terms a sum),
-where a chain of one iterator per factor, term and ratio took 49 us.  One
-raw ``Arith`` serves each context (``_raw_arith``), and the float
-coefficient ring (``_rings.FloatRing``) runs its series kernels in the same
-table; raw {n} come from a bounded cache of tables (``st_numbers``).
+mpf.  Fraction endpoints and nodes take the integer-pair ``Arith``
+(``PAIRS``): partial sums over the lcm of the term denominators, stop tests
+by cross-multiplication against the exact tol, one Fraction at the end, and
+a sum on objects where f gives no int or Fraction.  Point sums never take
+it (``arith_of`` does not return it).  What does not depend on x (the kinds
+of the pairs, {n+1}.. from the raw table and the majorant at |x| = 1) is
+looked up once per call, in a bounded cache (``_point_setup``).  For
+30-digit E(2, 1/4; x, 1/2) at (1, 3), at the 123 nodes of its Jackson
+integral over [1/4, 3/4], a point sum takes about 26 us per node (Python
+3.11, mpmath's pure-Python libmp, 4.3 terms a sum), where a chain of one
+iterator per factor, term and ratio took 49 us.  One raw ``Arith`` serves
+each context (``_raw_arith``), and the float coefficient ring
+(``_rings.FloatRing``) runs its series kernels in the same table; raw {n}
+come from a bounded cache of tables (``st_numbers``).
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, islice, repeat
-from math import inf as INF, ldexp, nextafter
+from math import gcd, inf as INF, ldexp, nextafter
 from operator import add, gt, le, mul, sub, truediv
 
 from mpmath.libmp import (fone, from_float, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le,
@@ -76,6 +81,27 @@ def _plain(op):
 Arith = namedtuple("Arith", "add sub mul div abs le gt threshold prec rnd operand made")
 PLAIN = Arith(_plain(add), _plain(sub), _plain(mul), _plain(truediv), abs, le, gt, _threshold,
               None, None, lambda x: x, lambda x: x)
+
+
+def _lcm(a: int, b: int) -> int:
+    """lcm(a, b) for a, b > 0; equal or dividing arguments cost no gcd."""
+    return a if a % b == 0 else b if b % a == 0 else a // gcd(a, b) * b
+
+
+def _pair_add(x, y, prec, rnd):
+    (a, b), (c, d) = x, y
+    m = _lcm(b, d)
+    return a * (m // b) + c * (m // d), m
+
+
+# Exact rationals as integer pairs (numerator, denominator > 0), unreduced: a
+# sum goes over the lcm of the denominators, a comparison cross-multiplies,
+# and ``made`` makes the one Fraction.  Only the Jackson node sum runs here.
+PAIRS = Arith(_pair_add, None, lambda x, y, prec, rnd: (x[0] * y[0], x[1] * y[1]), None,
+              lambda x: (abs(x[0]), x[1]), lambda x, y: x[0] * y[1] <= y[0] * x[1],
+              lambda x, y: x[0] * y[1] > y[0] * x[1],
+              lambda tol: lambda m: (tol[0] * (m[0] + m[1]), tol[1] * m[1]),
+              None, None, lambda x: x.as_integer_ratio(), lambda x: Fraction(*x))
 
 
 def arith_of(*scalars) -> Arith:
@@ -255,34 +281,38 @@ def weights(factors, n: int, one) -> list:
     return list(islice(accumulate(factors, mul, initial=one), n + 1))
 
 
-class _NotReal(Exception):
+class _ObjectTerm(Exception):
     pass
 
 
 def node_sum(f, a, p, q, tol=DEFAULT_TOL):
-    """sum_k w f(w a) over the nodes w = q^k/p^{k+1}, one ``stable_sum`` in the
-    ``Arith`` of a, p and q, or on objects where a term is no real mpf."""
-    arith = arith_of(a, p, q)
+    """sum_k w f(w a) over the nodes w = q^k/p^{k+1}, one ``stable_sum``: on
+    integer pairs (``PAIRS``) when a, p, q are Fractions and tol is exact, in
+    the ``Arith`` of a, p and q otherwise, and on objects where a term is
+    none of the Arith's scalars."""
+    exact = type(a) is type(p) is type(q) is Fraction and type(tol) in (float, int, Fraction)
+    arith = PAIRS if exact else arith_of(a, p, q)
     try:
         return stable_sum(_node_terms(f, a, p, q, arith), tol, "pq_integral", arith)[0]
-    except _NotReal:
+    except _ObjectTerm:
         return stable_sum(_node_terms(f, a, p, q, PLAIN), tol, "pq_integral")[0]
 
 
 def _node_terms(f, a, p, q, arith):
-    """The terms w f(w a); on raw values, v = f(w a) that is no mpf of a's
-    context enters as mpf's own product w v."""
+    """The terms w f(w a); v = f(w a) that is none of the Arith's scalars (an
+    int or a Fraction on pairs, an mpf of a's context on raw values) enters
+    as the object product w v."""
     mul, prec, rnd, made, lift = arith.mul, arith.prec, arith.rnd, arith.made, arith.operand
-    real = None if arith is PLAIN else type(a)  # the mpf type of the raw values
+    held = () if arith is PLAIN else (int, Fraction) if arith is PAIRS else (type(a),)
     x = lift(a)
     for w in map(mul, powers(q / p, arith), repeat(lift(1 / p)), repeat(prec), repeat(rnd)):
         v = f(made(mul(w, x, prec, rnd)))
-        if type(v) is real:
-            yield mul(w, v._mpf_, prec, rnd)
+        if type(v) in held:
+            yield mul(w, lift(v), prec, rnd)
             continue
         v = made(w) * v
-        if real is not None and type(v) is not real:
-            raise _NotReal
+        if held and type(v) not in held:
+            raise _ObjectTerm
         yield lift(v)
 
 

@@ -29,10 +29,8 @@ integrand of ``sq_int``), is built by ``factorial_series``.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Callable, Iterable, Sequence
 
-from ._stable import powers
 from .errors import (
     BackendMismatch,
     NonInvertibleSeries,
@@ -218,8 +216,7 @@ def st_antiderive(f: Series) -> Series:
 
 def scale(f: Series, u) -> Series:
     """(T_u f)(x) = f(u x): multiplies c_n by u^n."""
-    u = f.params.wrap(u)
-    return f._like(f.params.ring.times(f.data, list(islice(powers(u), f.order + 1))))
+    return f._like(f.params.ring.scale(f.data, f.params.wrap(u)))
 
 
 def st_derive_at(f: Callable, x, params: Params):

@@ -455,6 +455,8 @@ def bernoulli_transform(problem: LinearProblem) -> LinearProblem:
     constant alpha keeps A linear after the rescaling, so the factor of the
     z-problem is a rescaled pantograph series, built with no composition.
     """
+    if problem.family not in ("bernoulli", "u-bernoulli"):
+        raise StInputError(f"expected a Bernoulli family, got {problem.family}")
     n = problem.n_bernoulli
     if n in (0, 1):
         raise InvalidBernoulliOrder("the Bernoulli order n must avoid 0 and 1")
@@ -476,8 +478,6 @@ def bernoulli_transform(problem: LinearProblem) -> LinearProblem:
             p, PantographSpec(0, 1, delay),
             alpha=scale_num * p.wrap(problem.alpha),
             beta=rescale(problem.beta), a0=1)
-    if problem.family != "bernoulli":
-        raise StInputError(f"expected a Bernoulli family, got {problem.family}")
     return LinearProblem.integration_factor(
         p, problem.spec, alpha=rescale(problem.alpha), beta=rescale(problem.beta),
         initial=problem.initial, eta=problem.eta, delay_side=flipped)

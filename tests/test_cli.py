@@ -360,6 +360,25 @@ class TestCommands:
                      "pantograph-equation", "substitution-formula"):
             assert (rows[name]["defect"], rows[name]["tolerance"]) == (0, 0)
 
+    def test_identity_rows_keep_their_bits(self):
+        # every row's defect, to the last float bit, with its tolerance and verdict
+        rows = [(r.name, repr(r.defect), r.tolerance, r.passed) for r in identities.run_all()]
+        assert rows == [
+            ("binet-form", "8.133574401855856e-31", 1e-12, True),
+            ("factorial-bridge", "0.0", 0.0, True),
+            ("derivative-equivalence", "0.0", 0.0, True),
+            ("pantograph-equation", "0.0", 0.0, True),
+            ("special-values", "0.0", 0.0, True),
+            ("fundamental-theorem", "8.673617379884035e-19", 1e-10, True),
+            ("integration-by-parts", "1.4456028966473393e-18", 1e-10, True),
+            ("jackson-unit-integral", "1.807003620809174e-20", 1e-12, True),
+            ("substitution-formula", "0.0", 0.0, True),
+            ("pantograph-antiderivative", "4.0614267618606814e-22", 1e-08, True),
+            ("q-binomial-theorem", "6.890512406868389e-16", 1e-10, True),
+            ("theta-psi-value", "2.6645352591003757e-15", 1e-10, True),
+            ("theta-antiderivative", "7.283069987572119e-21", 1e-08, True),
+        ]
+
     def test_failing_identity_exits_1(self, capsys, monkeypatch):
         failed = identities.IdentityResult("broken", 1.0, 0.0, False)
         monkeypatch.setattr(identities, "run_all", lambda: [failed])

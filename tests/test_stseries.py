@@ -1,13 +1,15 @@
 import dataclasses
 import math
 from fractions import Fraction as F
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stpanto import identities
+from stpanto._rings import _coalesced, _lcm, _reduced
+from stpanto._stable import powers
 from stpanto.errors import (
     BackendMismatch,
     NonInvertibleSeries,
@@ -18,7 +20,7 @@ from stpanto.errors import (
     ZeroPoint,
 )
 from stpanto.stfun import PantographSpec, deformed_exp, pantograph
-from stpanto.stnum import golden_pair, st_factorial, st_number
+from stpanto.stnum import golden_pair, st_divisors, st_factorial, st_number
 from stpanto.stseries import (
     QPeriodic,
     Series,
@@ -443,6 +445,9 @@ class FractionListRing:
     def times(self, data, fs):
         return [x * f for x, f in zip(data, fs)]
 
+    def scale(self, data, u):
+        return [x * u ** n for n, x in enumerate(data)]
+
     def antiderive(self, data, nums):
         return [F(0)] + [x / m for x, m in zip(data, nums)]
 
@@ -578,6 +583,61 @@ class TestScale:
     def test_scale_composes(self):
         f = poly(P32, [1, 1, 1, 1])
         assert scale(scale(f, 2), 3) == scale(f, 6)
+
+
+def fraction_times(blocks, fs):
+    """The blocks of c_n f_n by the Fraction route, one Fraction f_n per
+    index: each block's D gains the lcm of its f's denominators."""
+    out = []
+    for s, d, xs in blocks:
+        part, den = fs[s:s + len(xs)], 1
+        for f in part:
+            den = _lcm(den, f.denominator)
+        out.append((s, d * den, [x * f.numerator * (den // f.denominator)
+                                 for x, f in zip(xs, part)]))
+    return _coalesced(out)
+
+
+class TestSameBlocks:
+    """The integer kernels of scale and st_antiderive build the very blocks of
+    the Fraction routes they replace, not only the same values; the float
+    scale keeps every bit of the loop on mpf objects."""
+
+    E128 = pantograph(P32, PantographSpec(F(2), F(1, 2), F(1, 3)), 128)
+    SHORT = Series(P32, [F(k + 1, 3) for k in range(9)])
+    CASES = {"short": SHORT, "leading-zeros": Series(P32, [0, 0, 0, F(1, 2), F(-3, 7), 5, 0]),
+             "zero": Series.zero(P32, 4), "product": SHORT * Series(P32, [F(-5, 4)] * 9),
+             "e128": E128}
+
+    def test_e128_has_several_blocks(self):
+        assert len(self.E128.blocks) > 1
+
+    @pytest.mark.parametrize("u", [F(0), F(1), F(-1), F(-2, 3), F(5, 2), F(1, 3)])
+    @pytest.mark.parametrize("case", CASES)
+    def test_scale_blocks(self, case, u):
+        f = self.CASES[case]
+        want = fraction_times(f.blocks, list(islice(powers(u), f.order + 1)))
+        assert scale(f, u).blocks == want
+
+    @pytest.mark.parametrize("p", BLOCK_PAIRS)
+    @pytest.mark.parametrize("case", CASES)
+    def test_antiderive_blocks(self, case, p):
+        f = Series(p, self.CASES[case].coeffs)
+        nums = st_divisors(p, f.order + 1)[1:]
+        want = _reduced(fraction_times(f.blocks, [1 / m for m in nums]))
+        assert st_antiderive(f).blocks == [(0, 1, [0])] + [(s + 1, d, xs) for s, d, xs in want]
+
+    @pytest.mark.parametrize("precision", [1, 30, 50])
+    @given(a=mixed_operand, u=st.one_of(float_coeff, product_coeff))
+    @settings(max_examples=30, deadline=None)
+    def test_float_scale_is_object_loop(self, precision, a, u):
+        p = golden_pair(1, 1, backend="float", precision=precision)
+        f, u = Series(p, a), p.wrap(u)
+        want, w = [], 1
+        for c in f.coeffs:
+            want.append(c * w)
+            w = w * u
+        assert repr(scale(f, u).coeffs) == repr(want)
 
 
 class TestSymbolicPowers:

@@ -585,6 +585,16 @@ class TestBernoulli:
                 bernoulli_transform(LinearProblem.bernoulli(
                     P32, PantographSpec(0, 1, P32.phi), 1, 0, n))
 
+    def test_transform_refuses_a_linear_family(self):
+        # n_bernoulli is None outside the Bernoulli families; the family is
+        # refused before {n - 1} is read
+        for prob in (LinearProblem.series_linear(golden_pair(3, -2), PantographSpec(0, 1, 1),
+                                                 1, 0, 1),
+                     LinearProblem.integration_factor(P32, PantographSpec(0, 1, 2), -1, 0)):
+            with pytest.raises(StInputError, match="expected a Bernoulli family, got "
+                               + prob.family):
+                bernoulli_transform(prob)
+
     def test_transform_n3_scaling(self):
         # -(1/{2}) D z + ... scales alpha and beta by -{2} = -3
         prob = LinearProblem.bernoulli(
