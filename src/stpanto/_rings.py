@@ -10,20 +10,21 @@ A Series holds the ring's ``data``: ``data(scalars)`` builds it and
 ``add``, ``scaled`` (by a scalar), ``times`` (c_n f_n), ``scale`` (u^n c_n),
 ``antiderive`` (c_n / {n+1}), ``product``, ``value`` (at a point),
 ``reduced`` (a composition's sum) and ``max_abs`` take data.  ``quotient``
-and ``equals`` take the Series, since the rational ones are built from
-Series operations, and ``factorial`` gives the scalar coefficients of
+takes the Series, since the rational one is built from Series operations,
+and ``factorial`` gives the scalar coefficients of
 ``stseries.factorial_series`` from the (c, r) pairs of its factors, on the
 rational ring one Fraction step built from integers per coefficient.
+Series equality needs no kernel: it compares coefficients with ``eq``.
 
 * ``RationalRing``: exact Fractions as integer blocks (start, D,
   numerators), coefficient start + i being numerators[i] / D unreduced.
   Each D is a multiple of the ones before it, and a block ends where D's
   bit length has doubled: the denominators grow like phi^(n^2/2), too fast
-  for one D per series (FLINT's fmpq_poly).  Sums, scalar products and
-  equality take one common-D test per pair of blocks; a zero is a block of
-  zero numerators.  ``scale`` multiplies a block's numerators by powers of
-  the numerator and denominator of u, and ``antiderive`` lifts a block by
-  the lcm of the numerators of its {n+1}: neither makes a Fraction.
+  for one D per series (FLINT's fmpq_poly).  Sums and scalar products take
+  one common-D test per pair of blocks; a zero is a block of zero
+  numerators.  ``scale`` is ``_times`` of the integer pairs (p^n, q^n) of
+  u = p/q, and ``antiderive`` lifts a block by the lcm of the numerators of
+  its {n+1}: neither makes a Fraction.
   Products, antiderivatives and compositions divide each block by the gcd
   of its D and numerators.  A product is one Kronecker substitution
   (Harvey, J. Symbolic Comput. 2009) per pair of blocks, and ``value`` one
@@ -43,10 +44,10 @@ rational ring one Fraction step built from integers per coefficient.
 import math
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain, repeat
-from operator import eq, mul, truediv
+from itertools import chain, islice, repeat
+from operator import eq, truediv
 
-from ._stable import _lcm, _raw_arith, factors, powers, weights
+from ._stable import PAIRS, _lcm, _raw_arith, factors, powers, weights
 from .errors import BackendMismatch, StInputError
 
 FLOAT_EQ_TOL = 1e-12
@@ -162,17 +163,6 @@ def _times(blocks, ratios) -> list:
             den = _lcm(den, abs(b))
         out.append((s, d * den, [x * a * (den // b) for x, (a, b) in zip(xs, part)]))
     return _coalesced(out)
-
-
-def _block_scale(blocks, u: Fraction) -> list:
-    """u^n c_n for u = p/q: block (s, D, xs) of length L is over D q^(s+L-1),
-    its xs_i times p^(s+i) q^(L-1-i), the blocks ``_times`` gives the u^n."""
-    p, q = u.numerator, u.denominator
-    n = blocks[-1][0] + len(blocks[-1][2])
-    ps, qs = (list(accumulate(repeat(r, n - 1), mul, initial=1)) for r in (p, q))
-    return _coalesced([(s, d * qs[s + len(xs) - 1],
-                        [x * a * b for x, a, b in zip(xs, ps[s:], reversed(qs[:len(xs)]))])
-                       for s, d, xs in blocks])
 
 
 def _block_value(blocks, x: Fraction) -> Fraction:
@@ -305,13 +295,16 @@ class RationalRing:
     window = staticmethod(_window)
     add = staticmethod(_block_sum)
     scaled = staticmethod(_scaled)
-    scale = staticmethod(_block_scale)
     value = staticmethod(_block_value)
     reduced = staticmethod(_reduced)
     quotient = staticmethod(_newton_quotient)
 
     def times(self, blocks, fs) -> list:
         return _times(blocks, [f.as_integer_ratio() for f in fs])
+
+    def scale(self, blocks, u) -> list:
+        """u^n c_n: ``_times`` of the integer pairs (p^n, q^n) of u = p/q."""
+        return _times(blocks, list(islice(powers(u, PAIRS), self.order(blocks) + 1)))
 
     def antiderive(self, blocks, nums) -> list:
         """F_0 = 0, F_{n+1} = c_n / nums_n, each block lifted by the lcm of its
@@ -322,9 +315,6 @@ class RationalRing:
 
     def product(self, a, b, n: int) -> list:
         return _kronecker_product(_window(a, 0, n + 1), _window(b, 0, n + 1), n)
-
-    def equals(self, f, g) -> bool:
-        return (f - g).max_abs_coeff() == 0  # no coefficient reduced
 
     def max_abs(self, blocks):
         """The largest numerator of each block, reduced."""
@@ -453,9 +443,6 @@ class FloatRing:
         for c in coeffs:
             acc = plus(times(acc, x, prec, rnd), c, prec, rnd)
         return self.made(acc)
-
-    def equals(self, f, g) -> bool:
-        return all(map(self.eq, f.coeffs, g.coeffs))
 
     def max_abs(self, data):
         return max(map(abs, self.coeffs(data)))

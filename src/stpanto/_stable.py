@@ -38,8 +38,9 @@ integral over [1/4, 3/4], a point sum takes about 26 us per node (Python
 3.11, mpmath's pure-Python libmp, 4.3 terms a sum), where a chain of one
 iterator per factor, term and ratio took 49 us.  One raw ``Arith`` serves
 each context (``_raw_arith``), and the float coefficient ring
-(``_rings.FloatRing``) runs its series kernels in the same table; raw {n}
-come from a bounded cache of tables (``st_numbers``).
+(``_rings.FloatRing``) runs its series kernels in the same table.  {n} has
+one recurrence (``st_numbers``), in any Arith; ``_number_table`` is its
+cached raw prefix, keyed by (s, t, Arith).
 """
 
 from collections import namedtuple
@@ -49,7 +50,7 @@ from itertools import accumulate, chain, islice, repeat
 from math import gcd, inf as INF, ldexp, nextafter
 from operator import add, gt, le, mul, sub, truediv
 
-from mpmath.libmp import (fone, from_float, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le,
+from mpmath.libmp import (fone, from_float, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_le,
                           mpf_mul, mpf_sub, round_up)
 
 from .errors import ConvergenceFailure, DegenerateStNumber
@@ -58,7 +59,7 @@ TERM_CAP = 10_000
 STABLE_RUN = 3
 GROW_RUN = 64
 DEFAULT_TOL = 1e-15
-NUMBER_TABLE = 64  # raw {n} kept per (s, t, prec, rnd), in a bounded cache
+NUMBER_TABLE = 64  # raw {n} kept per (s, t, raw Arith), in a bounded cache
 _raw_constant = lru_cache(maxsize=32)(from_float)  # raw 0, 1 and tol, once each
 
 
@@ -212,29 +213,22 @@ def stable_product(factors, tol=DEFAULT_TOL, cap=TERM_CAP, what="product", bound
 
 
 def st_numbers(s, t, arith=PLAIN):
-    """{0}, {1}, ... lazily, by the bare recurrence
-    {0} = 0, {1} = 1, {n+2} = s{n+1} + t{n}; raw values (``arith_of``) read
-    the first NUMBER_TABLE from the cache ``_number_table``."""
+    """{0}, {1}, ... lazily, by the one recurrence
+    {0} = 0, {1} = 1, {n+2} = s{n+1} + t{n} in ``arith`` ({0} = s 0 keeps
+    the kind of s); ``_number_table`` caches its raw prefix."""
     plus, times, prec, rnd = arith.add, arith.mul, arith.prec, arith.rnd
-    if prec is None:
-        a = times(s, arith.operand(0), prec, rnd)
-        b = plus(a, arith.operand(1), prec, rnd)
-    else:
-        *head, a, b = _number_table(s, t, prec, rnd)
-        yield from head
+    a = times(s, arith.operand(0), prec, rnd)
+    b = plus(a, arith.operand(1), prec, rnd)
     while True:
         yield a
         a, b = b, plus(times(s, b, prec, rnd), times(t, a, prec, rnd), prec, rnd)
 
 
 @lru_cache(maxsize=64)
-def _number_table(s, t, prec, rnd) -> tuple:
-    """The raw {0}..{NUMBER_TABLE - 1}, keyed by the values the recurrence reads."""
-    nums = [fzero, fone]
-    while len(nums) < NUMBER_TABLE:
-        b, a = nums[-1], nums[-2]
-        nums.append(mpf_add(mpf_mul(s, b, prec, rnd), mpf_mul(t, a, prec, rnd), prec, rnd))
-    return tuple(nums)
+def _number_table(s, t, arith) -> tuple:
+    """The raw {0}..{NUMBER_TABLE - 1} of ``st_numbers``, keyed by the values
+    the recurrence reads and the raw Arith of their precision and rounding."""
+    return tuple(islice(st_numbers(s, t, arith), NUMBER_TABLE))
 
 
 def zero_divisor(params, n: int) -> DegenerateStNumber:
@@ -397,7 +391,7 @@ def _point_setup(arith, n, c, r, d, v, s, t, phi, phi_prime):
     one = arith.operand(1)
     kinds = (_kind(c, r, one), None if d is None else _kind(d, v, one))
     divisors = () if s is None or arith.prec is None else \
-        _number_table(s, t, arith.prec, arith.rnd)[n + 1:]
+        _number_table(s, t, arith)[n + 1:]
     pairs = ((c, r),) if d is None else ((c, r), (d, v))
     bounded = s is None or phi is not None  # no params, or real roots of x's kind
     return kinds, divisors, _majorant(pairs, phi, phi_prime, n, arith) if bounded else None

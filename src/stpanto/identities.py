@@ -16,6 +16,7 @@ from .stnum import (
     q_pochhammer_inf,
     st_factorial,
     st_number,
+    st_number_range,
 )
 from .stseries import (Series, compose_deformed, q_derive_at, scale, sq_int, st_antiderive,
                        st_derive, st_derive_at)
@@ -58,8 +59,7 @@ def _result(name, defect, tolerance) -> IdentityResult:
 def binet_form() -> IdentityResult:
     worst = 0.0
     for p in (golden_pair(3, -2), golden_pair(1, 1)):
-        for n in range(31):
-            lhs = st_number(p, n)
+        for n, lhs in enumerate(st_number_range(p, 30)):
             worst = max(worst, float(abs(lhs - binet(p, n)) / max(1, abs(lhs))))
     return _result("binet-form", worst, 1e-12)
 

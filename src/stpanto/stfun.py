@@ -16,7 +16,7 @@ factor products (a + b u^k resp. alpha phi^k + beta phi'^k), and each series
 f_k = sum c r^k: (a, 1), (b, u) for E, (1, u) for exp(z, u), which is
 E(0, 1; z, u), and (1, y) for Theta0(x, y), which sums the
 (0 (+) 1)^n_{1,y} x^n without the {n}!.  The closed q-Pochhammer rewrite
-a^n (-b/a; u)_n is kept as a cross-check only.
+a^n (-b/a; u)_n is a test oracle (``tests/test_stfun.py``), not a path.
 
 The pairs give the point sum its terms, its proven tail bound (from the
 majorant sum |c| |r|^k of the factors) and, where there is no bound, its

@@ -22,8 +22,8 @@ Every other object in the package carries or references a Params.  The
 degenerate cases q = 1 and s^2 + 4t = 0 are hard errors: every divided
 difference below divides by phi - phi'.  In particular the classical pair
 (s, t) = (2, -1) is rejected; the classical limit is recovered only term
-by term through the raw recurrence (``st_number_raw``); with a Params,
-{n} and {n}! are read from its one cached table, ``st_number_range``.  The pure
+by term through the raw recurrence (``st_number_raw``), as is {n} with a
+Params; {n}! reads the Params's cached table, ``st_number_range``.  The pure
 q-calculus tower is the special case phi = 1, reached at s = 1 + q,
 t = -q, where {n} reduces to the q-number [n]_q.
 """
@@ -219,8 +219,9 @@ def st_number_range(params: Params, upto: int) -> tuple:
 
 
 def st_number(params: Params, n: int) -> Scalar:
-    """{n}_{s,t} from the recurrence's table (never Binet: no cancellation)."""
-    return st_number_range(params, nonnegative(n))[n]
+    """{n}_{s,t} by the recurrence (never Binet: no cancellation), keeping
+    nothing: a table of {0}..{n} grows like n^2 bits."""
+    return st_number_raw(params.s, params.t, n)
 
 
 def st_divisors(params: Params, upto: int) -> tuple:

@@ -183,9 +183,10 @@ class Series:
         return self.eval(x)
 
     def equals(self, other: "Series") -> bool:
+        """Coefficientwise ``Params.eq``, the shorter operand padded with zeros."""
         self._check(other)
         n = max(self.order, other.order)
-        return self.params.ring.equals(self.padded(n), other.padded(n))
+        return all(map(self.params.eq, self.padded(n).coeffs, other.padded(n).coeffs))
 
     def __eq__(self, other):
         if not isinstance(other, Series):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import mpmath
@@ -151,7 +152,20 @@ class TestStNumbers:
         before = sum(st_number_range.cache_info()[:2])  # hits + misses
         assert [st_number(p, n) for n in range(10)] == list(nums)
         assert st_factorial(p, 9) == math.prod(nums[1:], start=p.one())
-        assert sum(st_number_range.cache_info()[:2]) == before + 11
+        assert sum(st_number_range.cache_info()[:2]) == before + 1  # st_factorial only
+
+    def test_a_far_number_keeps_no_table(self):
+        # {5000} = 2^5000 - 1 is 625 bytes; the table {0}..{5000} would be 2 MB
+        p = golden_pair(3, -2)
+        st_number_range.cache_clear()  # a table cached earlier would hide a new one
+        tracemalloc.start()
+        try:
+            value = st_number(p, 5000)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert value == 2 ** 5000 - 1
+        assert kept < 64 * 1024
 
     def test_range(self):
         p = golden_pair(3, -2)

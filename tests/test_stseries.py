@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import operator
 from fractions import Fraction as F
 from itertools import accumulate, islice
 
@@ -463,8 +464,7 @@ class FractionListRing:
             acc = acc * x + c
         return acc
 
-    def equals(self, f, g):
-        return f.coeffs == g.coeffs
+    eq = staticmethod(operator.eq)
 
     def max_abs(self, data):
         return max(map(abs, data))
