@@ -26,9 +26,12 @@ Series equality needs no kernel: it compares coefficients with ``eq``.
   u = p/q, and ``antiderive`` lifts a block by the lcm of the numerators of
   its {n+1}: neither makes a Fraction.
   Products, antiderivatives and compositions divide each block by the gcd
-  of its D and numerators.  A product is one Kronecker substitution
-  (Harvey, J. Symbolic Comput. 2009) per pair of blocks, and ``value`` one
-  integer Horner sum per block over a single division.  A quotient is built
+  of its D and numerators.  A product is one schoolbook integer
+  convolution per pair of blocks: as a block ends where D doubles in bits,
+  most blocks hold a dozen or so coefficients, too few for packing them
+  into one big integer (Kronecker substitution) to pay for its packing and
+  full-length multiply.  ``value`` is one integer Horner sum per block
+  over a single division.  A quotient is built
   from Series products at every order: Newton iteration takes 1/g to order
   N/2 (Brent and Kung, J. ACM 1978), and one last step on the quotient
   gives f/g to order N (Karp and Markstein, ACM TOMS 1997), the exact value
@@ -186,38 +189,24 @@ def _reduced(blocks) -> list:
                        for s, d, xs in blocks for g in (math.gcd(d, *reversed(xs)),)])
 
 
-def _kronecker_low(xs: list[int], ys: list[int], m: int) -> list[int]:
+def _convolution(xs: list[int], ys: list[int], m: int) -> list[int]:
     """The first min(m, len(xs) + len(ys) - 1) coefficients of the product
-    of two integer polynomials, by Kronecker substitution: both are
-    evaluated at 2^(8 width), with width bytes enough for any product
-    coefficient, multiplied as one big integer and read back slot by slot.
-    Biasing each slot by half its range keeps the slots nonnegative, so
-    packing and unpacking are linear-time bytes joins and slices."""
-    xs, ys = xs[:m], ys[:m]
+    of two integer polynomials, schoolbook: a zero of xs adds nothing, and
+    each row stops at the truncation."""
     m = min(m, len(xs) + len(ys) - 1)
-    bound = max(map(abs, xs)) * max(map(abs, ys)) * min(len(xs), len(ys))
-    if not bound:
-        return [0] * m
-    width = bound.bit_length() // 8 + 1  # so that bound < half
-    half = 1 << (8 * width - 1)
-    slot = half.to_bytes(width, "little")
-
-    def pack(zs):
-        raw = b"".join((z + half).to_bytes(width, "little") for z in zs)
-        return int.from_bytes(raw, "little") - int.from_bytes(slot * len(zs), "little")
-
-    # The biased low m slots of the product are its value mod 2^(8 width m).
-    low = pack(xs) * pack(ys) + int.from_bytes(slot * m, "little")
-    raw = (low & ((1 << 8 * width * m) - 1)).to_bytes(width * m, "little")
-    return [int.from_bytes(raw[k:k + width], "little") - half
-            for k in range(0, width * m, width)]
+    out = [0] * m
+    for i, x in enumerate(xs[:m]):
+        if x:
+            for k, y in enumerate(ys[:m - i], i):
+                out[k] += x * y
+    return out
 
 
-def _kronecker_product(A, B, n: int) -> list:
+def _block_product(A, B, n: int) -> list:
     """The blocks of the product of two block lists up to x^n.
 
-    Every pair of blocks that reaches an index <= n is one Kronecker
-    product.  Output k is accumulated over D_p D_q of the blocks that hold
+    Every pair of blocks that reaches an index <= n is one integer
+    convolution.  Output k is accumulated over D_p D_q of the blocks that hold
     index k in each operand, which every contributing pair's denominators
     divide, since each D divides the next; each run of indices with the
     same (p, q) is one output block, then reduced (``_reduced``)."""
@@ -229,7 +218,7 @@ def _kronecker_product(A, B, n: int) -> list:
             if sa + sb > n:
                 break
             lift = {}  # (p, q) of the output's blocks -> D_p D_q / (da db)
-            for k, v in enumerate(_kronecker_low(xs, ys, n + 1 - sa - sb), sa + sb):
+            for k, v in enumerate(_convolution(xs, ys, n + 1 - sa - sb), sa + sb):
                 if v:
                     key = (at_a[k], at_b[k])
                     if key not in lift:
@@ -280,7 +269,20 @@ class RationalRing:
         return math.log(abs(x.numerator)) - math.log(x.denominator)
 
     def data(self, coeffs: list) -> list:
-        return _coalesced((i, c.denominator, [c.numerator]) for i, c in enumerate(coeffs))
+        """The blocks that ``_coalesced`` makes of one piece (n, d, [x]) per
+        coefficient x/d (a zero takes d = 1), in one pass."""
+        blocks, run, start, den, limit = [], [], 0, 1, 2 * _BLOCK_BITS
+        for n, c in enumerate(coeffs):
+            x, d = c.as_integer_ratio()
+            if den % d:
+                grown = _lcm(den, d)
+                if grown.bit_length() > limit and run:
+                    blocks.append((start, den, [y * (den // e) for y, e in run]))
+                    run, start, limit = [], n, 2 * max(den.bit_length(), _BLOCK_BITS)
+                den = grown
+            run.append((x, d))
+        blocks.append((start, den, [y * (den // e) for y, e in run]))
+        return blocks
 
     def coeffs(self, blocks) -> list:
         return [Fraction(x, d) for _, d, xs in blocks for x in xs]
@@ -314,7 +316,7 @@ class RationalRing:
         return [(0, 1, [0])] + [(s + 1, d, xs) for s, d, xs in blocks]
 
     def product(self, a, b, n: int) -> list:
-        return _kronecker_product(_window(a, 0, n + 1), _window(b, 0, n + 1), n)
+        return _block_product(_window(a, 0, n + 1), _window(b, 0, n + 1), n)
 
     def max_abs(self, blocks):
         """The largest numerator of each block, reduced."""

@@ -48,8 +48,8 @@ def _params_block(p: Params) -> dict:
 
 
 def _solution_block(series: Series, closed_form=None) -> dict:
-    return {"coeffs": [series.params.to_str(c) for c in series.coeffs],
-            "closed_form": closed_form, "text": format_series(series)}
+    coeffs = [series.params.to_str(c) for c in series.coeffs]
+    return {"coeffs": coeffs, "closed_form": closed_form, "text": format_series(series, coeffs)}
 
 
 def result_document(command: str, input_echo: dict, params: Params | None = None,

@@ -153,25 +153,17 @@ def parse_expression(text: str, params: Params, max_degree: int = DEFAULT_ORDER)
     return Series(params, _Parser(text, max_degree).parse())
 
 
-def format_series(series: Series) -> str:
+def format_series(series: Series, texts=None) -> str:
     """Canonical printable form; parse_expression round-trips it exactly
-    in the rational backend."""
-    parts = []
-    for d, c in enumerate(series.coeffs):
-        if c == 0:
-            continue
-        mag = series.params.to_str(abs(c))
-        if d == 0:
-            body = mag
-        else:
+    in the rational backend.  ``texts`` are the coefficients as ``to_str``
+    prints them, when the caller has them: a negative one prints as "-"
+    and its magnitude, so each term's magnitude is read off its text."""
+    coeffs, terms = series.coeffs, []
+    for d, (c, text) in enumerate(zip(coeffs, texts or map(series.params.to_str, coeffs))):
+        if c != 0:
+            sign, mag = ("-", text[1:]) if c < 0 else ("+", text)
             xpow = "x" if d == 1 else f"x^{d}"
-            body = xpow if abs(c) == 1 else f"{mag}*{xpow}"
-        sign = "-" if c < 0 else "+"
-        parts.append((sign, body))
-    if not parts:
-        return "0"
-    first_sign, first_body = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+            body = mag if d == 0 else xpow if mag == "1" else f"{mag}*{xpow}"
+            terms.append(f"{sign} {body}")
+    out = " ".join(terms)
+    return ("-" if out[:1] == "-" else "") + out[2:] or "0"

@@ -148,6 +148,29 @@ class TestParser:
     def test_format_zero(self):
         assert format_series(Series.zero(P32, 3)) == "0"
 
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_solution_text_from_printed_coefficients(self, backend):
+        # The solution block's text reuses the printed coefficients; it
+        # equals the form that prints each magnitude to_str(|c|) anew.
+        p = golden_pair(3, -2, backend=backend, precision=30)
+        coeffs = [0, 1, -1, F(-3, 4), 5, -12, 0, F(1, 10 ** 40), F(-7, 10 ** 45),
+                  F(10 ** 35), -F(10 ** 35), F(2, 3), -1]
+        for series in (Series(p, coeffs), Series(p, coeffs[1:]), Series(p, [-1, 0, 1]),
+                       Series.zero(p, 2)):
+            terms = []
+            for d, c in enumerate(series.coeffs):
+                if c != 0:
+                    mag, xpow = p.to_str(abs(c)), "x" if d == 1 else f"x^{d}"
+                    body = mag if d == 0 else xpow if abs(c) == 1 else f"{mag}*{xpow}"
+                    terms.append(f"{'-' if c < 0 else '+'} {body}")
+            want = " ".join(terms) or "0"
+            want = want[2:] if want[:2] == "+ " else "-" + want[2:] if want[:2] == "- " else want
+            block = cli._solution_block(series)
+            assert block["coeffs"] == [p.to_str(c) for c in series.coeffs]
+            assert block["text"] == format_series(series) == want
+        assert any("e-" in text for text in cli._solution_block(Series(p, coeffs))["coeffs"]) \
+            is (backend == "float")
+
     @settings(max_examples=60)
     @given(_expressions())
     def test_matches_schoolbook_reference(self, case):

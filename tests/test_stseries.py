@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stpanto import identities
-from stpanto._rings import _coalesced, _lcm, _reduced
+from stpanto._rings import RATIONAL, _coalesced, _convolution, _lcm, _reduced
 from stpanto._stable import powers
 from stpanto.errors import (
     BackendMismatch,
@@ -150,9 +150,48 @@ float_operand = st.lists(float_coeff, min_size=1, max_size=21)
 mixed_operand = st.one_of(product_operand, float_operand)
 
 
+def kronecker_low(xs, ys, m):
+    """The first min(m, len(xs) + len(ys) - 1) coefficients of the product
+    of two integer polynomials, by Kronecker substitution (Harvey, J.
+    Symbolic Comput. 2009): both are evaluated at 2^(8 width), with width
+    bytes enough for any product coefficient, multiplied as one big integer
+    and read back slot by slot.  Biasing each slot by half its range keeps
+    the slots nonnegative, so packing and unpacking are bytes joins and
+    slices.  The oracle of ``_convolution``."""
+    xs, ys = xs[:m], ys[:m]
+    m = min(m, len(xs) + len(ys) - 1)
+    bound = max(map(abs, xs)) * max(map(abs, ys)) * min(len(xs), len(ys))
+    if not bound:
+        return [0] * m
+    width = bound.bit_length() // 8 + 1  # so that bound < half
+    half = 1 << (8 * width - 1)
+    slot = half.to_bytes(width, "little")
+
+    def pack(zs):
+        raw = b"".join((z + half).to_bytes(width, "little") for z in zs)
+        return int.from_bytes(raw, "little") - int.from_bytes(slot * len(zs), "little")
+
+    # The biased low m slots of the product are its value mod 2^(8 width m).
+    low = pack(xs) * pack(ys) + int.from_bytes(slot * m, "little")
+    raw = (low & ((1 << 8 * width * m) - 1)).to_bytes(width * m, "little")
+    return [int.from_bytes(raw[k:k + width], "little") - half
+            for k in range(0, width * m, width)]
+
+
+def every_truncation(xs, ys):
+    """The convolution of xs and ys equals the Kronecker one at every m."""
+    for m in range(1, len(xs) + len(ys)):
+        assert _convolution(xs, ys, m) == kronecker_low(xs, ys, m)
+
+
+signed_block = st.lists(st.one_of(st.just(0), st.integers(-2 ** 70, 2 ** 70),
+                                  st.integers(-2 ** 600, 2 ** 600)), min_size=1, max_size=24)
+
+
 class TestExactProduct:
-    """The rational product (integer blocks and Kronecker substitution, or
-    a term loop over a sparse operand) against the schoolbook convolution."""
+    """The rational product (one integer convolution per pair of blocks)
+    against the Fraction schoolbook, and the convolution against the
+    Kronecker substitution it replaced."""
 
     @given(product_operand, product_operand)
     @settings(max_examples=150, deadline=None)
@@ -166,13 +205,36 @@ class TestExactProduct:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_coefficients_at_the_slot_bound(self, sign):
         # Equal extreme numerators make the last coefficient reach the
-        # bound max|a| max|b| min(len) that sizes the Kronecker slots, for
-        # bound bit lengths on both sides of a byte boundary.
+        # bound max|a| max|b| min(len) on any product coefficient (the
+        # slot size of the Kronecker oracle), for bound bit lengths on both
+        # sides of a byte boundary.
         for bits in range(60, 69):
             top = 2 ** bits - 1
             a = [F(top)] * 10
             b = [F(sign * top)] * 10
             assert (Series(P32, a) * Series(P32, b)).coeffs == schoolbook(a, b)
+            every_truncation([top] * 10, [sign * top] * 10)
+
+    @given(signed_block, signed_block)
+    @settings(max_examples=60, deadline=None)
+    def test_convolution_matches_kronecker(self, xs, ys):
+        every_truncation(xs, ys)
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([0, 0, 0], [5, -7]), ([0, 3, 0, 0, -2, 0], [0, 0, 1, 0, -9]),
+        ([4, 0, 0, 0, 0, 0, 0, 0, 5], [-1, 0, 0, 0, 2 ** 200]), ([0], [0, 0, 0, 0])])
+    def test_convolution_over_zero_runs(self, xs, ys):
+        every_truncation(xs, ys)
+        every_truncation(ys, xs)
+
+    def test_dense_integer_block_of_order_128(self):
+        xs = [(-1) ** k * (3 ** k + k) for k in range(129)]
+        ys = [2 ** (k % 61) - 7 * k for k in range(129)]
+        assert Series(P32, xs).blocks == [(0, 1, xs)]
+        assert _convolution(xs, ys, 129) == kronecker_low(xs, ys, 129)
+        assert _convolution(xs, ys, 257) == kronecker_low(xs, ys, 257)
+        want = _reduced([(0, 1, kronecker_low(xs, ys, 129))])
+        assert (Series(P32, xs) * Series(P32, ys)).blocks == want
 
     def test_pantograph_order_128(self):
         f = pantograph(P32, PantographSpec(F(2), F(1, 2), F(1, 3)), 128)
@@ -596,6 +658,34 @@ def fraction_times(blocks, fs):
         out.append((s, d * den, [x * f.numerator * (den // f.denominator)
                                  for x, f in zip(xs, part)]))
     return _coalesced(out)
+
+
+def coalesced_data(coeffs):
+    """The blocks of a coefficient list by the ``_coalesced`` route: one
+    piece (n, d, [x]) per coefficient x/d."""
+    return _coalesced((i, c.denominator, [c.numerator]) for i, c in enumerate(coeffs))
+
+
+class TestDataBlocks:
+    """``RationalRing.data`` builds, in one pass, the very blocks of the
+    ``_coalesced`` route."""
+
+    E128 = pantograph(P32, PantographSpec(F(2), F(1, 2), F(1, 3)), 128).coeffs
+
+    @given(st.one_of(product_operand, st.lists(product_coeff, min_size=1, max_size=80)))
+    @settings(max_examples=150, deadline=None)
+    def test_random_lists(self, coeffs):
+        assert RATIONAL.data(coeffs) == coalesced_data(coeffs)
+
+    @pytest.mark.parametrize("coeffs", [
+        [F(0), F(0), F(0), F(1, 2), F(-3, 7), F(5)],
+        [F(1, 3), F(0), F(0), F(0), F(2, 9), F(0), F(1, 2 ** 300), F(0), F(0), F(-1, 3 ** 200)],
+        [F(0)] * 7, [F(0)], [F(-5, 11)], [F(7)], E128, [F(0)] * 3 + E128[3:]])
+    def test_cases(self, coeffs):
+        assert RATIONAL.data(coeffs) == coalesced_data(coeffs)
+
+    def test_several_blocks(self):
+        assert len(RATIONAL.data(self.E128)) > 1
 
 
 class TestSameBlocks:
