@@ -37,11 +37,20 @@ Series equality needs no kernel: it compares coefficients with ``eq``.
   gives f/g to order N (Karp and Markstein, ACM TOMS 1997), the exact value
   of the recurrence that ``FloatRing.quotient`` runs.
 * ``FloatRing``: real mpf values of one context as their raw libmp values.
-  Every kernel runs in the context's one raw ``Arith`` (``_stable``), the
-  table of the point sums, with the calls, order and rounding of mpf's
-  operators, so each result is bit for bit that of the loop on mpf
-  objects.  A complex scalar (phi when s^2 + 4t < 0) is refused with
-  BackendMismatch wherever it would enter.
+  ``product`` and ``quotient`` make each coefficient one exact integer sum
+  of signed mantissa products (``_exact_sum``, an exact accumulator: Rump,
+  Ogita and Oishi, SIAM J. Sci. Comput. 2008), rounded once; the
+  quotient's sum f_k - sum q_j g_{k-j} runs over the rounded q_j and is
+  rounded by its one division by g_0.  A term is dropped where its bound is
+  at most 2^-(p + 24) of the largest term over their count (p the
+  precision in bits, 24 the guard bits ``_GUARD``), so a coefficient lies
+  within 1/2 ulp (the context rounds to nearest) plus (number of skipped
+  terms) 2^-(p + 24) of the largest term (over |g_0| in a quotient) of the
+  exact result of its raw inputs.  The other kernels run in the context's
+  one raw ``Arith`` (``_stable``), the table of the point sums, with the
+  calls, order and rounding of mpf's operators, so each of their results is
+  bit for bit that of the loop on mpf objects.  A complex scalar (phi when
+  s^2 + 4t < 0) is refused with BackendMismatch wherever it would enter.
 """
 
 import math
@@ -49,6 +58,8 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, islice, repeat
 from operator import eq, truediv
+
+from mpmath.libmp import from_man_exp
 
 from ._stable import PAIRS, _lcm, _raw_arith, factors, powers, weights
 from .errors import BackendMismatch, StInputError
@@ -340,6 +351,36 @@ class RationalRing:
 RATIONAL = RationalRing()
 
 
+# -- the float ring: exact sums of mantissa products ------------------------
+
+# Guard bits of ``_exact_sum``: a term it drops is below 2^-(prec + _GUARD) of
+# the largest over their count.
+_GUARD = 24
+_MINUS_ONE = (-1, 0, 1)  # the part of -1
+
+
+def _parts(data) -> list:
+    """(signed mantissa m, exponent e, e + bit count) of each finite raw
+    value, None for a zero: the value is m 2^e, below 2^(e + bit count)."""
+    return [(-m if s else m, e, e + bc) if m else None for s, m, e, bc in data]
+
+
+def _exact_sum(terms, prec: int) -> tuple[int, int]:
+    """sum x y over pairs of ``_parts``, as (mantissa, exponent), exact but
+    for the terms with 2^(t_x + t_y) <= 2^(top - 2 - prec - _GUARD) / 2^b,
+    top the largest t_x + t_y and b the bit length of the count: as the
+    largest term is at least 2^(top - 2), each is below 2^-(prec + _GUARD)
+    of it over the count."""
+    if len(terms) < 2:  # a lone term is its own exact sum, and no term sums to 0
+        (x, y), = terms or [((0, 0, 0), (0, 0, 0))]
+        return x[0] * y[0], x[1] + y[1]
+    tops = [x[2] + y[2] for x, y in terms]
+    cut = max(tops) - prec - _GUARD - 2 - len(terms).bit_length()
+    kept = [(x[0] * y[0], x[1] + y[1]) for (x, y), t in zip(terms, tops) if t > cut]
+    low = min([e for _, e in kept])
+    return sum([m << (e - low) for m, e in kept]), low
+
+
 class FloatRing:
     """Real mpf scalars of one context; Series data are their raw libmp values."""
 
@@ -408,32 +449,28 @@ class FloatRing:
         return [self.zero] + [div(x, m._mpf_, *self._rounding) for x, m in zip(data, nums)]
 
     def product(self, a, b, n: int) -> list:
-        """sum a_i b_j x^(i+j) up to x^n over the nonzero terms of both
-        operands, each output coefficient in the order of the left index i:
-        a skipped term is an exact zero, so the rounding is that of the full
-        O(n^2) loop on mpf objects."""
-        plus, times, (prec, rnd), zero = self.arith.add, self.arith.mul, self._rounding, self.zero
-        right = [(j, y) for j, y in enumerate(b[:n + 1]) if y != zero]
-        out = [zero] * (n + 1)
-        for i, x in enumerate(a[:n + 1]):
-            if x == zero:
-                continue
-            for j, y in right:
-                if i + j > n:
-                    break
-                out[i + j] = plus(out[i + j], times(x, y, prec, rnd), prec, rnd)
-        return out
+        """sum a_i b_(k-i) for k <= n, each one ``_exact_sum`` rounded once,
+        over the nonzero terms of the operand with more zeros (a constant
+        or a polynomial times a series takes a term or two per coefficient)."""
+        (prec, rnd), xs, ys = self._rounding, _parts(a[:n + 1]), _parts(b[:n + 1])
+        if xs.count(None) < ys.count(None):
+            xs, ys = ys, xs
+        nonzero = [(i, x) for i, x in enumerate(xs) if x]
+        return [from_man_exp(*_exact_sum([(x, y) for i, x in nonzero
+                                          if i <= k and (y := ys[k - i])], prec), prec, rnd)
+                for k in range(n + 1)]
 
     def quotient(self, f, g, n: int) -> list:
-        """q_k = (f_k - sum_{j<k} q_j g_{k-j}) (1/g_0) for k <= n, each sum in
-        the order of j."""
-        ar, f, g = self.arith, f.data[:n + 1], g.data[:n + 1]
-        minus, times, prec, rnd = ar.sub, ar.mul, ar.prec, ar.rnd
-        inv0, out = ar.div(ar.operand(1), g[0], prec, rnd), []
-        for k, acc in enumerate(f):
-            for j in range(k):
-                acc = minus(acc, times(out[j], g[k - j], prec, rnd), prec, rnd)
-            out.append(times(acc, inv0, prec, rnd))
+        """q_k = (f_k - sum_{j<k} q_j g_{k-j}) / g_0 for k <= n: the sum one
+        ``_exact_sum`` over f_k and the rounded q_j, then one division."""
+        (prec, rnd), div, g0 = self._rounding, self.arith.div, g.data[0]
+        fs, gs = _parts(f.data[:n + 1]), _parts(g.data[n:0:-1])
+        out, qs = [], []
+        for k, x in enumerate(fs):
+            terms = [(q, y) for q, y in zip(qs, gs[n - k:]) if q and y]
+            man, e = _exact_sum(terms + [(x, _MINUS_ONE)] if x else terms, prec)
+            out.append(div(from_man_exp(-man, e), g0, prec, rnd))
+            qs += _parts(out[-1:])
         return out
 
     def value(self, data, x):
@@ -447,7 +484,13 @@ class FloatRing:
         return self.made(acc)
 
     def max_abs(self, data):
-        return max(map(abs, self.coeffs(data)))
+        """The first largest |c_n|, each rounded as mpf's abs rounds it."""
+        size, gt, (prec, rnd), top = self.arith.abs, self.arith.gt, self._rounding, self.zero
+        for x in data:
+            x = size(x, prec, rnd)
+            if gt(x, top):
+                top = x
+        return self.made(top)
 
     def factorial(self, pairs, nums, N: int, g=None, lead: int = 0) -> list:
         """(w_n g_n) / {n}!, rounded in that order, w_n the prefix products of

@@ -26,21 +26,22 @@ its stop rule.  Both run in the ``Arith`` of the sum's scalars
 with the calls, order and rounding of mpf's own operators (so every result
 is bit-identical to the operator loop), others on operators; so does the
 Jackson node sum ``node_sum``, which sums on objects where a term is no real
-mpf.  Fraction endpoints and nodes take the integer-pair ``Arith``
-(``PAIRS``): partial sums over the lcm of the term denominators, stop tests
-by cross-multiplication against the exact tol, one Fraction at the end, and
-a sum on objects where f gives no int or Fraction.  Point sums never take
-it (``arith_of`` does not return it).  What does not depend on x (the kinds
-of the pairs, {n+1}.. from the raw table and the majorant at |x| = 1) is
-looked up once per call, in a bounded cache (``_point_setup``).  For
-30-digit E(2, 1/4; x, 1/2) at (1, 3), at the 123 nodes of its Jackson
+mpf.  Int or Fraction endpoints and Fraction nodes take the integer-pair
+``Arith`` (``PAIRS``): partial sums over the lcm of the term denominators,
+stop tests by cross-multiplication against the exact tol, one Fraction at
+the end, and a sum on objects where f gives no int or Fraction.  Point sums
+never take it (``arith_of`` does not return it).  What does not depend on
+x (the kinds of the pairs, {n+1}.. from the raw table and the majorant at
+|x| = 1) is looked up once per call, in a bounded cache (``_point_setup``).
+For 30-digit E(2, 1/4; x, 1/2) at (1, 3), at the 123 nodes of its Jackson
 integral over [1/4, 3/4], a point sum takes about 26 us per node (Python
 3.11, mpmath's pure-Python libmp, 4.3 terms a sum), where a chain of one
 iterator per factor, term and ratio took 49 us.  One raw ``Arith`` serves
 each context (``_raw_arith``), and the float coefficient ring
-(``_rings.FloatRing``) runs its series kernels in the same table.  {n} has
-one recurrence (``st_numbers``), in any Arith; ``_number_table`` is its
-cached raw prefix, keyed by (s, t, Arith).
+(``_rings.FloatRing``) runs its series kernels in the same table, but for
+the integer sums of its products and quotients.  {n} has one recurrence
+(``st_numbers``), in any Arith; ``_number_table`` is its cached raw
+prefix, keyed by (s, t, Arith).
 """
 
 from collections import namedtuple
@@ -281,10 +282,11 @@ class _ObjectTerm(Exception):
 
 def node_sum(f, a, p, q, tol=DEFAULT_TOL):
     """sum_k w f(w a) over the nodes w = q^k/p^{k+1}, one ``stable_sum``: on
-    integer pairs (``PAIRS``) when a, p, q are Fractions and tol is exact, in
-    the ``Arith`` of a, p and q otherwise, and on objects where a term is
-    none of the Arith's scalars."""
-    exact = type(a) is type(p) is type(q) is Fraction and type(tol) in (float, int, Fraction)
+    integer pairs (``PAIRS``) when a is an int or a Fraction, p and q are
+    Fractions and tol is exact, in the ``Arith`` of a, p and q otherwise,
+    and on objects where a term is none of the Arith's scalars."""
+    exact = type(a) in (int, Fraction) and type(p) is type(q) is Fraction and \
+        type(tol) in (float, int, Fraction)
     arith = PAIRS if exact else arith_of(a, p, q)
     try:
         return stable_sum(_node_terms(f, a, p, q, arith), tol, "pq_integral", arith)[0]

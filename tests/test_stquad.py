@@ -498,6 +498,25 @@ class TestNodeSumsMatchObjectLoop:
                 assert_same_node_sums(got, sums, [_oracle_pq(f, a, p, q, tol)])
 
     @pytest.mark.parametrize("kind", INTEGRANDS)
+    def test_pq_integral_at_int_endpoints(self, params, tol, kind, sums, monkeypatch):
+        # an int endpoint sums on integer pairs where the nodes are Fractions
+        from stpanto import _stable
+        kinds = []
+
+        def terms(*args, _terms=_stable._node_terms):
+            kinds.append(args[-1])
+            return _terms(*args)
+        monkeypatch.setattr(_stable, "_node_terms", terms)
+        f, phi, phi_prime = INTEGRANDS[kind], params.phi, params.phi_prime
+        for a in [1, -2, 3]:
+            for p, q in [(phi, phi_prime), (phi_prime, phi)]:
+                sums.clear()
+                kinds.clear()
+                got = pq_integral(f, a, p, q, tol)
+                assert_same_node_sums(got, sums, [_oracle_pq(f, a, p, q, tol)])
+                assert (kinds[0] is _stable.PAIRS) == params.rational
+
+    @pytest.mark.parametrize("kind", INTEGRANDS)
     def test_st_integral_of_a_callable(self, params, tol, kind, sums):
         f = INTEGRANDS[kind]
         if params.rational and kind == "other-context":  # no exact reading of an mpf

@@ -7,6 +7,7 @@ from itertools import accumulate, islice
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp
 
 from stpanto import identities
 from stpanto._rings import RATIONAL, _coalesced, _convolution, _lcm, _reduced
@@ -112,17 +113,42 @@ def schoolbook(a, b):
     return [sum((a[i] * b[k - i] for i in range(k + 1)), F(0)) for k in range(n + 1)]
 
 
-def left_loop(f, g):
-    """The float product as a full loop over the left operand's nonzero
-    terms and every term of the right one."""
+def exact(v):
+    """A float-backend scalar as the Fraction of its raw value."""
+    sign, man, exp, _ = v._mpf_
+    return F(-man if sign else man) * F(2) ** exp
+
+
+def assert_rounded_once(got, sums, prec, divisor=F(1)):
+    """The bound of ``FloatRing.product`` and ``quotient``: each coefficient
+    lies within 1/2 ulp of itself plus 2^-(prec + 24) of its largest exact
+    term over |divisor| of the exact sum of its terms over divisor (each
+    skipped term is below 2^-(prec + 24) of the largest over the count of
+    terms, so all of them are below 2^-(prec + 24) of it)."""
+    assert len(got) == len(sums)
+    for c, terms in zip(got, sums):
+        _, man, exp, bc = c._mpf_
+        half_ulp = F(2) ** (exp + bc - prec - 1) if man else 0
+        slack = max(map(abs, terms), default=F(0)) / abs(divisor) / 2 ** (prec + 24)
+        assert abs(exact(c) - sum(terms, F(0)) / divisor) <= half_ulp + slack
+
+
+def assert_product_rounded_once(f, g):
+    """f g against the exact products a_i b_(k-i) of the raw inputs."""
+    a, b = [exact(c) for c in f.coeffs], [exact(c) for c in g.coeffs]
     n = min(f.order, g.order)
-    out = [f.params.zero()] * (n + 1)
-    for i, a in enumerate(f.coeffs[:n + 1]):
-        if a == 0:
-            continue
-        for j in range(n + 1 - i):
-            out[i + j] += a * g.coeffs[j]
-    return out
+    assert_rounded_once((f * g).coeffs, [[a[i] * b[k - i] for i in range(k + 1)]
+                                         for k in range(n + 1)], f.params.ctx.prec)
+
+
+def assert_quotient_rounded_once(f, g):
+    """Each q_k of f / g against the exact step (f_k - sum_{j<k} q_j g_(k-j))
+    / g_0 from the raw inputs and the rounded q_j before it."""
+    got = (f / g).coeffs
+    a, b, q = ([exact(c) for c in xs] for xs in (f.coeffs, g.coeffs, got))
+    assert len(got) == min(f.order, g.order) + 1
+    assert_rounded_once(got, [[a[k]] + [-q[j] * b[k - j] for j in range(k)]
+                              for k in range(len(got))], f.params.ctx.prec, b[0])
 
 
 # Coefficients of every size: zeros, small fractions, and denominators of
@@ -148,6 +174,17 @@ float_coeff = st.one_of(st.just(F(0)), st.builds(
     lambda m, e: m * F(2) ** e, st.integers(-2 ** 60, 2 ** 60), st.integers(-200, 140)))
 float_operand = st.lists(float_coeff, min_size=1, max_size=21)
 mixed_operand = st.one_of(product_operand, float_operand)
+# Exponent spreads of thousands of bits; mantissas of up to 200 bits,
+# rounded to the precision as they enter a Series.
+wide_coeff = st.one_of(st.just(F(0)), st.builds(
+    lambda m, e: m * F(2) ** e, st.integers(-2 ** 200, 2 ** 200), st.integers(-3000, 3000)))
+wide_operand = st.lists(wide_coeff, min_size=1, max_size=21)
+# Runs of equal values, each run ending in a near-equal one v (1 + 2^-d):
+# their differences cancel to zero or to the last few bits.
+run_operand = st.lists(st.tuples(wide_coeff, st.integers(1, 3), st.integers(1, 400)),
+                       min_size=1, max_size=8).map(
+    lambda runs: [x for v, k, d in runs for x in [v] * k + [v + v / 2 ** d]][:21])
+difference = st.sampled_from([[1, -1], [1, -2, 1], [-1, 3, -3, 1]])
 
 
 def kronecker_low(xs, ys, m):
@@ -246,10 +283,29 @@ class TestExactProduct:
     @pytest.mark.parametrize("precision", [1, 30, 50])
     @given(a=mixed_operand, b=mixed_operand)
     @settings(max_examples=30, deadline=None)
-    def test_float_product_is_left_loop(self, precision, a, b):
+    def test_float_product_is_rounded_once(self, precision, a, b):
         p = golden_pair(1, 1, backend="float", precision=precision)
-        f, g = Series(p, a[:21]), Series(p, b[:21])
-        assert repr((f * g).coeffs) == repr(left_loop(f, g))
+        assert_product_rounded_once(Series(p, a[:21]), Series(p, b[:21]))
+
+    @pytest.mark.parametrize("precision", [1, 30, 50])
+    @given(a=st.one_of(wide_operand, run_operand), b=wide_operand, d=difference,
+           differ=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_float_product_over_wide_exponents_and_cancellation(self, precision, a, b, d,
+                                                                  differ):
+        # b, or a difference operator whose product with runs of equal
+        # values cancels, on either side; an exact sum does not depend on
+        # the order of its terms, so both sides give the same bits
+        p = golden_pair(1, 1, backend="float", precision=precision)
+        f, g = Series(p, a), Series(p, d + [0] * 20 if differ else b)
+        assert_product_rounded_once(f, g)
+        assert (f * g).data == (g * f).data
+
+    @pytest.mark.parametrize("s, t", [(1, 1), (2, 1), (1, 3)])
+    def test_float_pantograph_order_128(self, s, t):
+        p = golden_pair(s, t, backend="float", precision=30)
+        f = pantograph(p, PantographSpec(2, F(1, 2), F(-1, 3)), 128)
+        assert_product_rounded_once(f, deformed_exp(p, F(1, 3), 128))
 
 
 def quotient_loop(f, g):
@@ -323,11 +379,49 @@ class TestExactQuotient:
     @given(a=st.lists(st.one_of(product_coeff, float_coeff), min_size=25, max_size=41),
            b=st.lists(st.one_of(product_coeff, float_coeff), min_size=25, max_size=41))
     @settings(max_examples=8, deadline=None)
-    def test_float_quotient_is_recurrence(self, precision, a, b):
+    def test_float_quotient_is_rounded_once(self, precision, a, b):
         p = golden_pair(1, 1, backend="float", precision=precision)
         b[0] = b[0] or F(1)
-        f, g = Series(p, a), Series(p, b)
-        assert repr((f / g).coeffs) == repr(quotient_loop(f, g))
+        assert_quotient_rounded_once(Series(p, a), Series(p, b))
+
+    @pytest.mark.parametrize("precision", [1, 30, 50])
+    @given(a=st.one_of(wide_operand, run_operand), b=st.one_of(wide_operand, run_operand),
+           same=st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_float_quotient_over_wide_exponents_and_cancellation(self, precision, a, b, same):
+        # g / g = 1 cancels every sum f_k - sum q_j g_(k-j) after the first
+        p = golden_pair(1, 1, backend="float", precision=precision)
+        b[0] = b[0] or F(3, 7)
+        g = Series(p, b)
+        assert_quotient_rounded_once(g if same else Series(p, a), g)
+        if same:
+            assert (g / g).coeffs == [1] + [0] * g.order
+
+    def test_float_pantograph_by_deformed_exp_order_128(self):
+        p = golden_pair(1, 1, backend="float", precision=30)
+        f = pantograph(p, PantographSpec(2, F(1, 2), F(-1, 3)), 128)
+        assert_quotient_rounded_once(f, deformed_exp(p, F(1, 3), 128))
+
+
+# Exact raw values m 2^e (mantissas past the precision, so abs rounds) over
+# an exponent spread of 3,000 bits, and zeros.
+raw_values = st.lists(st.one_of(st.just((0, 0)), st.tuples(st.integers(-2 ** 200, 2 ** 200),
+                                                          st.integers(-1500, 1500))),
+                      min_size=1, max_size=12)
+
+
+@pytest.mark.parametrize("precision", [1, 30])
+@given(values=raw_values, ties=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_float_max_abs_is_the_object_max(precision, values, ties):
+    # with ties, every value is followed somewhere by its negation
+    p = golden_pair(1, 1, backend="float", precision=precision)
+    if ties:
+        values += [(-m, e) for m, e in reversed(values)]
+    f = Series(p, [p.ctx.make_mpf(from_man_exp(m, e)) for m, e in values])
+    want = max(map(abs, f.coeffs))
+    got = f.max_abs_coeff()
+    assert type(got) is type(want) and got._mpf_ == want._mpf_
 
 
 def horner_loop(f, x):
