@@ -4,7 +4,8 @@ of its Series are held and computed with.
 ``stnum.golden_pair`` builds one ring per Params, and every backend choice
 goes through it.  A ring has the scalar ``one``, the scalar helpers
 ``wrap``, ``log``, ``log_abs``, ``power`` (non-integer exponents), ``eq``
-and ``to_str``, and the Series kernels, each one call from ``stseries``.
+and ``to_str`` (``exact_str``: whether ``wrap`` reads each string back to
+its scalar), and the Series kernels, each one call from ``stseries``.
 A Series holds the ring's ``data``: ``data(scalars)`` builds it and
 ``coeffs(data)`` reads the scalars back; ``order``, ``window``, ``padded``,
 ``add``, ``scaled`` (by a scalar), ``times`` (c_n f_n), ``scale`` (u^n c_n),
@@ -20,7 +21,9 @@ Series equality needs no kernel: it compares coefficients with ``eq``.
   numerators), coefficient start + i being numerators[i] / D unreduced.
   Each D is a multiple of the ones before it, and a block ends where D's
   bit length has doubled: the denominators grow like phi^(n^2/2), too fast
-  for one D per series (FLINT's fmpq_poly).  Sums and scalar products take
+  for one D per series (FLINT's fmpq_poly).  A block is lifted to its D
+  from its end (``_multipliers``), so only denominators that do not nest
+  take a full division.  Sums and scalar products take
   one common-D test per pair of blocks; a zero is a block of zero
   numerators.  ``scale`` is ``_times`` of the integer pairs (p^n, q^n) of
   u = p/q, and ``antiderive`` lifts a block by the lcm of the numerators of
@@ -46,10 +49,12 @@ Series equality needs no kernel: it compares coefficients with ``eq``.
   precision in bits, 24 the guard bits ``_GUARD``), so a coefficient lies
   within 1/2 ulp (the context rounds to nearest) plus (number of skipped
   terms) 2^-(p + 24) of the largest term (over |g_0| in a quotient) of the
-  exact result of its raw inputs.  The other kernels run in the context's
-  one raw ``Arith`` (``_stable``), the table of the point sums, with the
-  calls, order and rounding of mpf's operators, so each of their results is
-  bit for bit that of the loop on mpf objects.  A complex scalar (phi when
+  exact result of its raw inputs (a lone term is one ``mul``).  Every
+  other kernel, ``factorial`` with its factor stream included, runs in the
+  context's one raw ``Arith`` (``_stable``), the table of the point sums,
+  with the calls, order and rounding of mpf's operators, so each of their
+  results is bit for bit that of the loop on mpf objects; no kernel makes
+  an mpf but to hand back a scalar.  A complex scalar (phi when
   s^2 + 4t < 0) is refused with BackendMismatch wherever it would enter.
 """
 
@@ -57,9 +62,9 @@ import math
 from fractions import Fraction
 from functools import partial
 from itertools import chain, islice, repeat
-from operator import eq, truediv
+from operator import eq, mul
 
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import finf, fninf, from_man_exp
 
 from ._stable import PAIRS, _lcm, _raw_arith, factors, powers, weights
 from .errors import BackendMismatch, StInputError
@@ -135,9 +140,22 @@ def _coalesced(pieces) -> list[tuple[int, int, list[int]]]:
 
 def _lifted(run, den: int) -> tuple[int, int, list[int]]:
     nums = []
-    for _, d, xs in run:
-        nums += xs if d == den else [x * m for m in (den // d,) for x in xs]
+    for (_, _, xs), m in zip(run, _multipliers([d for _, d, _ in run], den)):
+        nums += xs if m == 1 else [x * m for x in xs]
     return run[0][0], den, nums
+
+
+def _multipliers(dens, den: int) -> list[int]:
+    """den / d for each d of ``dens`` (each dividing den), from the last: den /
+    d' times d' / d where d divides the d' after it, else one division; a d
+    of 1 (a zero's) is den and breaks no chain."""
+    out, last, m = [], den, 1
+    for d in reversed(dens):
+        if d != last and d != 1:
+            q, r = divmod(last, d)
+            m, last = m * q if r == 0 else den // d, d
+        out.append(den if d == 1 else m)
+    return out[::-1]
 
 
 def _window(blocks, lo: int, hi: int) -> list:
@@ -269,6 +287,7 @@ class RationalRing:
     one = Fraction(1)
     eq = staticmethod(eq)
     to_str = staticmethod(str)
+    exact_str = True
 
     def log(self, x):
         raise BackendMismatch("log is not available in the rational backend")
@@ -282,17 +301,18 @@ class RationalRing:
     def data(self, coeffs: list) -> list:
         """The blocks that ``_coalesced`` makes of one piece (n, d, [x]) per
         coefficient x/d (a zero takes d = 1), in one pass."""
-        blocks, run, start, den, limit = [], [], 0, 1, 2 * _BLOCK_BITS
+        blocks, xs, ds, start, den, limit = [], [], [], 0, 1, 2 * _BLOCK_BITS
         for n, c in enumerate(coeffs):
             x, d = c.as_integer_ratio()
             if den % d:
                 grown = _lcm(den, d)
-                if grown.bit_length() > limit and run:
-                    blocks.append((start, den, [y * (den // e) for y, e in run]))
-                    run, start, limit = [], n, 2 * max(den.bit_length(), _BLOCK_BITS)
+                if grown.bit_length() > limit and xs:
+                    blocks.append((start, den, list(map(mul, xs, _multipliers(ds, den)))))
+                    xs, ds, start, limit = [], [], n, 2 * max(den.bit_length(), _BLOCK_BITS)
                 den = grown
-            run.append((x, d))
-        blocks.append((start, den, [y * (den // e) for y, e in run]))
+            xs.append(x)
+            ds.append(d)
+        blocks.append((start, den, list(map(mul, xs, _multipliers(ds, den)))))
         return blocks
 
     def coeffs(self, blocks) -> list:
@@ -357,6 +377,7 @@ RATIONAL = RationalRing()
 # the largest over their count.
 _GUARD = 24
 _MINUS_ONE = (-1, 0, 1)  # the part of -1
+_INFINITIES = (finf, fninf)
 
 
 def _parts(data) -> list:
@@ -383,6 +404,8 @@ def _exact_sum(terms, prec: int) -> tuple[int, int]:
 
 class FloatRing:
     """Real mpf scalars of one context; Series data are their raw libmp values."""
+
+    exact_str = False  # to_str keeps the declared digits only
 
     def __init__(self, ctx, precision: int):
         self.ctx, self.precision, self.wrap = ctx, precision, partial(_as_mpf, ctx)
@@ -432,7 +455,8 @@ class FloatRing:
         return [self.arith.add(x, y, *self._rounding) for x, y in zip(a[:n + 1], b[:n + 1])]
 
     def scaled(self, data, w) -> list:
-        return self.times(data, repeat(w))
+        mul, (prec, rnd), w = self.arith.mul, self._rounding, w._mpf_
+        return [mul(x, w, prec, rnd) for x in data]
 
     def scale(self, data, u) -> list:
         """u^n c_n, the raw powers of u rounded as mpf's loop rounds them."""
@@ -450,12 +474,17 @@ class FloatRing:
 
     def product(self, a, b, n: int) -> list:
         """sum a_i b_(k-i) for k <= n, each one ``_exact_sum`` rounded once,
-        over the nonzero terms of the operand with more zeros (a constant
-        or a polynomial times a series takes a term or two per coefficient)."""
-        (prec, rnd), xs, ys = self._rounding, _parts(a[:n + 1]), _parts(b[:n + 1])
+        over the nonzero terms of the operand with more zeros (a polynomial
+        times a series takes a few terms per coefficient, and a monomial one
+        ``mul``, the lone term's exact sum rounded)."""
+        (prec, rnd), a, b = self._rounding, a[:n + 1], b[:n + 1]
+        xs, ys = _parts(a), _parts(b)
         if xs.count(None) < ys.count(None):
-            xs, ys = ys, xs
+            (a, xs), (b, ys) = (b, ys), (a, xs)
         nonzero = [(i, x) for i, x in enumerate(xs) if x]
+        if len(nonzero) == 1:  # each coefficient a lone term: its product, rounded once
+            (i, _), = nonzero
+            return [self.zero] * i + [self.arith.mul(a[i], y, prec, rnd) for y in b[:n + 1 - i]]
         return [from_man_exp(*_exact_sum([(x, y) for i, x in nonzero
                                           if i <= k and (y := ys[k - i])], prec), prec, rnd)
                 for k in range(n + 1)]
@@ -484,18 +513,28 @@ class FloatRing:
         return self.made(acc)
 
     def max_abs(self, data):
-        """The first largest |c_n|, each rounded as mpf's abs rounds it."""
-        size, gt, (prec, rnd), top = self.arith.abs, self.arith.gt, self._rounding, self.zero
-        for x in data:
-            x = size(x, prec, rnd)
-            if gt(x, top):
-                top = x
-        return self.made(top)
+        """The first largest |c_n|, as mpf's abs and > find it, on raw values:
+        the highest leading bit e + bc (an infinity above all, 0 and nan
+        below), then among those the mantissa aligned to their lowest e."""
+        tops = [e + bc if m else math.inf if (s, m, e, bc) in _INFINITIES else -math.inf
+                for s, m, e, bc in data]
+        top = max(tops, default=-math.inf)
+        if top == -math.inf:
+            return self.made(self.zero)
+        ties = [x for x, t in zip(data, tops) if t == top]
+        low = min(e for _, _, e, _ in ties)
+        return self.made(self.arith.abs(max(ties, key=lambda x: x[1] << (x[2] - low)),
+                                        *self._rounding))
 
     def factorial(self, pairs, nums, N: int, g=None, lead: int = 0) -> list:
         """(w_n g_n) / {n}!, rounded in that order, w_n the prefix products of
-        ``lead`` ints 1 then the ``factors`` of the pairs."""
-        c = weights(chain(repeat(1, lead), factors(pairs)), N, self.one)
+        ``lead`` ones then the ``factors`` of the pairs: mpf's loop on raw
+        values.  The r's are read (a complex one refused) only if f_1 is drawn."""
+        mul, (prec, rnd), one = self.arith.mul, self._rounding, self.one._mpf_
+        times = lambda x, y: mul(x, y, prec, rnd)
+        pairs = [(self.wrap(c), self.wrap(r) if N > lead + 1 else 1) for c, r in pairs]
+        w = weights(chain(repeat(one, lead), factors(pairs, self.arith)), N, one, times)
         if g is not None:
-            c = [cn * self.wrap(gn) for cn, gn in zip(c, g)]
-        return list(map(truediv, c, weights(nums[1:], N, self.one)))
+            w = [times(x, self.wrap(y)._mpf_) for x, y in zip(w, g)]
+        fact = weights((m._mpf_ for m in nums[1:]), len(w) - 1, one, times)
+        return [self.made(self.arith.div(x, d, prec, rnd)) for x, d in zip(w, fact)]

@@ -259,21 +259,24 @@ def _kind(c, r, one) -> str:
     return CONSTANT if r == one else POWERS if c == one else SCALED
 
 
-def factors(pairs):
-    """f_k = sum c r^k over one or two (c, r) ``pairs``, k = 0, 1, ...: a pair
-    (c, 1) gives the constant c and a pair (1, r) the ``powers`` of r; the
-    factors of (a (+) b)^n_{1,u} are the pairs (a, 1), (b, u), those of
-    (alpha (+) beta)^n_{phi,phi'} the pairs (alpha, phi), (beta, phi')."""
+def factors(pairs, arith=PLAIN):
+    """f_k = sum c r^k over one or two (c, r) ``pairs``, k = 0, 1, ..., in
+    ``arith``: a pair (c, 1) gives the constant c and a pair (1, r) the
+    ``powers`` of r; the factors of (a (+) b)^n_{1,u} are the pairs (a, 1),
+    (b, u), those of (alpha (+) beta)^n_{phi,phi'} the pairs (alpha, phi),
+    (beta, phi')."""
     kinds = [(_kind(c, r, 1), c, r) for c, r in pairs]
-    a, *b = (repeat(c) if kind is CONSTANT else powers(r) if kind is POWERS else
-             map(mul, repeat(c), powers(r)) for kind, c, r in kinds)
-    return map(add, a, *b) if b else a
+    times, plus, op = arith.mul, arith.add, arith.operand
+    rounding = repeat(arith.prec), repeat(arith.rnd)
+    a, *b = (repeat(op(c)) if kind is CONSTANT else powers(r, arith) if kind is POWERS else
+             map(times, repeat(op(c)), powers(r, arith), *rounding) for kind, c, r in kinds)
+    return map(plus, a, *b, *rounding) if b else a
 
 
-def weights(factors, n: int, one) -> list:
-    """[w_0, ..., w_n]: w_0 = one and w_{k+1} = w_k f_k, the prefix products
-    (the empty list for n = -1)."""
-    return list(islice(accumulate(factors, mul, initial=one), n + 1))
+def weights(factors, n: int, one, times=mul) -> list:
+    """[w_0, ..., w_n]: w_0 = one and w_{k+1} = times(w_k, f_k), the prefix
+    products (the empty list for n = -1)."""
+    return list(islice(accumulate(factors, times, initial=one), n + 1))
 
 
 class _ObjectTerm(Exception):

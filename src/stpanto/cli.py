@@ -233,8 +233,9 @@ def _cmd_solve(args) -> dict:
     blocks = {}
     if rep.solution is not None:
         blocks["solution"] = _solution_block(rep.solution, rep.closed_form)
-    blocks.update(_check_blocks(rep, [p.to_str(p.wrap(x)) for x in points],
-                                blocks.get("solution", {}).get("coeffs")))
+    # The strings as written; where they read back exactly, the report's own series.
+    written = None if p.ring.exact_str else blocks.get("solution", {}).get("coeffs")
+    blocks.update(_check_blocks(rep, [p.to_str(p.wrap(x)) for x in points], written))
     values = blocks["values"] if rep.solution is None else _point_values(rep.solution, points)
     if values:
         rows = zip(values, blocks["residual"]["points"])

@@ -575,8 +575,10 @@ def residual(problem: LinearProblem, y, sample_points: Sequence = (),
     beta = _as_series(problem.beta, p, order)
 
     def linear(at_x, at_ux, zero):
-        # a y(x) + b y(u x) at one level; a zero weight skips its (costly) term
-        return sum((w * f() for w, f in ((a, at_x), (b, at_ux)) if w != 0), zero)
+        # a y(x) + b y(u x) at one level; a zero weight skips its (costly) term.
+        # A Series multiplies on the left: mpf * Series first tries to
+        # convert the Series, through its repr.
+        return sum((f() * w for w, f in ((a, at_x), (b, at_ux)) if w != 0), zero)
 
     def point(x):
         lin = linear(lambda: y(x), lambda: y(u * x), p.zero())
@@ -586,7 +588,7 @@ def residual(problem: LinearProblem, y, sample_points: Sequence = (),
     if not is_series:
         return ResidualInfo(None, points)
     lin = linear(lambda: y, lambda: scale(y, u), Series.zero(p, order))
-    series_res = st_derive(y) - (alpha * lin + beta).truncated(order - 1)
+    series_res = st_derive(y) - (lin * alpha + beta).truncated(order - 1)
     return ResidualInfo(series_res.max_abs_coeff(), points)
 
 

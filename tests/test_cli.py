@@ -992,3 +992,25 @@ def test_import_leaves_cli_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == ["False", "False"]
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_solve_residual_reads_back_only_inexact_strings(monkeypatch, capsys, backend):
+    # a rational coefficient's string reads back to itself, so solve checks
+    # the report's own series, with the bits of the parsed strings; a float
+    # solve checks the strings it wrote, as verify does
+    seen, check = [], cli._check_blocks
+
+    def spy(rep, points, coeffs):
+        seen.append(coeffs)
+        blocks = check(rep, points, coeffs)
+        written = [rep.problem.params.to_str(c) for c in rep.solution.coeffs]
+        assert check(rep, points, written) == blocks
+        return blocks
+
+    monkeypatch.setattr(cli, "_check_blocks", spy)
+    code, doc = run_cli(capsys, "solve", "--family=integration-factor", "--s=3", "--t=-2",
+                        "--u=2", "--alpha=-1", "--beta=x^2", "--y0=3", "--order=16",
+                        "--points=1/5,2/5", f"--backend={backend}")
+    assert code == 0
+    assert seen == [None if backend == "rational" else doc["solution"]["coeffs"]]

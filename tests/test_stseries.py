@@ -2,7 +2,7 @@ import dataclasses
 import math
 import operator
 from fractions import Fraction as F
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp
 
 from stpanto import identities
-from stpanto._rings import RATIONAL, _coalesced, _convolution, _lcm, _reduced
-from stpanto._stable import powers
+from stpanto._rings import RATIONAL, _coalesced, _convolution, _exact_sum, _lcm, _parts, _reduced
+from stpanto._stable import factors, powers, weights
 from stpanto.errors import (
     BackendMismatch,
     NonInvertibleSeries,
@@ -23,11 +23,13 @@ from stpanto.errors import (
 )
 from stpanto.stfun import PantographSpec, deformed_exp, pantograph
 from stpanto.stnum import golden_pair, st_divisors, st_factorial, st_number
+from stpanto.stquad import pantograph_antiderivative_series
 from stpanto.stseries import (
     QPeriodic,
     Series,
     compose_ab,
     compose_deformed,
+    factorial_series,
     q_derive_at,
     scale,
     sq_int,
@@ -307,6 +309,22 @@ class TestExactProduct:
         f = pantograph(p, PantographSpec(2, F(1, 2), F(-1, 3)), 128)
         assert_product_rounded_once(f, deformed_exp(p, F(1, 3), 128))
 
+    @pytest.mark.parametrize("precision", [1, 30, 50])
+    @given(c=wide_coeff, k=st.integers(0, 20), b=st.one_of(wide_operand, mixed_operand))
+    @settings(max_examples=30, deadline=None)
+    def test_float_product_by_a_monomial_is_the_exact_sum_route(self, precision, c, k, b):
+        # c x^k times b, either side: one rounded mul per coefficient, the
+        # bits of the lone term's _exact_sum rounded once by from_man_exp
+        p = golden_pair(1, 1, backend="float", precision=precision)
+        f, g = Series.monomial(p, k, c, order=20), Series(p, b[:21])
+        n, (prec, rnd) = min(f.order, g.order), p.ctx._prec_rounding
+        xs, ys = _parts(f.data[:n + 1]), _parts(g.data[:n + 1])
+        want = [from_man_exp(*_exact_sum([(x, y) for i, x in enumerate(xs)
+                                          if x and i <= m and (y := ys[m - i])], prec), prec, rnd)
+                for m in range(n + 1)]
+        assert (f * g).data == want
+        assert (g * f).data == want
+
 
 def quotient_loop(f, g):
     """The quotient recurrence q_k = (f_k - sum_{j<k} q_j g_(k-j)) (1/g_0),
@@ -422,6 +440,22 @@ def test_float_max_abs_is_the_object_max(precision, values, ties):
     want = max(map(abs, f.coeffs))
     got = f.max_abs_coeff()
     assert type(got) is type(want) and got._mpf_ == want._mpf_
+
+
+@pytest.mark.parametrize("values", [
+    ["inf", 2, "-inf"], [3, "-inf", "inf"], ["nan", 1, -5], ["nan"], [0, "nan", 0],
+    [1, "nan", "-inf", 7], [3, 2.5], [2.5, -3], [-2.75, 3, 2.5], [1.5, -1.75, 1.625]])
+def test_float_max_abs_of_ties_infinities_and_nans(values):
+    # the raw compare ranks an infinity above every finite value and a nan
+    # nowhere, as the loop of mpf's abs and > from 0 does; values with the
+    # same leading bit but mantissas of other lengths compare aligned
+    p = golden_pair(1, 1, backend="float", precision=30)
+    f = Series(p, [p.ctx.mpf(v) for v in values])
+    want = p.zero()
+    for c in f.coeffs:
+        if abs(c) > want:
+            want = abs(c)
+    assert f.max_abs_coeff()._mpf_ == want._mpf_
 
 
 def horner_loop(f, x):
@@ -760,23 +794,51 @@ def coalesced_data(coeffs):
     return _coalesced((i, c.denominator, [c.numerator]) for i, c in enumerate(coeffs))
 
 
+def assert_divided_lift(blocks, coeffs):
+    """Each numerator of a block (start, D, xs) is its coefficient x/d lifted
+    by one division, x (D // d): the multipliers that ``_rings._multipliers``
+    chains from the block's end."""
+    assert sum(len(xs) for _, _, xs in blocks) == len(coeffs)
+    for s, d, xs in blocks:
+        assert xs == [c.numerator * (d // c.denominator) for c in coeffs[s:s + len(xs)]]
+
+
+# Denominators that nest (powers of 2 and 6), runs of zeros between them,
+# and now and then one that does not nest (an odd prime or a big one).
+nesting_coeff = st.one_of(
+    st.just(F(0)), st.just(F(0)),
+    st.builds(lambda m, k: F(m, 2 ** k), st.integers(-9, 9), st.integers(0, 300)),
+    st.builds(lambda m, k: F(m, 6 ** k), st.integers(-9, 9), st.integers(0, 120)),
+    st.builds(F, st.integers(1, 9), st.sampled_from([3, 5, 7, 11, 2 ** 127 - 1])))
+
+
 class TestDataBlocks:
     """``RationalRing.data`` builds, in one pass, the very blocks of the
-    ``_coalesced`` route."""
+    ``_coalesced`` route, each numerator lifted as one division would."""
 
     E128 = pantograph(P32, PantographSpec(F(2), F(1, 2), F(1, 3)), 128).coeffs
 
-    @given(st.one_of(product_operand, st.lists(product_coeff, min_size=1, max_size=80)))
+    @given(st.one_of(product_operand, st.lists(product_coeff, min_size=1, max_size=80),
+                     st.lists(nesting_coeff, min_size=1, max_size=80)))
     @settings(max_examples=150, deadline=None)
     def test_random_lists(self, coeffs):
-        assert RATIONAL.data(coeffs) == coalesced_data(coeffs)
+        blocks = RATIONAL.data(coeffs)
+        assert blocks == coalesced_data(coeffs)
+        assert_divided_lift(blocks, coeffs)
 
     @pytest.mark.parametrize("coeffs", [
         [F(0), F(0), F(0), F(1, 2), F(-3, 7), F(5)],
         [F(1, 3), F(0), F(0), F(0), F(2, 9), F(0), F(1, 2 ** 300), F(0), F(0), F(-1, 3 ** 200)],
-        [F(0)] * 7, [F(0)], [F(-5, 11)], [F(7)], E128, [F(0)] * 3 + E128[3:]])
+        [F(0)] * 7, [F(0)], [F(-5, 11)], [F(7)], E128, [F(0)] * 3 + E128[3:],
+        # no denominator divides the next; then nesting ones across zero runs
+        [F(1, 3), F(1, 5), F(1, 7), F(1, 11), F(1, 13), F(2, 15), F(1, 2)],
+        [F(1, 2), F(0), F(0), F(3, 4), F(0), F(5, 8), F(0), F(0), F(0), F(1, 24), F(7)],
+        [F(1, 6), F(1, 4), F(1, 9), F(1, 12), F(0), F(1, 36), F(5), F(1, 2 ** 400)],
+        [c if k % 3 else F(0) for k, c in enumerate(E128)], E128[::-1]])
     def test_cases(self, coeffs):
-        assert RATIONAL.data(coeffs) == coalesced_data(coeffs)
+        blocks = RATIONAL.data(coeffs)
+        assert blocks == coalesced_data(coeffs)
+        assert_divided_lift(blocks, coeffs)
 
     def test_several_blocks(self):
         assert len(RATIONAL.data(self.E128)) > 1
@@ -822,6 +884,78 @@ class TestSameBlocks:
             want.append(c * w)
             w = w * u
         assert repr(scale(f, u).coeffs) == repr(want)
+
+    @pytest.mark.parametrize("precision", [1, 30, 50])
+    @given(a=mixed_operand, w=st.one_of(float_coeff, product_coeff))
+    @settings(max_examples=30, deadline=None)
+    def test_float_scaled_is_object_loop(self, precision, a, w):
+        p = golden_pair(1, 1, backend="float", precision=precision)
+        f, w = Series(p, a), p.wrap(w)
+        assert repr((f * w).coeffs) == repr([c * w for c in f.coeffs])
+        assert repr((-f).coeffs) == repr([c * -1 for c in f.coeffs])
+
+
+def factorial_loop(p, pairs, N, g=None, lead=0):
+    """The float factorial series on mpf objects: w_n the prefix products of
+    ``lead`` ints 1 then the object ``factors`` of the pairs, times g_n, each
+    over {n}! the prefix products of {1}, {2}, .., in that order."""
+    c = weights(chain(repeat(1, lead), factors(pairs)), N, p.one())
+    if g is not None:
+        c = [cn * p.wrap(gn) for cn, gn in zip(c, g)]
+    return list(map(operator.truediv, c, weights(st_divisors(p, N)[1:], N, p.one())))
+
+
+# A pair value: the int 1 (a constant or a powers pair) or a scalar to wrap.
+pair_value = st.one_of(st.just(1), float_coeff, product_coeff)
+
+
+class TestFloatFactorial:
+    """``FloatRing.factorial`` on raw values keeps every bit of the loop on
+    mpf objects it replaces."""
+
+    @pytest.mark.parametrize("precision", [1, 30, 50])
+    @given(pairs=st.lists(st.tuples(pair_value, pair_value), min_size=1, max_size=2),
+           N=st.integers(0, 40), lead=st.integers(0, 2),
+           g=st.none() | st.lists(st.one_of(float_coeff, product_coeff), max_size=45))
+    @settings(max_examples=40, deadline=None)
+    def test_is_object_loop(self, precision, pairs, N, lead, g):
+        p = golden_pair(1, 1, backend="float", precision=precision)
+        pairs = [tuple(v if type(v) is int else p.wrap(v) for v in pair) for pair in pairs]
+        got = p.ring.factorial(pairs, st_divisors(p, N), N, g, lead)
+        assert repr(got) == repr(factorial_loop(p, pairs, N, g, lead))
+
+    @pytest.mark.parametrize("precision", [1, 30, 50])
+    @pytest.mark.parametrize("s, t", [(1, 1), (2, 1), (1, 3)])
+    def test_golden_pairs(self, precision, s, t):
+        p = golden_pair(s, t, backend="float", precision=precision)
+        pairs = ((p.wrap(F(2, 3)), p.phi), (p.wrap(F(-5, 4)), p.phi_prime))
+        got = factorial_series(p, pairs, 64).coeffs
+        assert repr(got) == repr(factorial_loop(p, pairs, 64))
+
+    @pytest.mark.parametrize("precision", [1, 30, 50])
+    def test_lead_and_an_infinite_g(self, precision):
+        # the antiderivative's g = u / (a u + b), 1, 1, ..., with no end
+        p = golden_pair(2, 1, backend="float", precision=precision)
+        spec = PantographSpec(2, F(1, 2), F(-1, 3))
+        a, b, u = p.wrap(spec.a), p.wrap(spec.b), p.wrap(spec.u)
+        pairs = ((a, 1), (b, u))
+        want = factorial_loop(p, pairs, 64, chain([u / (a * u + b)], repeat(1)), lead=1)
+        got = p.ring.factorial(pairs, st_divisors(p, 64), 64,
+                               chain([u / (a * u + b)], repeat(1)), lead=1)
+        assert repr(got) == repr(want)
+        assert repr(pantograph_antiderivative_series(p, spec, 64).coeffs) == repr(want)
+
+    def test_complex_pair_is_refused_once_a_factor_is_drawn(self):
+        # at (1, -2) phi is complex; a series that draws no factor past
+        # f_0 = sum c (N <= lead + 1) has real coefficients
+        p = golden_pair(1, -2, backend="float")
+        pairs = ((p.wrap(1), p.phi), (p.wrap(F(1, 3)), p.phi_prime))
+        for N, lead in [(2, 0), (6, 0), (4, 2), (5, 1)]:
+            with pytest.raises(BackendMismatch, match="complex value"):
+                factorial_series(p, pairs, N, lead=lead)
+        for N, lead in [(0, 0), (1, 0), (2, 2), (3, 2), (1, 3)]:
+            got = factorial_series(p, pairs, N, lead=lead).coeffs
+            assert repr(got) == repr(factorial_loop(p, pairs, N, lead=lead))
 
 
 class TestSymbolicPowers:

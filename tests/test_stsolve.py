@@ -825,3 +825,23 @@ def test_numeric_mode_has_no_coefficient_residual():
         p, -p.one(), Series.monomial(p, 2, order=12), initial=1, eta=p.wrap("0.2"))
     rep = solve_integration_factor(prob, 12, points=[p.wrap("0.5")])
     assert rep.solution is None and rep.residual_coeff_max is None
+
+
+@pytest.mark.parametrize("family", ["series-linear", "integration-factor"])
+def test_float_residual_formats_no_series(monkeypatch, family):
+    # each scalar product of the coefficient residual has its Series on the
+    # left: mpf * Series first tries to convert the Series, through its repr
+    p = golden_pair(3, -2, backend="float")
+    if family == "series-linear":
+        prob = LinearProblem.series_linear(p, PantographSpec(1, F(-1, 2), F(1, 2)), 2,
+                                           Series(p, [1, -1, 3]), 1)
+        rep = solve_series_linear(prob, 16)
+    else:
+        prob = LinearProblem.integration_factor(p, PantographSpec(0, 1, 2), -1,
+                                                Series.monomial(p, 2, order=16), initial=3)
+        rep = solve_integration_factor(prob, 16)
+    calls = []
+    monkeypatch.setattr(Series, "__repr__", lambda self: calls.append(self) or "Series")
+    info = residual(rep.problem, rep.solution, sample_points=[p.wrap(F(1, 5))])
+    assert calls == []
+    assert info.coeff_max < 1e-20
