@@ -21,21 +21,23 @@ Series equality needs no kernel: it compares coefficients with ``eq``.
   numerators), coefficient start + i being numerators[i] / D unreduced.
   Each D is a multiple of the ones before it, and a block ends where D's
   bit length has doubled: the denominators grow like phi^(n^2/2), too fast
-  for one D per series (FLINT's fmpq_poly).  A block is lifted to its D
-  from its end (``_multipliers``), so only denominators that do not nest
-  take a full division.  Sums and scalar products take
-  one common-D test per pair of blocks; a zero is a block of zero
-  numerators.  ``scale`` is ``_times`` of the integer pairs (p^n, q^n) of
-  u = p/q, and ``antiderive`` lifts a block by the lcm of the numerators of
-  its {n+1}: neither makes a Fraction.
+  for one D per series (FLINT's fmpq_poly).  Every block list is built by
+  ``_coalesced``, a coefficient list's (``data``) as one piece per
+  coefficient, and a block is lifted to its D from its end
+  (``_multipliers``), so only denominators that do not nest take a full
+  division.  Sums and scalar products take one common-D test per pair of
+  blocks; a zero is a block of zero numerators.  ``scale`` is ``_times`` of
+  the integer pairs (p^n, q^n) of u = p/q, and ``antiderive`` lifts a block
+  by the lcm of the numerators of its {n+1}: neither makes a Fraction.
   Products, antiderivatives and compositions divide each block by the gcd
   of its D and numerators.  A product is one schoolbook integer
-  convolution per pair of blocks: as a block ends where D doubles in bits,
+  convolution per pair of blocks (``_convolution``, which also multiplies
+  the parser's Fraction lists): as a block ends where D doubles in bits,
   most blocks hold a dozen or so coefficients, too few for packing them
   into one big integer (Kronecker substitution) to pay for its packing and
   full-length multiply.  ``value`` is one integer Horner sum per block
-  over a single division.  A quotient is built
-  from Series products at every order: Newton iteration takes 1/g to order
+  over a single division.  A quotient is built from Series products at
+  every order: Newton iteration takes 1/g to order
   N/2 (Brent and Kung, J. ACM 1978), and one last step on the quotient
   gives f/g to order N (Karp and Markstein, ACM TOMS 1997), the exact value
   of the recurrence that ``FloatRing.quotient`` runs.
@@ -52,17 +54,18 @@ Series equality needs no kernel: it compares coefficients with ``eq``.
   exact result of its raw inputs (a lone term is one ``mul``).  Every
   other kernel, ``factorial`` with its factor stream included, runs in the
   context's one raw ``Arith`` (``_stable``), the table of the point sums,
-  with the calls, order and rounding of mpf's operators, so each of their
-  results is bit for bit that of the loop on mpf objects; no kernel makes
-  an mpf but to hand back a scalar.  A complex scalar (phi when
-  s^2 + 4t < 0) is refused with BackendMismatch wherever it would enter.
+  with the calls, order and rounding of mpf's operators (the elementwise
+  ones one map, ``_each``), so each of their results is bit for bit that
+  of the loop on mpf objects; no kernel makes an mpf but to hand back a
+  scalar.  A complex scalar (phi when s^2 + 4t < 0) is refused with
+  BackendMismatch wherever it would enter.
 """
 
 import math
 from fractions import Fraction
 from functools import partial
 from itertools import chain, islice, repeat
-from operator import eq, mul
+from operator import eq
 
 from mpmath.libmp import finf, fninf, from_man_exp
 
@@ -118,39 +121,40 @@ _BLOCK_BITS = 128
 def _coalesced(pieces) -> list[tuple[int, int, list[int]]]:
     """Blocks (start, D, numerators) of contiguous pieces (start, d, xs) that
     hold the values xs / d.  D is the lcm of every d up to the block's end,
-    so each block's D is a multiple of the ones before it, and a piece's
-    leading zeros take no d.  A block ends where D's bit length would pass
-    twice what it was where the block began."""
+    so each block's D is a multiple of the ones before it.  A block ends
+    where D's bit length would pass twice what it was where the block began;
+    a piece whose d would grow D first gives its leading zeros d = 1."""
     blocks, run, den, limit = [], [], 1, 2 * _BLOCK_BITS
-    for s, d, xs in pieces:
-        zeros = next((i for i, x in enumerate(xs) if x), len(xs))
-        for piece in ((s, 1, xs[:zeros]), (s + zeros, d, xs[zeros:])) if zeros else [(s, d, xs)]:
-            if not piece[2]:
-                continue
-            if den % piece[1]:
-                grown = _lcm(den, piece[1])
-                if grown.bit_length() > limit and run:
-                    blocks.append(_lifted(run, den))
-                    run, limit = [], 2 * max(den.bit_length(), _BLOCK_BITS)
-                den = grown
-            run.append(piece)
+    for piece in pieces:
+        s, d, xs = piece
+        if den % d:
+            if not xs[0]:
+                zeros = next((i for i, x in enumerate(xs) if x), len(xs))
+                run.append((s, 1, xs[:zeros]))
+                if zeros == len(xs):
+                    continue
+                piece = s + zeros, d, xs[zeros:]
+            grown = den // math.gcd(den, d) * d
+            if grown.bit_length() > limit and run:
+                blocks.append(_lifted(run, den))
+                run, limit = [], 2 * max(den.bit_length(), _BLOCK_BITS)
+            den = grown
+        run.append(piece)
     blocks.append(_lifted(run, den))
     return blocks
 
 
 def _lifted(run, den: int) -> tuple[int, int, list[int]]:
-    nums = []
-    for (_, _, xs), m in zip(run, _multipliers([d for _, d, _ in run], den)):
-        nums += xs if m == 1 else [x * m for x in xs]
-    return run[0][0], den, nums
+    ms = _multipliers(run, den)
+    return run[0][0], den, [x * m for (_, _, xs), m in zip(run, ms) for x in xs]
 
 
-def _multipliers(dens, den: int) -> list[int]:
-    """den / d for each d of ``dens`` (each dividing den), from the last: den /
-    d' times d' / d where d divides the d' after it, else one division; a d
-    of 1 (a zero's) is den and breaks no chain."""
+def _multipliers(run, den: int) -> list[int]:
+    """den / d for the d of each piece of ``run`` (each dividing den), from
+    the last: den / d' times d' / d where d divides the d' after it, else one
+    division; a d of 1 (a zero's) is den and breaks no chain."""
     out, last, m = [], den, 1
-    for d in reversed(dens):
+    for _, d, _ in reversed(run):
         if d != last and d != 1:
             q, r = divmod(last, d)
             m, last = m * q if r == 0 else den // d, d
@@ -218,10 +222,10 @@ def _reduced(blocks) -> list:
                        for s, d, xs in blocks for g in (math.gcd(d, *reversed(xs)),)])
 
 
-def _convolution(xs: list[int], ys: list[int], m: int) -> list[int]:
+def _convolution(xs: list, ys: list, m: int) -> list:
     """The first min(m, len(xs) + len(ys) - 1) coefficients of the product
-    of two integer polynomials, schoolbook: a zero of xs adds nothing, and
-    each row stops at the truncation."""
+    of two polynomials (integer or Fraction lists), schoolbook: a zero of xs
+    adds nothing, and each row stops at the truncation."""
     m = min(m, len(xs) + len(ys) - 1)
     out = [0] * m
     for i, x in enumerate(xs[:m]):
@@ -299,21 +303,9 @@ class RationalRing:
         return math.log(abs(x.numerator)) - math.log(x.denominator)
 
     def data(self, coeffs: list) -> list:
-        """The blocks that ``_coalesced`` makes of one piece (n, d, [x]) per
-        coefficient x/d (a zero takes d = 1), in one pass."""
-        blocks, xs, ds, start, den, limit = [], [], [], 0, 1, 2 * _BLOCK_BITS
-        for n, c in enumerate(coeffs):
-            x, d = c.as_integer_ratio()
-            if den % d:
-                grown = _lcm(den, d)
-                if grown.bit_length() > limit and xs:
-                    blocks.append((start, den, list(map(mul, xs, _multipliers(ds, den)))))
-                    xs, ds, start, limit = [], [], n, 2 * max(den.bit_length(), _BLOCK_BITS)
-                den = grown
-            xs.append(x)
-            ds.append(d)
-        blocks.append((start, den, list(map(mul, xs, _multipliers(ds, den)))))
-        return blocks
+        """``_coalesced`` of one piece (n, d, [x]) per coefficient x/d."""
+        ratios = map(Fraction.as_integer_ratio, coeffs)
+        return _coalesced([(n, d, [x]) for n, (x, d) in enumerate(ratios)])
 
     def coeffs(self, blocks) -> list:
         return [Fraction(x, d) for _, d, xs in blocks for x in xs]
@@ -402,6 +394,11 @@ def _exact_sum(terms, prec: int) -> tuple[int, int]:
     return sum([m << (e - low) for m, e in kept]), low
 
 
+def _each(op, data, ws, prec: int, rnd: str) -> list:
+    """op(x, w) of each raw value x and its w, rounded as mpf's operators round."""
+    return [op(x, w, prec, rnd) for x, w in zip(data, ws)]
+
+
 class FloatRing:
     """Real mpf scalars of one context; Series data are their raw libmp values."""
 
@@ -452,25 +449,21 @@ class FloatRing:
         return data
 
     def add(self, a, b, n: int) -> list:
-        return [self.arith.add(x, y, *self._rounding) for x, y in zip(a[:n + 1], b[:n + 1])]
+        return _each(self.arith.add, a[:n + 1], b, *self._rounding)
 
     def scaled(self, data, w) -> list:
-        mul, (prec, rnd), w = self.arith.mul, self._rounding, w._mpf_
-        return [mul(x, w, prec, rnd) for x in data]
+        return _each(self.arith.mul, data, repeat(w._mpf_), *self._rounding)
 
     def scale(self, data, u) -> list:
         """u^n c_n, the raw powers of u rounded as mpf's loop rounds them."""
-        mul, (prec, rnd) = self.arith.mul, self._rounding
-        return [mul(x, w, prec, rnd) for x, w in zip(data, powers(u, self.arith))]
+        return _each(self.arith.mul, data, powers(u, self.arith), *self._rounding)
 
     def times(self, data, fs) -> list:
         """c_n f_n, each f_n a scalar or an int."""
-        mul, op = self.arith.mul, self.arith.operand
-        return [mul(x, op(f), *self._rounding) for x, f in zip(data, fs)]
+        return _each(self.arith.mul, data, map(self.arith.operand, fs), *self._rounding)
 
     def antiderive(self, data, nums) -> list:
-        div = self.arith.div
-        return [self.zero] + [div(x, m._mpf_, *self._rounding) for x, m in zip(data, nums)]
+        return [self.zero] + _each(self.arith.div, data, [m._mpf_ for m in nums], *self._rounding)
 
     def product(self, a, b, n: int) -> list:
         """sum a_i b_(k-i) for k <= n, each one ``_exact_sum`` rounded once,

@@ -7,6 +7,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from ._rings import _convolution
 from .errors import BackendMismatch, DegreeOverflow, ExpressionSyntaxError
 from .stnum import Params, _as_fraction
 from .stseries import DEFAULT_ORDER, Series
@@ -43,8 +44,9 @@ class _Parser:
     """Recursive descent over: expr := [sign] term ((+|-) term)*;
     term := factor ('*'? factor)*; factor := number ['/' number]
     | 'x' ['^' nat] | '(' expr ')', parentheses at most MAX_NESTING deep.
-    Values are dense Fraction lists, index d holding the coefficient of x^d;
-    their length is the written degree plus one, capped at max_degree + 1."""
+    Values are dense lists of Fractions (and the int zeros a product leaves),
+    index d holding the coefficient of x^d; their length is the written
+    degree plus one, capped at max_degree + 1."""
 
     def __init__(self, text: str, max_degree: int):
         self.tokens = _tokenize(text)
@@ -95,11 +97,7 @@ class _Parser:
                 # so the product's degree is the sum of the operands' degrees.
                 self._check_degree(_degree(acc) + _degree(rhs))
                 top = self.max_degree
-            out = [_ZERO] * (top + 1)
-            for i, x in enumerate(acc):
-                for j, y in enumerate(rhs[:top + 1 - i] if x else ()):
-                    out[i + j] += x * y
-            acc = out
+            acc = _convolution(acc, rhs, top + 1)
         return acc
 
     def _check_degree(self, degree: int):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from ._stable import DEFAULT_TOL, factors, point_sum, powers, weights
 from .errors import ConvergenceFailure
-from .stnum import Params
+from .stnum import Params, nonnegative
 from .stseries import Series, factorial_series
 
 
@@ -50,13 +50,13 @@ class PantographSpec:
 
 def oplus_delay_pow(a, b, u, n: int):
     """(a (+) b)^n_{1,u} = prod_{k<n} (a + b u^k)."""
-    return weights(factors(((a, 1), (b, u))), n, a * 0 + 1)[n]
+    return weights(factors(((a, 1), (b, u))), nonnegative(n), a * 0 + 1)[n]
 
 
 def oplus_golden_pow(params: Params, alpha, beta, n: int):
     """(alpha (+) beta)^n_{phi,phi'} = prod_{k<n} (alpha phi^k + beta phi'^k)."""
     pairs = ((params.wrap(alpha), params.phi), (params.wrap(beta), params.phi_prime))
-    return weights(factors(pairs), n, params.one())[n]
+    return weights(factors(pairs), nonnegative(n), params.one())[n]
 
 
 # -- pantograph function and its specializations ----------------------------
@@ -121,7 +121,7 @@ def partial_theta(x, y, tol: float = DEFAULT_TOL):
 
 def partial_theta_series(y, N: int) -> list:
     """[y^C(n,2) for n <= N]: the coefficient sequence of Theta0(., y)."""
-    return weights(powers(y), N, y * 0 + 1)
+    return weights(powers(y), nonnegative(N, "N"), y * 0 + 1)
 
 
 def psi_theta(q, tol: float = DEFAULT_TOL):

@@ -74,15 +74,14 @@ def st_integral(f: Integrand, interval: QInterval, tol: float = DEFAULT_TOL):
 def pq_integral(f: Callable, a, p, q, tol: float = DEFAULT_TOL):
     """The two-branch (p, q)-integral of f over [0, a].
 
-    |p/q| > 1: (p - q) a sum_k q^k/p^{k+1} f(a q^k/p^{k+1});
-    |p/q| < 1: the same with p and q exchanged.
+    |p| > |q| (q = 0 included): (p - q) a sum_k q^k/p^{k+1} f(a q^k/p^{k+1});
+    |p| < |q|: the same with p and q exchanged.
     """
     if a == 0:
         return a * 0
-    ratio = abs(p / q)
-    if ratio == 1:
-        raise DegenerateRatio(f"(p, q)-integral needs |p/q| != 1, got p = {p}, q = {q}")
-    if ratio < 1:
+    if abs(p) == abs(q):
+        raise DegenerateRatio(f"(p, q)-integral needs |p| != |q|, got p = {p}, q = {q}")
+    if abs(p) < abs(q):
         p, q = q, p
     return (p - q) * a * node_sum(f, a, p, q, tol)
 

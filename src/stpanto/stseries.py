@@ -107,7 +107,7 @@ class Series:
 
     @classmethod
     def monomial(cls, params: Params, k: int, coeff=1, order: int | None = None) -> "Series":
-        c = [params.zero()] * ((k if order is None else max(order, k)) + 1)
+        c = [params.zero()] * (max(nonnegative(k, "k"), order or 0) + 1)
         c[k] = coeff
         return cls(params, c)
 

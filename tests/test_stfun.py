@@ -1036,6 +1036,19 @@ def test_negative_order_is_refused(params, N):
             call()
 
 
+@pytest.mark.parametrize("call, name, n", [
+    (lambda: Series.monomial(P32, -1), "k", -1),
+    (lambda: Series.monomial(P32, -1, order=4), "k", -1),
+    (lambda: oplus_delay_pow(1, 1, 1, -1), "n", -1),
+    (lambda: oplus_golden_pow(P32, 1, 1, -2), "n", -2),
+    (lambda: partial_theta_series(0.5, -2), "N", -2),
+], ids=["monomial", "monomial-order", "oplus-delay", "oplus-golden", "partial-theta"])
+def test_negative_index_is_refused(call, name, n):
+    # each index goes through stnum.nonnegative, as the orders above do
+    with pytest.raises(IndexOutOfRange, match=rf"^{name} = {n} must be nonnegative$"):
+        call()
+
+
 # -- cached raw state: the {n} tables and one Arith per context ------------------
 
 

@@ -135,6 +135,16 @@ class TestPqIntegral:
         with pytest.raises(DegenerateRatio):
             pq_integral(lambda x: x, F(1), F(1, 2), F(-1, 2))
 
+    @pytest.mark.parametrize("p, q", [(2, 0), (0, 2), (F(2), F(0)), (F(0), F(2))])
+    def test_zero_ratio_either_order(self, p, q):
+        # |p| and |q| choose the branch: q = 0 takes one node, p = 0 swaps to it
+        assert pq_integral(lambda x: x, 1, p, q) == F(1, 2)
+
+    @pytest.mark.parametrize("p, q", [(2, -2), (0, 0), (F(3, 2), F(-3, 2))])
+    def test_equal_moduli_are_degenerate(self, p, q):
+        with pytest.raises(DegenerateRatio):
+            pq_integral(lambda x: x, 1, p, q)
+
 
 class TestFundamentalTheorem:
     @pytest.mark.parametrize("n", range(9))

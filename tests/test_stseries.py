@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp
 
 from stpanto import identities
-from stpanto._rings import RATIONAL, _coalesced, _convolution, _exact_sum, _lcm, _parts, _reduced
+from stpanto._rings import (_BLOCK_BITS, RATIONAL, _coalesced, _convolution, _exact_sum, _lcm,
+                            _parts, _reduced)
 from stpanto._stable import factors, powers, weights
 from stpanto.errors import (
     BackendMismatch,
@@ -842,6 +843,64 @@ class TestDataBlocks:
 
     def test_several_blocks(self):
         assert len(RATIONAL.data(self.E128)) > 1
+
+
+def fraction_blocks(coeffs):
+    """The blocks of reduced Fractions, one index at a time: D is the lcm of
+    the denominators so far, and a block ends where D's bit length would pass
+    twice what it was where the block began (at least ``_BLOCK_BITS``)."""
+    blocks, start, den, limit = [], 0, 1, 2 * _BLOCK_BITS
+    for n, c in enumerate(coeffs):
+        grown = _lcm(den, c.denominator)
+        if grown != den and grown.bit_length() > limit and n > start:
+            blocks.append((start, den, [(x * den).numerator for x in coeffs[start:n]]))
+            start, limit = n, 2 * max(den.bit_length(), _BLOCK_BITS)
+        den = grown
+    return blocks + [(start, den, [(x * den).numerator for x in coeffs[start:]])]
+
+
+def contiguous(shapes):
+    """Pieces (start, d, zeros then 1 then tail) from (zeros, d, tail, zero):
+    the first nonzero 1/d is reduced, so each piece's d enters D where the
+    Fractions' does; ``zero`` makes it an all-zero piece instead."""
+    pieces, start = [], 0
+    for zeros, d, tail, zero in shapes:
+        xs = [0] * (zeros + 1) if zero else [0] * zeros + [1] + tail
+        pieces.append((start, d, xs))
+        start += len(xs)
+    return pieces
+
+
+class TestLeadingZeros:
+    """``_coalesced`` gives a piece's leading zeros d = 1 only where its d
+    would grow D: its blocks are those of the reduced Fractions, the zeros
+    ending the old block where the new d ends it, whether the d divides D
+    or not."""
+
+    @pytest.mark.parametrize("pieces", [
+        # d divides D (no split); d grows D past the limit (the zeros end the
+        # old block); d grows D within it; an all-zero piece of a new d
+        [(0, 2 ** 200, [1, 3, 5]), (3, 2 ** 100, [0, 0, 7]), (6, 3 ** 100, [0, 0, 1, 2]),
+         (10, 5, [0, 4]), (12, 7 ** 300, [0, 0]), (14, 1, [0, 9])],
+        [(0, 2 ** 300, [0, 0, 1]), (3, 2 ** 300, [0, 5])],
+        [(0, 3 ** 200, [0, 0, 0]), (3, 2, [1])],
+        [(0, 6 ** 60, [5, 0]), (2, 2 ** 60, [0, 0, 1]), (5, 5 ** 200, [0, 1]),
+         (7, 6 ** 60, [0, 0, 7])],
+    ], ids=["mixed", "first-piece", "all-zero-first", "divides-then-grows"])
+    def test_cases(self, pieces):
+        coeffs = [F(x, d) for _, d, xs in pieces for x in xs]
+        assert _coalesced(pieces) == fraction_blocks(coeffs)
+
+    @given(st.lists(st.tuples(st.integers(0, 3),
+                              st.sampled_from([1, 2, 6, 2 ** 100, 3 ** 90, 2 ** 300, 5 ** 150,
+                                               2 ** 127 - 1]),
+                              st.lists(st.integers(-9, 9), max_size=3), st.booleans()),
+                    min_size=1, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_random_pieces(self, shapes):
+        pieces = contiguous(shapes)
+        coeffs = [F(x, d) for _, d, xs in pieces for x in xs]
+        assert _coalesced(pieces) == fraction_blocks(coeffs)
 
 
 class TestSameBlocks:
