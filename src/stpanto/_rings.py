@@ -122,19 +122,12 @@ def _coalesced(pieces) -> list[tuple[int, int, list[int]]]:
     """Blocks (start, D, numerators) of contiguous pieces (start, d, xs) that
     hold the values xs / d.  D is the lcm of every d up to the block's end,
     so each block's D is a multiple of the ones before it.  A block ends
-    where D's bit length would pass twice what it was where the block began;
-    a piece whose d would grow D first gives its leading zeros d = 1."""
+    where D's bit length would pass twice what it was where the block began
+    (at least ``_BLOCK_BITS``); a piece, zeros and all, stays whole."""
     blocks, run, den, limit = [], [], 1, 2 * _BLOCK_BITS
     for piece in pieces:
-        s, d, xs = piece
-        if den % d:
-            if not xs[0]:
-                zeros = next((i for i, x in enumerate(xs) if x), len(xs))
-                run.append((s, 1, xs[:zeros]))
-                if zeros == len(xs):
-                    continue
-                piece = s + zeros, d, xs[zeros:]
-            grown = den // math.gcd(den, d) * d
+        if den % piece[1]:
+            grown = den // math.gcd(den, piece[1]) * piece[1]
             if grown.bit_length() > limit and run:
                 blocks.append(_lifted(run, den))
                 run, limit = [], 2 * max(den.bit_length(), _BLOCK_BITS)
@@ -152,7 +145,7 @@ def _lifted(run, den: int) -> tuple[int, int, list[int]]:
 def _multipliers(run, den: int) -> list[int]:
     """den / d for the d of each piece of ``run`` (each dividing den), from
     the last: den / d' times d' / d where d divides the d' after it, else one
-    division; a d of 1 (a zero's) is den and breaks no chain."""
+    division; a d of 1 (an integer's) is den and breaks no chain."""
     out, last, m = [], den, 1
     for _, d, _ in reversed(run):
         if d != last and d != 1:

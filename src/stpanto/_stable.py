@@ -10,7 +10,7 @@ bounding every later term ratio, and (a;q)_inf at its geometric one
 factors satisfy |factor - 1| <= tol, and a product at an exact zero factor.
 A sum whose term magnitudes instead keep growing past 1 for many
 consecutive steps is declared divergent early (convergent sums here have at
-most a short growth prefix before the factorials win); a product has no
+most a short rising prefix before the factorials win); a product has no
 such guard, since (10^6; 9/10)_inf grows for over a hundred factors before
 it settles.  Either fails when still running at its cap: TERM_CAP terms for
 a sum, the caller's cap (TERM_CAP by default) for a product.
@@ -450,7 +450,7 @@ def _float(v, up: bool) -> float:
 
 
 def _refuse_radius_zero(pairs, x, params, what):
-    big = 1 if params is None else params.growth
+    big = 1 if params is None else max(abs(params.phi), abs(params.phi_prime))
     fast = max((abs(r) for c, r in pairs if c != 0), default=0)
     if x != 0 and fast > big and not _vanishing_factor(pairs, params):
         fast, big = _float(fast, True), _float(big, False)

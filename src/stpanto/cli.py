@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_int = subs.add_parser("integrate", help="Jackson-type integral of an "
                                               "expression over [a, b]_q")
     _add_common(p_int)
-    p_int.add_argument("--tol", type=float, default=DEFAULT_TOL)  # echoed, not read
+    p_int.add_argument("--tol", type=float, default=DEFAULT_TOL, help="echoed, not read")
     p_int.add_argument("--expr", required=True)
     p_int.add_argument("--from", dest="frm", required=True)
     p_int.add_argument("--to", required=True)

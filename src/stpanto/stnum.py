@@ -82,8 +82,7 @@ class Params:
     share one mpmath context, which is safe because stpanto never changes a
     context's precision once made (nor may a caller).  All scalar values
     used with a Params must come from its own backend (``wrap`` converts
-    literals).  ``ring`` is the coefficient ring of the backend (``_rings``);
-    ``growth`` is max(|phi|, |phi'|), the base {n} grows like.
+    literals).  ``ring`` is the coefficient ring of the backend (``_rings``).
     """
 
     s: Scalar
@@ -95,10 +94,6 @@ class Params:
     precision: int
     ctx: MPContext | None = field(compare=False)
     ring: object = field(compare=False)
-    growth: Scalar = field(init=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "growth", max(abs(self.phi), abs(self.phi_prime)))
 
     def __repr__(self):
         return (f"Params(s={self.s}, t={self.t}, backend={self.backend!r}, "

@@ -77,11 +77,6 @@ class Series:
             self._coeffs = self.params.ring.coeffs(self._data)
         return self._coeffs
 
-    @property
-    def blocks(self) -> list[tuple[int, int, list[int]]]:
-        """The rational ring's data: integer blocks (start, D, numerators)."""
-        return self.data
-
     def _head(self):
         """c_0, the other coefficients left as they are."""
         return self.truncated(0).coeffs[0]
@@ -250,8 +245,6 @@ def symbolic_powers(f: Series, kmax: int) -> list[Series]:
     if kmax >= 1 and f._head() != 0:
         raise NonzeroConstantTerm("symbolic powers need f(0) = 0")
     powers = [Series.one(f.params, f.order)]
-    if kmax == 0:
-        return powers
     nums = st_number_range(f.params, kmax)
     df = st_derive(f)
     for k in range(1, kmax + 1):

@@ -641,7 +641,7 @@ def test_factorial_kernel_matches_inline_loops(params, N):
                           (factorial_series(params, pairs, N, g, lead=1), (lead, g)),
                           (factorial_series(params, ((one, u),), N), (lone, ones))):
             assert same(got.coeffs) == same(_ref_over_factorials(params, *want))
-            assert got.blocks == params.ring.data(got.coeffs)
+            assert got.data == params.ring.data(got.coeffs)
 
 
 # -- the point sums against the scalar-object loop they replaced -------------------

@@ -397,7 +397,7 @@ def _domain_oracle(params, a, b, u, x) -> bool:
     radius 0 at x != 0 when G > max(|phi|, |phi'|), with G = |u| if b != 0
     and (a = 0 or |u| > 1) and G = 1 otherwise, unless some factor a + b u^k
     (k < TERM_CAP) is 0 and E is a polynomial."""
-    m = params.growth
+    m = max(abs(params.phi), abs(params.phi_prime))
     if abs(u) <= m >= 1 or x == 0:
         return False
     grow = abs(u) if b != 0 and (a == 0 or abs(u) > 1) else 1

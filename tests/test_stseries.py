@@ -15,6 +15,7 @@ from stpanto._rings import (_BLOCK_BITS, RATIONAL, _coalesced, _convolution, _ex
 from stpanto._stable import factors, powers, weights
 from stpanto.errors import (
     BackendMismatch,
+    IndexOutOfRange,
     NonInvertibleSeries,
     NonQPeriodicInitial,
     NonzeroConstantTerm,
@@ -270,11 +271,11 @@ class TestExactProduct:
     def test_dense_integer_block_of_order_128(self):
         xs = [(-1) ** k * (3 ** k + k) for k in range(129)]
         ys = [2 ** (k % 61) - 7 * k for k in range(129)]
-        assert Series(P32, xs).blocks == [(0, 1, xs)]
+        assert Series(P32, xs).data == [(0, 1, xs)]
         assert _convolution(xs, ys, 129) == kronecker_low(xs, ys, 129)
         assert _convolution(xs, ys, 257) == kronecker_low(xs, ys, 257)
         want = _reduced([(0, 1, kronecker_low(xs, ys, 129))])
-        assert (Series(P32, xs) * Series(P32, ys)).blocks == want
+        assert (Series(P32, xs) * Series(P32, ys)).data == want
 
     def test_pantograph_order_128(self):
         f = pantograph(P32, PantographSpec(F(2), F(1, 2), F(1, 3)), 128)
@@ -498,7 +499,7 @@ class TestEval:
     def test_rational_eval_of_a_kernel_result(self, x):
         f = pantograph(P32, PantographSpec(F(2), F(1, 2), F(1, 3)), 64) / deformed_exp(
             P32, F(-1, 2), 64)
-        assert f._coeffs is None and len(f.blocks) > 1
+        assert f._coeffs is None and len(f.data) > 1
         got = f.eval(x)
         assert f._coeffs is None  # no coefficient was reduced
         assert got == horner_loop(f, x)
@@ -578,7 +579,7 @@ class TestBlockForm:
                 assert got == Series.zero(p, got.order) and got.max_abs_coeff() == 0
             if peek:  # read the coefficients mid-chain, then go on from the blocks
                 assert got.coeffs == want
-            blocks = got.blocks  # contiguous from 0, each D a multiple of the one before
+            blocks = got.data  # contiguous from 0, each D a multiple of the one before
             assert [s for s, _, _ in blocks] == list(accumulate(
                 (len(xs) for _, _, xs in blocks[:-1]), initial=0))
             assert all(d > 0 and later % d == 0
@@ -599,7 +600,7 @@ class TestBlockForm:
         f = pantograph(p, PantographSpec(F(2), F(1, 2), F(1, 3)), 40)
         g = deformed_exp(p, F(-1, 2), 40)
         q = f / g
-        dens = [d for _, d, _ in q.blocks]
+        dens = [d for _, d, _ in q.data]
         assert all(later % d == 0 for d, later in zip(dens, dens[1:]))
         assert q * g == f
 
@@ -845,24 +846,24 @@ class TestDataBlocks:
         assert len(RATIONAL.data(self.E128)) > 1
 
 
-def fraction_blocks(coeffs):
-    """The blocks of reduced Fractions, one index at a time: D is the lcm of
-    the denominators so far, and a block ends where D's bit length would pass
-    twice what it was where the block began (at least ``_BLOCK_BITS``)."""
-    blocks, start, den, limit = [], 0, 1, 2 * _BLOCK_BITS
-    for n, c in enumerate(coeffs):
-        grown = _lcm(den, c.denominator)
-        if grown != den and grown.bit_length() > limit and n > start:
-            blocks.append((start, den, [(x * den).numerator for x in coeffs[start:n]]))
-            start, limit = n, 2 * max(den.bit_length(), _BLOCK_BITS)
-        den = grown
-    return blocks + [(start, den, [(x * den).numerator for x in coeffs[start:]])]
+def one_rule_blocks(pieces):
+    """The blocks of contiguous pieces (start, d, xs) by the one rule, a piece
+    at a time: D is the lcm of the pieces' d so far, and a block ends where
+    D's bit length would pass twice what it was where the block began (at
+    least ``_BLOCK_BITS``); each numerator is x (D // d), one division."""
+    blocks, run, den, limit = [], [], 1, 2 * _BLOCK_BITS
+    for piece in pieces:
+        grown = _lcm(den, piece[1])
+        if grown != den and grown.bit_length() > limit and run:
+            blocks.append((run[0][0], den, [x * (den // d) for _, d, xs in run for x in xs]))
+            run, limit = [], 2 * max(den.bit_length(), _BLOCK_BITS)
+        run, den = run + [piece], grown
+    return blocks + [(run[0][0], den, [x * (den // d) for _, d, xs in run for x in xs])]
 
 
 def contiguous(shapes):
-    """Pieces (start, d, zeros then 1 then tail) from (zeros, d, tail, zero):
-    the first nonzero 1/d is reduced, so each piece's d enters D where the
-    Fractions' does; ``zero`` makes it an all-zero piece instead."""
+    """Pieces (start, d, zeros then 1 then tail) from (zeros, d, tail, zero);
+    ``zero`` makes it an all-zero piece instead."""
     pieces, start = [], 0
     for zeros, d, tail, zero in shapes:
         xs = [0] * (zeros + 1) if zero else [0] * zeros + [1] + tail
@@ -871,15 +872,25 @@ def contiguous(shapes):
     return pieces
 
 
-class TestLeadingZeros:
-    """``_coalesced`` gives a piece's leading zeros d = 1 only where its d
-    would grow D: its blocks are those of the reduced Fractions, the zeros
-    ending the old block where the new d ends it, whether the d divides D
-    or not."""
+class TestOneBlockRule:
+    """``_coalesced`` builds every block list by one rule: a piece, leading
+    zeros and all, enters its block whole, D is the lcm of the pieces' d and
+    a block ends where D would pass twice its starting bit length.  Each
+    coefficient reads back as its piece's x/d, and each D divides the next."""
+
+    @staticmethod
+    def check(pieces):
+        blocks = _coalesced(pieces)
+        assert blocks == one_rule_blocks(pieces)
+        assert [F(x, d) for _, d, xs in blocks for x in xs] == \
+            [F(x, d) for _, d, xs in pieces for x in xs]
+        assert [s for s, _, _ in blocks] == \
+            list(accumulate([len(xs) for _, _, xs in blocks[:-1]], initial=0))
+        assert all(e % d == 0 for (_, d, _), (_, e, _) in zip(blocks, blocks[1:]))
 
     @pytest.mark.parametrize("pieces", [
-        # d divides D (no split); d grows D past the limit (the zeros end the
-        # old block); d grows D within it; an all-zero piece of a new d
+        # d divides D; d grows D past the limit behind leading zeros; d grows
+        # D within it; an all-zero piece of a new d
         [(0, 2 ** 200, [1, 3, 5]), (3, 2 ** 100, [0, 0, 7]), (6, 3 ** 100, [0, 0, 1, 2]),
          (10, 5, [0, 4]), (12, 7 ** 300, [0, 0]), (14, 1, [0, 9])],
         [(0, 2 ** 300, [0, 0, 1]), (3, 2 ** 300, [0, 5])],
@@ -888,8 +899,7 @@ class TestLeadingZeros:
          (7, 6 ** 60, [0, 0, 7])],
     ], ids=["mixed", "first-piece", "all-zero-first", "divides-then-grows"])
     def test_cases(self, pieces):
-        coeffs = [F(x, d) for _, d, xs in pieces for x in xs]
-        assert _coalesced(pieces) == fraction_blocks(coeffs)
+        self.check(pieces)
 
     @given(st.lists(st.tuples(st.integers(0, 3),
                               st.sampled_from([1, 2, 6, 2 ** 100, 3 ** 90, 2 ** 300, 5 ** 150,
@@ -898,9 +908,7 @@ class TestLeadingZeros:
                     min_size=1, max_size=12))
     @settings(max_examples=150, deadline=None)
     def test_random_pieces(self, shapes):
-        pieces = contiguous(shapes)
-        coeffs = [F(x, d) for _, d, xs in pieces for x in xs]
-        assert _coalesced(pieces) == fraction_blocks(coeffs)
+        self.check(contiguous(shapes))
 
 
 class TestSameBlocks:
@@ -915,22 +923,22 @@ class TestSameBlocks:
              "e128": E128}
 
     def test_e128_has_several_blocks(self):
-        assert len(self.E128.blocks) > 1
+        assert len(self.E128.data) > 1
 
     @pytest.mark.parametrize("u", [F(0), F(1), F(-1), F(-2, 3), F(5, 2), F(1, 3)])
     @pytest.mark.parametrize("case", CASES)
     def test_scale_blocks(self, case, u):
         f = self.CASES[case]
-        want = fraction_times(f.blocks, list(islice(powers(u), f.order + 1)))
-        assert scale(f, u).blocks == want
+        want = fraction_times(f.data, list(islice(powers(u), f.order + 1)))
+        assert scale(f, u).data == want
 
     @pytest.mark.parametrize("p", BLOCK_PAIRS)
     @pytest.mark.parametrize("case", CASES)
     def test_antiderive_blocks(self, case, p):
         f = Series(p, self.CASES[case].coeffs)
         nums = st_divisors(p, f.order + 1)[1:]
-        want = _reduced(fraction_times(f.blocks, [1 / m for m in nums]))
-        assert st_antiderive(f).blocks == [(0, 1, [0])] + [(s + 1, d, xs) for s, d, xs in want]
+        want = _reduced(fraction_times(f.data, [1 / m for m in nums]))
+        assert st_antiderive(f).data == [(0, 1, [0])] + [(s + 1, d, xs) for s, d, xs in want]
 
     @pytest.mark.parametrize("precision", [1, 30, 50])
     @given(a=mixed_operand, u=st.one_of(float_coeff, product_coeff))
@@ -1030,6 +1038,17 @@ class TestSymbolicPowers:
     def test_rejects_constant_term(self):
         with pytest.raises(NonzeroConstantTerm):
             symbolic_power(poly(P32, [1, 1]), 2)
+
+    @pytest.mark.parametrize("p", [P32, golden_pair(1, 1, backend="float")],
+                             ids=["rational", "float"])
+    @pytest.mark.parametrize("coeffs", [[0, 1, 1], [2, 1, 1], [5]])
+    def test_kmax_zero_and_below(self, p, coeffs):
+        # f^[0] = 1 at f's order, f(0) != 0 included; no kmax < 0
+        f = poly(p, coeffs)
+        got, = symbolic_powers(f, 0)
+        assert got.order == f.order and got.coeffs == Series.one(p, f.order).coeffs
+        with pytest.raises(IndexOutOfRange):
+            symbolic_powers(f, -1)
 
     def test_defining_recurrence(self):
         # D f^[k] = {k} f^[k-1] D f, f^[k](0) = 0, via an inline oracle
